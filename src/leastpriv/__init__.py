@@ -27,10 +27,7 @@ from .options import (
     load_catalog,
     parse_catalog,
     parse_syntax,
-    render_flag,
     render_fragment,
-    sample_value,
-    strip_flag,
     validate_value,
 )
 from .environment import (

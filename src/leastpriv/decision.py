@@ -27,6 +27,7 @@ from typing import Iterable, Optional, Union
 
 import yaml
 
+from ._lineformat import decode_lines
 from .events import (
     KIND_CAPABILITY,
     KIND_SYSCALL,
@@ -152,39 +153,27 @@ def parse_event_list(names: Iterable[str]) -> EventSet:
     return EventSet.from_events(_parse_event_name(name) for name in names)
 
 
-def parse_cvedb(lines: Iterable[str], source: str = "<memory>") -> CveDatabase:
-    iterator = iter(lines)
+def _decode_cve(line: str) -> Optional[CveEntry]:
+    if line.lstrip().startswith("#"):
+        return None
+    parts = line.split("\t")
+    if len(parts) != 3:
+        raise DbFormatError(f"expected `cve_id<TAB>cvss<TAB>events`, got {len(parts)} fields")
+    cve_id, cvss_text, events_text = (part.strip() for part in parts)
     try:
-        header = next(iterator).rstrip("\n")
-    except StopIteration:
-        raise DbFormatError(f"{source}: empty input, expected {CVEDB_HEADER!r}") from None
-    if header != CVEDB_HEADER:
-        raise DbFormatError(f"{source}: bad header {header!r}, expected {CVEDB_HEADER!r}")
-    entries = []
-    for lineno, raw in enumerate(iterator, start=2):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DbFormatError(
-                f"{source}:{lineno}: expected `cve_id<TAB>cvss<TAB>events`, got {len(parts)} fields"
-            )
-        cve_id, cvss_text, events_text = (part.strip() for part in parts)
-        try:
-            cvss = float(cvss_text)
-        except ValueError:
-            raise DbFormatError(f"{source}:{lineno}: bad CVSS value {cvss_text!r}") from None
-        if not math.isfinite(cvss):
-            raise DbFormatError(f"{source}:{lineno}: bad CVSS value {cvss_text!r}")
-        names = [piece.strip() for piece in events_text.split(",") if piece.strip()]
-        if not names:
-            raise DbFormatError(f"{source}:{lineno}: {cve_id}: empty attack vector")
-        try:
-            entry = CveEntry(cve_id, cvss, EventSet.from_events(_parse_event_name(n) for n in names))
-        except DecisionError as exc:
-            raise DbFormatError(f"{source}:{lineno}: {exc}") from None
-        entries.append(entry)
+        cvss = float(cvss_text)
+    except ValueError:
+        raise DbFormatError(f"bad CVSS value {cvss_text!r}") from None
+    if not math.isfinite(cvss):
+        raise DbFormatError(f"bad CVSS value {cvss_text!r}")
+    names = [piece.strip() for piece in events_text.split(",") if piece.strip()]
+    if not names:
+        raise DbFormatError(f"{cve_id}: empty attack vector")
+    return CveEntry(cve_id, cvss, parse_event_list(names))
+
+
+def parse_cvedb(lines: Iterable[str], source: str = "<memory>") -> CveDatabase:
+    entries = decode_lines(lines, CVEDB_HEADER, source, DbFormatError, _decode_cve)
     try:
         return CveDatabase(entries)
     except DecisionError as exc:
@@ -317,10 +306,6 @@ def save_store(store: ObservationStore, path) -> None:
 
 
 def load_store(path) -> ObservationStore:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines or lines[0] != OBSERVATIONS_HEADER:
-        raise StoreFormatError(f"{path}: expected {OBSERVATIONS_HEADER!r} header")
     store: Optional[ObservationStore] = None
     environment_id: Optional[str] = None
     pending: dict[str, list] = {}
@@ -329,39 +314,46 @@ def load_store(path) -> ObservationStore:
         if environment_id is not None:
             store.record(
                 environment_id,
-                EventSet.of(
-                    [name for name, _ in pending["SYS"]],
-                    [name for name, _ in pending["CAP"]],
+                EventSet(
+                    frozenset(name for name, _ in pending["SYS"]),
+                    frozenset(name for name, _ in pending["CAP"]),
                 ),
                 pending["SYS"],
                 pending["CAP"],
             )
 
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip() or line.startswith("#"):
-            continue
+    def decode(line: str) -> None:
+        nonlocal store, environment_id, pending
+        if line.startswith("#"):
+            return
         parts = line.split()
         tag = parts[0]
         if tag == "CONTAINER":
             if len(parts) != 2 or store is not None:
-                raise StoreFormatError(f"{path}:{lineno}: bad CONTAINER line")
+                raise StoreFormatError("bad CONTAINER line")
             store = ObservationStore(parts[1])
         elif tag == "ENV":
             if store is None or len(parts) != 2:
-                raise StoreFormatError(f"{path}:{lineno}: bad ENV line")
+                raise StoreFormatError("bad ENV line")
             flush()
             environment_id = parts[1]
             pending = {"SYS": [], "CAP": []}
         elif tag in ("SYS", "CAP"):
             if environment_id is None or len(parts) != 3:
-                raise StoreFormatError(f"{path}:{lineno}: stray or malformed {tag} line")
+                raise StoreFormatError(f"stray or malformed {tag} line")
             try:
                 count = int(parts[2])
             except ValueError:
-                raise StoreFormatError(f"{path}:{lineno}: bad count {parts[2]!r}") from None
-            pending[tag].append((parts[1], count))
+                raise StoreFormatError(f"bad count {parts[2]!r}") from None
+            if count < 0:
+                raise StoreFormatError(f"negative count {count}")
+            canonical = canonical_syscall if tag == "SYS" else canonical_capability
+            pending[tag].append((canonical(parts[1]), count))
         else:
-            raise StoreFormatError(f"{path}:{lineno}: unknown tag {tag!r}")
+            raise StoreFormatError(f"unknown tag {tag!r}")
+
+    with open(path, "r", encoding="utf-8") as handle:
+        decode_lines(handle, OBSERVATIONS_HEADER, str(path), StoreFormatError, decode)
     if store is None:
         raise StoreFormatError(f"{path}: missing CONTAINER line")
     flush()
@@ -602,34 +594,17 @@ def check_mitigation(
 # -- policy files ------------------------------------------------------------
 
 
-def _events_doc(events: EventSet) -> dict:
-    doc: dict = {}
-    if events.syscalls:
-        doc["syscalls"] = sorted(events.syscalls)
-    if events.capabilities:
-        doc["capabilities"] = sorted(events.capabilities)
-    return doc
-
-
-def _events_from_doc(doc) -> EventSet:
-    if doc is None:
-        return EventSet.empty()
-    if not isinstance(doc, dict) or set(doc) - {"syscalls", "capabilities"}:
-        raise DecisionError(f"bad event block {doc!r}")
-    return EventSet.of(doc.get("syscalls") or (), doc.get("capabilities") or ())
-
-
 def policy_to_doc(policy: Policy) -> dict:
     doc = {
         "policy_version": POLICY_VERSION,
         "container": policy.container,
         "achieved_security": policy.achieved_security,
         "achieved_functionality": policy.achieved_functionality,
-        "allowed": _events_doc(policy.allowed),
+        "allowed": policy.allowed.to_doc(),
         "classes": {
-            "always": _events_doc(policy.always),
-            "sporadic_included": _events_doc(policy.sporadic_included),
-            "sporadic_excluded": _events_doc(policy.sporadic_excluded),
+            "always": policy.always.to_doc(),
+            "sporadic_included": policy.sporadic_included.to_doc(),
+            "sporadic_excluded": policy.sporadic_excluded.to_doc(),
         },
     }
     if policy.targets is not None:
@@ -651,6 +626,8 @@ def policy_from_doc(doc) -> Policy:
     if not isinstance(container, str) or not container:
         raise DecisionError("policy needs a container name")
     classes = doc.get("classes") or {}
+    if not isinstance(classes, dict):
+        raise DecisionError(f"classes must be a mapping, got {classes!r}")
     targets_doc = doc.get("targets")
     targets = None
     if targets_doc is not None:
@@ -667,12 +644,12 @@ def policy_from_doc(doc) -> Policy:
         raise DecisionError("policy needs numeric achieved scores") from None
     return Policy(
         container=container,
-        allowed=_events_from_doc(doc.get("allowed")),
+        allowed=EventSet.from_doc(doc.get("allowed")),
         achieved_security=achieved_security,
         achieved_functionality=achieved_functionality,
-        always=_events_from_doc(classes.get("always")),
-        sporadic_included=_events_from_doc(classes.get("sporadic_included")),
-        sporadic_excluded=_events_from_doc(classes.get("sporadic_excluded")),
+        always=EventSet.from_doc(classes.get("always")),
+        sporadic_included=EventSet.from_doc(classes.get("sporadic_included")),
+        sporadic_excluded=EventSet.from_doc(classes.get("sporadic_excluded")),
         targets=targets,
     )
 

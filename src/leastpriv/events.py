@@ -64,7 +64,7 @@ CANONICAL_CAPABILITIES: frozenset[str] = frozenset(
 
 
 class EventNameError(ValueError):
-    """Raised for event names that cannot be canonicalized."""
+    """Raised for event names or event blocks that cannot be read."""
 
 
 def canonical_syscall(name: str) -> str:
@@ -132,6 +132,33 @@ class EventSet:
             else:
                 raise EventNameError(f"unknown event kind {kind!r}")
         return cls.of(syscalls, capabilities)
+
+    @classmethod
+    def from_doc(cls, doc) -> "EventSet":
+        """Read a YAML event block written by to_doc; None is the empty set."""
+        if doc is None:
+            return cls()
+        if not isinstance(doc, dict) or set(doc) - {"syscalls", "capabilities"}:
+            raise EventNameError(
+                f"bad event block {doc!r}: expected a mapping with syscalls/capabilities"
+            )
+        syscalls = doc.get("syscalls") or []
+        capabilities = doc.get("capabilities") or []
+        for key, names in (("syscalls", syscalls), ("capabilities", capabilities)):
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise EventNameError(
+                    f"bad event block: {key} must be a list of names, got {names!r}"
+                )
+        return cls.of(syscalls, capabilities)
+
+    def to_doc(self) -> dict:
+        """YAML event block: sorted name lists, kinds without events left out."""
+        doc: dict = {}
+        if self.syscalls:
+            doc["syscalls"] = sorted(self.syscalls)
+        if self.capabilities:
+            doc["capabilities"] = sorted(self.capabilities)
+        return doc
 
     def union(self, other: "EventSet") -> "EventSet":
         return EventSet(

@@ -21,6 +21,7 @@ import subprocess
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
+from ._lineformat import decode_lines
 from .environment import Environment, compose_environment, compose_pair
 from .events import EventSet
 from .monitor import ingest_trace, parse_trace
@@ -335,33 +336,29 @@ def write_log(config: MutationConfig, result: ExplorationResult, path) -> None:
 
 
 def read_log(path) -> tuple[MutationConfig, tuple[ProbeLogEntry, ...], tuple[str, ...]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines or lines[0] != LOG_HEADER:
-        raise ExplorerError(f"{path}: expected {LOG_HEADER!r} header")
     config: Optional[MutationConfig] = None
-    entries: list[ProbeLogEntry] = []
     warnings: list[str] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+
+    def decode(line: str) -> Optional[ProbeLogEntry]:
+        nonlocal config
         if line.startswith("# config "):
             config = _parse_config(line)
-            continue
+            return None
         if line.startswith("# warning: "):
             warnings.append(line[len("# warning: "):])
-            continue
+            return None
         if line.startswith("#"):
-            continue
+            return None
         parts = line.split()
         if len(parts) != 4:
-            raise ExplorerError(f"{path}:{lineno}: expected `it v step new_events`")
+            raise ExplorerError("expected `it v step new_events`")
         try:
-            entries.append(
-                ProbeLogEntry(int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3]))
-            )
+            return ProbeLogEntry(int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3]))
         except ValueError:
-            raise ExplorerError(f"{path}:{lineno}: malformed record {line!r}") from None
+            raise ExplorerError(f"malformed record {line!r}") from None
+
+    with open(path, "r", encoding="utf-8") as handle:
+        entries = decode_lines(handle, LOG_HEADER, str(path), ExplorerError, decode)
     if config is None:
         raise ExplorerError(f"{path}: missing config echo line")
     return config, tuple(entries), tuple(warnings)

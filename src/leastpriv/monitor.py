@@ -26,6 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
+from ._lineformat import decode_lines
 from .events import (
     KIND_CAPABILITY,
     KIND_SYSCALL,
@@ -86,51 +87,32 @@ class TraceRecord:
     kind: str
     name: str
 
-    def __post_init__(self):
-        if self.kind not in (KIND_SYSCALL, KIND_CAPABILITY):
-            raise TraceFormatError(f"unknown event kind {self.kind!r}")
-        if self.timestamp_ns < 0:
-            raise TraceFormatError(f"negative timestamp {self.timestamp_ns}")
-        if self.namespace_id < 0:
-            raise TraceFormatError(f"negative namespace id {self.namespace_id}")
+
+def _decode_record(line: str) -> TraceRecord:
+    parts = line.split()
+    if len(parts) != 4:
+        raise TraceFormatError(f"expected 4 fields, got {len(parts)}")
+    ts_text, ns_text, kind, name = parts
+    try:
+        timestamp = int(ts_text)
+        namespace = int(ns_text)
+    except ValueError:
+        raise TraceFormatError("timestamp and namespace must be integers") from None
+    if timestamp < 0:
+        raise TraceFormatError(f"negative timestamp {timestamp}")
+    if namespace < 0:
+        raise TraceFormatError(f"negative namespace id {namespace}")
+    if kind == KIND_SYSCALL:
+        name = canonical_syscall(name)
+    elif kind == KIND_CAPABILITY:
+        name = canonical_capability(name)
+    else:
+        raise TraceFormatError(f"unknown kind {kind!r}")
+    return TraceRecord(timestamp, namespace, kind, name)
 
 
 def parse_trace(lines: Iterable[str], source: str = "<memory>") -> list[TraceRecord]:
-    iterator = iter(lines)
-    try:
-        header = next(iterator).rstrip("\n")
-    except StopIteration:
-        raise TraceFormatError(f"{source}: empty input, expected {TRACE_HEADER!r}") from None
-    if header != TRACE_HEADER:
-        raise TraceFormatError(
-            f"{source}: bad header {header!r}, expected {TRACE_HEADER!r}"
-        )
-    records: list[TraceRecord] = []
-    for lineno, raw in enumerate(iterator, start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise TraceFormatError(
-                f"{source}:{lineno}: expected 4 fields, got {len(parts)}"
-            )
-        ts_text, ns_text, kind, name = parts
-        try:
-            timestamp = int(ts_text)
-            namespace = int(ns_text)
-        except ValueError:
-            raise TraceFormatError(
-                f"{source}:{lineno}: timestamp and namespace must be integers"
-            ) from None
-        if kind == KIND_SYSCALL:
-            name = canonical_syscall(name)
-        elif kind == KIND_CAPABILITY:
-            name = canonical_capability(name)
-        else:
-            raise TraceFormatError(f"{source}:{lineno}: unknown kind {kind!r}")
-        records.append(TraceRecord(timestamp, namespace, kind, name))
-    return records
+    return decode_lines(lines, TRACE_HEADER, source, TraceFormatError, _decode_record)
 
 
 def read_trace(path) -> list[TraceRecord]:

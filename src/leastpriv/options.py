@@ -1,4 +1,4 @@
-"""Launch-option syntax catalog: parsing, validation, sampling, rendering.
+"""Launch-option syntax catalog: parsing, validation, rendering.
 
 A catalog file is line-oriented: ``name<TAB>category<TAB>syntax-expression``
 with ``#`` comment lines.  The syntax-expression notation:
@@ -20,12 +20,13 @@ payloads: bool for flags, int for the integer shapes, str for enums,
 (magnitude, unit-or-None) for byte sizes, tuples for compounds (one slot
 per non-literal leaf, None for omitted optional leaves), lists for list
 options, and (branch_index, branch_payload) for alternations that mix
-literals with other shapes.
+literals with other shapes.  Rendering turns a payload back into its
+canonical value text, which environment ids, plan files and model
+triggers are built from.
 """
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -59,10 +60,7 @@ __all__ = [
     "load_catalog",
     "default_catalog",
     "validate_value",
-    "sample_value",
-    "render_flag",
     "render_fragment",
-    "strip_flag",
     "integer_bounds",
 ]
 
@@ -114,16 +112,15 @@ SIGNAL_NAMES: tuple[str, ...] = (
     "SIGSYS",
 )
 
-# Sampled mount paths.  Sampling never touches the real filesystem; the
-# pools just have to be stable and prefix-free within themselves.
+# The mount paths <HVPath> and <CVPath> accept.  Values are never checked
+# against the real filesystem; the pools just have to be stable and
+# prefix-free within themselves, so an enum parse is never ambiguous.
 HOST_PATH_POOL: tuple[str, ...] = ("/srv/export", "/tmp/scratch", "/var/lib/shared")
 CONTAINER_PATH_POOL: tuple[str, ...] = ("/data", "/mnt/ingest", "/var/cache/app")
 
 DEFAULT_LIST_MAX = 4
 
 CATEGORIES = frozenset({"bool", "int", "string", "bytes", "list"})
-
-_LITERAL_NONE = object()
 
 
 class ValueSyntax:
@@ -133,12 +130,6 @@ class ValueSyntax:
     for every parse of ``text`` starting at ``pos``; validation succeeds
     when some parse consumes the whole candidate.
     """
-
-    def space_size(self) -> int:
-        raise NotImplementedError
-
-    def sample(self, rng: random.Random):
-        raise NotImplementedError
 
     def render(self, payload) -> str:
         raise NotImplementedError
@@ -153,12 +144,6 @@ _SIGNED = re.compile(r"-?\d+")
 
 @dataclass(frozen=True)
 class BoolFlag(ValueSyntax):
-    def space_size(self) -> int:
-        return 2
-
-    def sample(self, rng: random.Random) -> bool:
-        return bool(rng.randrange(2))
-
     def render(self, payload) -> str:
         if not isinstance(payload, bool):
             raise OptionError(f"boolean flag payload must be bool, got {payload!r}")
@@ -181,12 +166,6 @@ class UnsignedInt(ValueSyntax):
     @property
     def bounds(self) -> tuple[int, int]:
         return 0, 1 << self.bit_width
-
-    def space_size(self) -> int:
-        return 1 << self.bit_width
-
-    def sample(self, rng: random.Random) -> int:
-        return rng.randrange(0, 1 << self.bit_width)
 
     def render(self, payload) -> str:
         _check_int(payload, *self.bounds)
@@ -212,13 +191,6 @@ class SignedInt(ValueSyntax):
     def bounds(self) -> tuple[int, int]:
         half = 1 << (self.bit_width - 1)
         return -half, half
-
-    def space_size(self) -> int:
-        return 1 << self.bit_width
-
-    def sample(self, rng: random.Random) -> int:
-        lo, hi = self.bounds
-        return rng.randrange(lo, hi)
 
     def render(self, payload) -> str:
         _check_int(payload, *self.bounds)
@@ -248,12 +220,6 @@ class ContinuousRange(ValueSyntax):
     def bounds(self) -> tuple[int, int]:
         return self.lo, self.hi
 
-    def space_size(self) -> int:
-        return self.hi - self.lo
-
-    def sample(self, rng: random.Random) -> int:
-        return rng.randrange(self.lo, self.hi)
-
     def render(self, payload) -> str:
         _check_int(payload, self.lo, self.hi)
         return str(payload)
@@ -277,12 +243,6 @@ class Enum(ValueSyntax):
             raise CatalogError(f"enum choices not unique: {self.choices}")
         if any(not c for c in self.choices):
             raise CatalogError("enum with empty choice")
-
-    def space_size(self) -> int:
-        return len(self.choices)
-
-    def sample(self, rng: random.Random) -> str:
-        return self.choices[rng.randrange(len(self.choices))]
 
     def render(self, payload) -> str:
         if payload not in self.choices:
@@ -308,17 +268,6 @@ class BytesWithUnit(ValueSyntax):
             raise CatalogError(f"magnitude bit width out of range: {self.bit_width}")
         if not self.unit_suffixes:
             raise CatalogError("byte size without unit suffixes")
-
-    def space_size(self) -> int:
-        units = len(self.unit_suffixes) + (1 if self.suffix_optional else 0)
-        return (1 << self.bit_width) * units
-
-    def sample(self, rng: random.Random) -> tuple[int, Optional[str]]:
-        magnitude = rng.randrange(0, 1 << self.bit_width)
-        units: tuple[Optional[str], ...] = self.unit_suffixes
-        if self.suffix_optional:
-            units = (None,) + self.unit_suffixes
-        return magnitude, units[rng.randrange(len(units))]
 
     def render(self, payload) -> str:
         if not (isinstance(payload, tuple) and len(payload) == 2):
@@ -358,14 +307,8 @@ class Literal(ValueSyntax):
         if not self.text:
             raise CatalogError("empty literal")
 
-    def space_size(self) -> int:
-        return 1
-
-    def sample(self, rng: random.Random) -> str:
-        return self.text
-
     def render(self, payload) -> str:
-        if payload not in (self.text, _LITERAL_NONE):
+        if payload != self.text:
             raise OptionError(f"literal payload mismatch: {payload!r} != {self.text!r}")
         return self.text
 
@@ -403,23 +346,6 @@ class Compound(ValueSyntax):
         for part in self.parts:
             out.extend(_leaves(part.node))
         return tuple(out)
-
-    def space_size(self) -> int:
-        total = 1
-        for part in self.parts:
-            size = part.node.space_size()
-            total *= size + 1 if part.optional else size
-        return total
-
-    def sample(self, rng: random.Random) -> tuple:
-        acc: list = []
-        for part in self.parts:
-            width = len(_leaves(part.node))
-            if part.optional and rng.randrange(part.node.space_size() + 1) == 0:
-                acc.extend([None] * width)
-                continue
-            acc.extend(_sample_leaves(part.node, rng))
-        return tuple(acc)
 
     def render(self, payload) -> str:
         leaves = self.leaves()
@@ -471,14 +397,6 @@ class ListOf(ValueSyntax):
         if isinstance(self.element, (ListOf, BoolFlag)):
             raise CatalogError("unsupported list element syntax")
 
-    def space_size(self) -> int:
-        n = self.element.space_size()
-        return sum(n**length for length in range(1, self.max_len + 1))
-
-    def sample(self, rng: random.Random) -> list:
-        length = rng.randint(1, self.max_len)
-        return [_sample_scalar(self.element, rng) for _ in range(length)]
-
     def render(self, payload) -> str:
         if not isinstance(payload, (list, tuple)) or not payload:
             raise OptionError(f"list payload must be a non-empty sequence, got {payload!r}")
@@ -502,18 +420,6 @@ class OneOf(ValueSyntax):
     def __post_init__(self):
         if len(self.branches) < 2:
             raise CatalogError("alternation needs at least two branches")
-
-    def space_size(self) -> int:
-        return sum(b.space_size() for b in self.branches)
-
-    def sample(self, rng: random.Random) -> tuple[int, object]:
-        sizes = [b.space_size() for b in self.branches]
-        pick = rng.randrange(sum(sizes))
-        for index, size in enumerate(sizes):
-            if pick < size:
-                return index, _sample_scalar(self.branches[index], rng)
-            pick -= size
-        raise AssertionError("unreachable")
 
     def render(self, payload) -> str:
         if not (isinstance(payload, tuple) and len(payload) == 2):
@@ -542,18 +448,6 @@ def _leaves(node: ValueSyntax) -> tuple[ValueSyntax, ...]:
     if isinstance(node, Compound):
         return node.leaves()
     return (node,)
-
-
-def _sample_leaves(node: ValueSyntax, rng: random.Random) -> list:
-    if isinstance(node, Literal):
-        return []
-    if isinstance(node, Compound):
-        return list(node.sample(rng))
-    return [node.sample(rng)]
-
-
-def _sample_scalar(node: ValueSyntax, rng: random.Random):
-    return node.sample(rng)
 
 
 def _render_leaves(node: ValueSyntax, chunk: tuple) -> str:
@@ -915,41 +809,9 @@ def _diagnose(spec: OptionSpec, node: ValueSyntax, raw: str) -> OptionError:
     return ValueParseError(f"{prefix} {raw!r} does not match {spec.expression!r}")
 
 
-def sample_value(spec: OptionSpec, seed: int) -> OptionValue:
-    """Deterministically draw one value from the option's space."""
-    return sample_value_with(spec, random.Random(seed))
-
-
-def sample_value_with(spec: OptionSpec, rng: random.Random) -> OptionValue:
-    return OptionValue(spec, spec.syntax.sample(rng))
-
-
 def render_fragment(value: OptionValue) -> str:
     """The value text after the equals sign (booleans render true/false)."""
     return value.spec.syntax.render(value.payload)
-
-
-def render_flag(value: OptionValue) -> str:
-    """The canonical command-line fragment for one option value."""
-    node = value.spec.syntax
-    if isinstance(node, BoolFlag):
-        if not isinstance(value.payload, bool):
-            raise OptionError(f"boolean flag payload must be bool, got {value.payload!r}")
-        if value.payload:
-            return f"--{value.name}"
-        return f"--{value.name}=false"
-    return f"--{value.name}={node.render(value.payload)}"
-
-
-def strip_flag(spec: OptionSpec, flag: str) -> str:
-    """Undo render_flag's prefix, returning the raw candidate string."""
-    bare = f"--{spec.name}"
-    if flag == bare:
-        return ""
-    prefix = bare + "="
-    if flag.startswith(prefix):
-        return flag[len(prefix):]
-    raise OptionError(f"{flag!r} does not carry option {spec.name!r}")
 
 
 def integer_bounds(node: ValueSyntax) -> Optional[tuple[int, int]]:

@@ -275,33 +275,13 @@ def _predicate_from_doc(doc) -> Predicate:
     raise ModelError(f"unknown trigger kind {key!r}")
 
 
-def _events_to_doc(events: EventSet) -> dict:
-    doc: dict = {}
-    if events.syscalls:
-        doc["syscalls"] = sorted(events.syscalls)
-    if events.capabilities:
-        doc["capabilities"] = sorted(events.capabilities)
-    return doc
-
-
-def _events_from_doc(doc) -> EventSet:
-    if doc is None:
-        return EventSet.empty()
-    if not isinstance(doc, dict):
-        raise ModelError(f"bad event set {doc!r}")
-    unknown = set(doc) - {"syscalls", "capabilities"}
-    if unknown:
-        raise ModelError(f"unknown event set keys {sorted(unknown)}")
-    return EventSet.of(doc.get("syscalls") or (), doc.get("capabilities") or ())
-
-
 def model_to_doc(model: SyntheticContainerModel) -> dict:
     doc = {
         "model_version": MODEL_VERSION,
         "name": model.name,
-        "base_events": _events_to_doc(model.base_events),
+        "base_events": model.base_events.to_doc(),
         "rules": [
-            {"when": rule.trigger.to_doc(), "adds": _events_to_doc(rule.adds)}
+            {"when": rule.trigger.to_doc(), "adds": rule.adds.to_doc()}
             for rule in model.rules
         ],
     }
@@ -309,7 +289,7 @@ def model_to_doc(model: SyntheticContainerModel) -> dict:
         doc["interaction_rules"] = [
             {
                 "when": [rule.first.to_doc(), rule.second.to_doc()],
-                "adds": _events_to_doc(rule.adds),
+                "adds": rule.adds.to_doc(),
             }
             for rule in model.interaction_rules
         ]
@@ -330,7 +310,7 @@ def model_from_doc(doc) -> SyntheticContainerModel:
         if not isinstance(entry, dict) or "when" not in entry:
             raise ModelError(f"bad rule entry {entry!r}")
         rules.append(
-            BehaviorRule(_predicate_from_doc(entry["when"]), _events_from_doc(entry.get("adds")))
+            BehaviorRule(_predicate_from_doc(entry["when"]), EventSet.from_doc(entry.get("adds")))
         )
     interactions = []
     for entry in doc.get("interaction_rules") or []:
@@ -343,11 +323,11 @@ def model_from_doc(doc) -> SyntheticContainerModel:
             InteractionRule(
                 _predicate_from_doc(when[0]),
                 _predicate_from_doc(when[1]),
-                _events_from_doc(entry.get("adds")),
+                EventSet.from_doc(entry.get("adds")),
             )
         )
     return SyntheticContainerModel(
-        name, _events_from_doc(doc.get("base_events")), tuple(rules), tuple(interactions)
+        name, EventSet.from_doc(doc.get("base_events")), tuple(rules), tuple(interactions)
     )
 
 

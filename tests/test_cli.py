@@ -3,6 +3,7 @@
 from importlib import resources
 
 import pytest
+import yaml
 
 from leastpriv.cli import main
 from leastpriv.decision import (
@@ -311,6 +312,43 @@ class TestErrorReporting:
         assert "--namespace" in capsys.readouterr().err
         assert main(["ingest", str(trace), "--env-id", "a", "--store", str(store),
                      "--namespace", "2"]) == 0
+
+    @pytest.mark.parametrize("key,value,error", [
+        ("allowed", {"syscalls": "read"}, "EventNameError"),
+        ("allowed", {"syscalls": [1, 2]}, "EventNameError"),
+        ("classes", {"always": {"capabilities": [1, 2]}}, "EventNameError"),
+        ("classes", [1, 2], "DecisionError"),
+    ])
+    def test_malformed_policy_is_one_error_line(self, tmp_path, capsys, key, value, error):
+        doc = {
+            "policy_version": 1,
+            "container": "web",
+            "achieved_security": 1.0,
+            "achieved_functionality": 1.0,
+            "allowed": {"syscalls": ["read"]},
+            key: value,
+        }
+        policy = tmp_path / "bad.policy"
+        policy.write_text(yaml.safe_dump(doc))
+        code = main(["emit", str(policy), "--seccomp", str(tmp_path / "out.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: ")
+        assert err.count("\n") == 1
+
+    def test_malformed_model_event_block_is_one_error_line(self, tmp_path, capsys):
+        model = tmp_path / "bad.yaml"
+        model.write_text(yaml.safe_dump({
+            "model_version": 1,
+            "name": "bad",
+            "base_events": {"syscalls": ["read"]},
+            "rules": [{"when": {"option_present": "tty"}, "adds": {"syscalls": "read"}}],
+        }))
+        code = main(["explore", str(model), "cpu-shares"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: EventNameError: ")
+        assert err.count("\n") == 1
 
     def test_bad_targets_string(self, redis_store_path, capsys):
         code = main(["sweep", str(redis_store_path), CVEDB, "--targets", "nonsense"])

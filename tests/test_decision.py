@@ -409,6 +409,12 @@ class TestStoreFiles:
         with pytest.raises(StoreFormatError):
             load_store(path)
 
+    def test_negative_count_rejected_with_line(self, tmp_path):
+        path = tmp_path / "obs.store"
+        path.write_text(f"{OBSERVATIONS_HEADER}\nCONTAINER app\nENV e1\nSYS read -3\n")
+        with pytest.raises(StoreFormatError, match=f"^{path}:4: negative count -3$"):
+            load_store(path)
+
     def test_container_mismatch_on_merge_is_an_error(self):
         store = ObservationStore("redis")
         with pytest.raises(StoreError):

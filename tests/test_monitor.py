@@ -171,10 +171,10 @@ class TestWireFormat:
         assert records[1].name == "CAP_NET_RAW"
 
     def test_negative_fields_rejected(self):
-        with pytest.raises(TraceFormatError):
-            parse_trace([TRACE_HEADER, "-1\t1\tSYS\tread"])
-        with pytest.raises(TraceFormatError):
-            parse_trace([TRACE_HEADER, "1\t-1\tSYS\tread"])
+        with pytest.raises(TraceFormatError, match="^t.trace:2: negative timestamp -1$"):
+            parse_trace([TRACE_HEADER, "-1\t1\tSYS\tread"], source="t.trace")
+        with pytest.raises(TraceFormatError, match="^t.trace:3: negative namespace id -1$"):
+            parse_trace([TRACE_HEADER, "", "1\t-1\tSYS\tread"], source="t.trace")
 
     def test_blank_lines_skipped(self):
         records = parse_trace([TRACE_HEADER, "", "   ", "1\t1\tSYS\tunshare"])
