@@ -27,7 +27,6 @@ from .options import (
     load_catalog,
     parse_catalog,
     parse_syntax,
-    render_fragment,
     validate_value,
 )
 from .environment import (

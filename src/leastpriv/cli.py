@@ -13,7 +13,6 @@ import argparse
 import os
 import shlex
 import sys
-from dataclasses import fields
 from typing import Optional
 
 from .decision import (
@@ -48,6 +47,7 @@ from .explorer import (
     command_probe,
     model_probe,
     mutate_option_values,
+    parse_config_field,
     validate_inference,
     write_log,
 )
@@ -163,17 +163,8 @@ def _cmd_plan(args) -> int:
 
 
 def _config_overrides(pairs: list[str], v_min: int, v_max: int, seed: int) -> MutationConfig:
-    integer_fields = {"v_min", "v_max", "it_max", "seed"}
-    valid = {f.name for f in fields(MutationConfig)}
     kwargs: dict = {"v_min": v_min, "v_max": v_max, "seed": seed}
-    for token in pairs:
-        name, sep, text = token.partition("=")
-        if not sep or name not in valid:
-            raise CliError(f"bad --config entry {token!r} (fields: {', '.join(sorted(valid))})")
-        try:
-            kwargs[name] = int(text) if name in integer_fields else float(text)
-        except ValueError:
-            raise CliError(f"bad --config value {token!r}") from None
+    kwargs.update(parse_config_field(token) for token in pairs)
     return MutationConfig(**kwargs)
 
 

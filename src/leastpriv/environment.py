@@ -22,7 +22,6 @@ from .options import (
     OptionCatalog,
     OptionError,
     OptionValue,
-    render_fragment,
     validate_value,
 )
 
@@ -43,6 +42,7 @@ __all__ = [
     "load_plan",
     "environment_to_doc",
     "environment_from_doc",
+    "doc_list",
 ]
 
 OPERATION_CAP = 100_000
@@ -132,7 +132,7 @@ class Environment:
     def canonical_text(self) -> str:
         lines = ["environment v1"]
         for value in self.options:
-            lines.append(f"option {value.name}={render_fragment(value)}")
+            lines.append(f"option {value.name}={value.text}")
         if self.workload is not None:
             w = self.workload
             lines.append(
@@ -151,7 +151,7 @@ class Environment:
         return None
 
     def describe(self) -> str:
-        parts = [f"{v.name}={render_fragment(v)}" for v in self.options]
+        parts = [f"{v.name}={v.text}" for v in self.options]
         if self.workload is not None:
             w = self.workload
             ops = ",".join(
@@ -273,10 +273,18 @@ def plan_environments(
 # --- plan file -------------------------------------------------------------
 
 
+def doc_list(doc: dict, key: str, error: type[ValueError]) -> list:
+    """A list field of an untrusted YAML mapping; missing or empty reads as []."""
+    value = doc.get(key) or []
+    if not isinstance(value, list):
+        raise error(f"{key} must be a list, got {value!r}")
+    return value
+
+
 def environment_to_doc(env: Environment) -> dict:
     doc: dict = {
         "options": [
-            {"name": v.name, "value": render_fragment(v)} for v in env.options
+            {"name": v.name, "value": v.text} for v in env.options
         ],
         "workload": None,
     }
@@ -289,7 +297,7 @@ def environment_from_doc(doc: dict, catalog: OptionCatalog) -> Environment:
     if not isinstance(doc, dict):
         raise PlanFormatError(f"environment entry must be a mapping, got {doc!r}")
     values = []
-    for entry in doc.get("options") or []:
+    for entry in doc_list(doc, "options", PlanFormatError):
         try:
             spec = catalog[entry["name"]]
             values.append(validate_value(spec, str(entry["value"])))
@@ -322,12 +330,15 @@ def write_plan(plan: EnvironmentPlan, path) -> None:
 
 def load_plan(path, catalog: OptionCatalog) -> EnvironmentPlan:
     with open(path, "r", encoding="utf-8") as handle:
-        doc = yaml.safe_load(handle)
+        try:
+            doc = yaml.safe_load(handle)
+        except yaml.YAMLError as exc:
+            raise PlanFormatError(f"{path}: {exc}") from None
     if not isinstance(doc, dict) or doc.get("plan_version") != 1:
         raise PlanFormatError(f"{path}: not a plan_version 1 document")
     baseline = environment_from_doc(doc.get("baseline") or {}, catalog)
     factors = []
-    for entry in doc.get("factors") or []:
+    for entry in doc_list(doc, "factors", PlanFormatError):
         factor = environment_from_doc(entry, catalog)
         declared = entry.get("id")
         if declared is not None and declared != factor.id:
@@ -336,7 +347,12 @@ def load_plan(path, catalog: OptionCatalog) -> EnvironmentPlan:
             )
         factors.append(factor)
     plan = plan_environments(factors, baseline)
-    declared_pairs = [tuple(p) for p in doc.get("pairs") or []]
+    declared_pairs = []
+    for pair in doc_list(doc, "pairs", PlanFormatError):
+        is_pair = isinstance(pair, list) and len(pair) == 2
+        if not is_pair or not all(isinstance(factor_id, str) for factor_id in pair):
+            raise PlanFormatError(f"{path}: pair {pair!r} is not two factor ids")
+        declared_pairs.append(tuple(pair))
     if declared_pairs and sorted(declared_pairs) != sorted(plan.pairs):
         raise PlanFormatError(f"{path}: pair list does not match the factor set")
     return plan

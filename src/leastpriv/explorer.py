@@ -33,6 +33,7 @@ __all__ = [
     "ProbeError",
     "ExplorationError",
     "MutationConfig",
+    "parse_config_field",
     "thresholds",
     "EventProbe",
     "model_probe",
@@ -95,6 +96,12 @@ class MutationConfig:
             raise ConfigError(f"v_min {self.v_min} > v_max {self.v_max}")
         if not self.r > 1:
             raise ConfigError(f"scaling factor r must exceed 1, got {self.r}")
+        try:
+            float(self.v_min), float(self.v_max), float(self.v_max - self.v_min)
+        except OverflowError:
+            raise ConfigError(
+                f"domain [{self.v_min}, {self.v_max}] is too wide for float positions"
+            ) from None
         if self.step_init is None:
             object.__setattr__(
                 self, "step_init", float(max(1, (self.v_max - self.v_min) // 64))
@@ -114,6 +121,24 @@ class MutationConfig:
             raise ConfigError(f"decay must be non-negative, got {self.decay}")
         if self.sigma < 0:
             raise ConfigError(f"sigma must be non-negative, got {self.sigma}")
+
+
+_CONFIG_FIELDS = tuple(f.name for f in fields(MutationConfig))
+# The integer fields; every other field is a float.
+_INTEGER_FIELDS = frozenset({"v_min", "v_max", "it_max", "seed"})
+
+
+def parse_config_field(token: str) -> tuple[str, object]:
+    """Decode one `name=value` MutationConfig field, as both
+    `explore --config` and the `# config` line of a mutation log spell it."""
+    name, sep, text = token.partition("=")
+    if not sep or name not in _CONFIG_FIELDS:
+        known = ", ".join(sorted(_CONFIG_FIELDS))
+        raise ConfigError(f"bad config entry {token!r} (fields: {known})")
+    try:
+        return name, int(text) if name in _INTEGER_FIELDS else float(text)
+    except ValueError:
+        raise ConfigError(f"bad config value {token!r}") from None
 
 
 def thresholds(config: MutationConfig, iteration: int) -> tuple[float, float]:
@@ -303,20 +328,9 @@ def _format_config(config: MutationConfig) -> str:
 
 
 def _parse_config(line: str) -> MutationConfig:
-    body = line[len("# config "):].strip()
-    kwargs: dict = {}
-    valid = {f.name: f for f in fields(MutationConfig)}
-    for token in body.split():
-        name, _, text = token.partition("=")
-        if name not in valid:
-            raise ExplorerError(f"unknown config field {name!r} in log header")
-        if text == "None":
-            kwargs[name] = None
-        elif name in ("v_min", "v_max", "it_max", "seed"):
-            kwargs[name] = int(text)
-        else:
-            kwargs[name] = float(text)
-    missing = set(valid) - set(kwargs)
+    tokens = line[len("# config "):].split()
+    kwargs = dict(parse_config_field(token) for token in tokens)
+    missing = set(_CONFIG_FIELDS) - set(kwargs)
     if missing:
         raise ExplorerError(f"log header missing config fields {sorted(missing)}")
     return MutationConfig(**kwargs)

@@ -1,4 +1,4 @@
-"""Launch-option syntax catalog: parsing, validation, rendering.
+"""Launch-option syntax catalog: parsing and validation.
 
 A catalog file is line-oriented: ``name<TAB>category<TAB>syntax-expression``
 with ``#`` comment lines.  The syntax-expression notation:
@@ -11,18 +11,17 @@ with ``#`` comment lines.  The syntax-expression notation:
     a | b | c                  alternation (all-literal alternation is an enum)
     [ x ]                      optional part
     x y z                      concatenation
-    <List>:( x )               comma-rendered list of x, at most four elements
+    <List>:( x )               comma-separated list of x, at most four elements
     <Signals>                  enum over the standard signal names
     <HVPath>, <CVPath>         enum over configured host / container path pools
 
-Every expression denotes a finite value space.  Values are exchanged as
-payloads: bool for flags, int for the integer shapes, str for enums,
-(magnitude, unit-or-None) for byte sizes, tuples for compounds (one slot
-per non-literal leaf, None for omitted optional leaves), lists for list
-options, and (branch_index, branch_payload) for alternations that mix
-literals with other shapes.  Rendering turns a payload back into its
-canonical value text, which environment ids, plan files and model
-triggers are built from.
+Every expression denotes a finite value space.  Validating a raw string
+parses it once and yields an OptionValue holding the canonical text
+(integers without leading zeros or a negative zero, ``true`` for a bare
+flag, optional parts that bind nothing left out) and, for the integer
+shapes, the integer.  Environment ids, plan files and model triggers are
+built from that text; range triggers and the mutation loop read the
+integer.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ __all__ = [
     "load_catalog",
     "default_catalog",
     "validate_value",
-    "render_fragment",
     "integer_bounds",
 ]
 
@@ -126,15 +124,15 @@ CATEGORIES = frozenset({"bool", "int", "string", "bytes", "list"})
 class ValueSyntax:
     """Base class for syntax nodes.
 
-    match() is a backtracking generator yielding (payload, end_position)
-    for every parse of ``text`` starting at ``pos``; validation succeeds
-    when some parse consumes the whole candidate.
+    match() is a backtracking generator yielding one
+    ``(text, number, bound, end)`` tuple per parse of ``text`` starting
+    at ``pos``: the canonical text of the parsed span, its integer for
+    the shapes integer_bounds() gives a window for (else None), whether
+    it bound a non-literal leaf, and the end position.  Validation takes
+    the first parse that consumes the whole candidate.
     """
 
-    def render(self, payload) -> str:
-        raise NotImplementedError
-
-    def match(self, text: str, pos: int) -> Iterator[tuple[object, int]]:
+    def match(self, text: str, pos: int) -> Iterator[tuple[str, Optional[int], bool, int]]:
         raise NotImplementedError
 
 
@@ -144,15 +142,10 @@ _SIGNED = re.compile(r"-?\d+")
 
 @dataclass(frozen=True)
 class BoolFlag(ValueSyntax):
-    def render(self, payload) -> str:
-        if not isinstance(payload, bool):
-            raise OptionError(f"boolean flag payload must be bool, got {payload!r}")
-        return "true" if payload else "false"
-
     def match(self, text: str, pos: int):
-        for token, value in (("true", True), ("false", False)):
+        for token in ("true", "false"):
             if text.startswith(token, pos):
-                yield value, pos + len(token)
+                yield token, None, True, pos + len(token)
 
 
 @dataclass(frozen=True)
@@ -167,16 +160,12 @@ class UnsignedInt(ValueSyntax):
     def bounds(self) -> tuple[int, int]:
         return 0, 1 << self.bit_width
 
-    def render(self, payload) -> str:
-        _check_int(payload, *self.bounds)
-        return str(payload)
-
     def match(self, text: str, pos: int):
         m = _DIGITS.match(text, pos)
         if m:
             value = int(m.group())
             if value < (1 << self.bit_width):
-                yield value, m.end()
+                yield str(value), value, True, m.end()
 
 
 @dataclass(frozen=True)
@@ -192,17 +181,13 @@ class SignedInt(ValueSyntax):
         half = 1 << (self.bit_width - 1)
         return -half, half
 
-    def render(self, payload) -> str:
-        _check_int(payload, *self.bounds)
-        return str(payload)
-
     def match(self, text: str, pos: int):
         m = _SIGNED.match(text, pos)
         if m:
             value = int(m.group())
             lo, hi = self.bounds
             if lo <= value < hi:
-                yield value, m.end()
+                yield str(value), value, True, m.end()
 
 
 @dataclass(frozen=True)
@@ -220,16 +205,12 @@ class ContinuousRange(ValueSyntax):
     def bounds(self) -> tuple[int, int]:
         return self.lo, self.hi
 
-    def render(self, payload) -> str:
-        _check_int(payload, self.lo, self.hi)
-        return str(payload)
-
     def match(self, text: str, pos: int):
         m = _SIGNED.match(text, pos)
         if m:
             value = int(m.group())
             if self.lo <= value < self.hi:
-                yield value, m.end()
+                yield str(value), value, True, m.end()
 
 
 @dataclass(frozen=True)
@@ -244,21 +225,18 @@ class Enum(ValueSyntax):
         if any(not c for c in self.choices):
             raise CatalogError("enum with empty choice")
 
-    def render(self, payload) -> str:
-        if payload not in self.choices:
-            raise OptionError(f"{payload!r} is not one of {self.choices}")
-        return payload
-
     def match(self, text: str, pos: int):
         # Longest choices first so one choice cannot shadow an extension
         # of another ("SIGTT..." family, for instance).
         for choice in sorted(self.choices, key=len, reverse=True):
             if text.startswith(choice, pos):
-                yield choice, pos + len(choice)
+                yield choice, None, True, pos + len(choice)
 
 
 @dataclass(frozen=True)
 class BytesWithUnit(ValueSyntax):
+    """Byte size: a magnitude with a unit suffix; its number is the magnitude."""
+
     bit_width: int
     unit_suffixes: tuple[str, ...]
     suffix_optional: bool
@@ -268,19 +246,6 @@ class BytesWithUnit(ValueSyntax):
             raise CatalogError(f"magnitude bit width out of range: {self.bit_width}")
         if not self.unit_suffixes:
             raise CatalogError("byte size without unit suffixes")
-
-    def render(self, payload) -> str:
-        if not (isinstance(payload, tuple) and len(payload) == 2):
-            raise OptionError(f"byte size payload must be (magnitude, unit), got {payload!r}")
-        magnitude, unit = payload
-        _check_int(magnitude, 0, 1 << self.bit_width)
-        if unit is None:
-            if not self.suffix_optional:
-                raise UnitError("unit suffix is required")
-            return str(magnitude)
-        if unit not in self.unit_suffixes:
-            raise UnitError(f"unit {unit!r} is not one of {self.unit_suffixes}")
-        return f"{magnitude}{unit}"
 
     def match(self, text: str, pos: int):
         m = _DIGITS.match(text, pos)
@@ -292,9 +257,9 @@ class BytesWithUnit(ValueSyntax):
         end = m.end()
         for suffix in self.unit_suffixes:
             if text.startswith(suffix, end):
-                yield (magnitude, suffix), end + len(suffix)
+                yield f"{magnitude}{suffix}", magnitude, True, end + len(suffix)
         if self.suffix_optional:
-            yield (magnitude, None), end
+            yield str(magnitude), magnitude, True, end
 
 
 @dataclass(frozen=True)
@@ -307,14 +272,9 @@ class Literal(ValueSyntax):
         if not self.text:
             raise CatalogError("empty literal")
 
-    def render(self, payload) -> str:
-        if payload != self.text:
-            raise OptionError(f"literal payload mismatch: {payload!r} != {self.text!r}")
-        return self.text
-
     def match(self, text: str, pos: int):
         if text.startswith(self.text, pos):
-            yield self.text, pos + len(self.text)
+            yield self.text, None, False, pos + len(self.text)
 
 
 @dataclass(frozen=True)
@@ -327,9 +287,9 @@ class CompoundPart:
 class Compound(ValueSyntax):
     """Concatenation of literals and sub-syntaxes.
 
-    The payload is a flat tuple with one slot per non-literal leaf in
-    order of appearance; every leaf under an omitted optional part is
-    None.
+    An optional part that binds no non-literal leaf is left out of the
+    canonical text, so ``/data:`` against ``<CVPath> [":" ["ro" | "rw"]]``
+    reads as ``/data``.
     """
 
     parts: tuple[CompoundPart, ...]
@@ -341,52 +301,28 @@ class Compound(ValueSyntax):
             if isinstance(part.node, ListOf):
                 raise CatalogError("lists cannot nest inside compounds")
 
-    def leaves(self) -> tuple[ValueSyntax, ...]:
-        out: list[ValueSyntax] = []
-        for part in self.parts:
-            out.extend(_leaves(part.node))
-        return tuple(out)
-
-    def render(self, payload) -> str:
-        leaves = self.leaves()
-        if not (isinstance(payload, tuple) and len(payload) == len(leaves)):
-            raise OptionError(
-                f"compound payload must be a {len(leaves)}-tuple, got {payload!r}"
-            )
-        out: list[str] = []
-        cursor = 0
-        for part in self.parts:
-            width = len(_leaves(part.node))
-            chunk = payload[cursor : cursor + width]
-            cursor += width
-            if part.optional:
-                if all(v is None for v in chunk):
-                    continue
-                if any(v is None for v in chunk):
-                    raise OptionError(f"partially omitted optional part: {chunk!r}")
-            out.append(_render_leaves(part.node, chunk))
-        return "".join(out)
-
     def match(self, text: str, pos: int):
         parts = self.parts
 
-        def advance(index: int, at: int, acc: list):
+        def advance(index: int, at: int, pieces: tuple[str, ...], bound: bool):
             if index == len(parts):
-                yield tuple(acc), at
+                yield "".join(pieces), None, bound, at
                 return
             part = parts[index]
-            width = len(_leaves(part.node))
-            for chunk, nxt in _match_leaves(part.node, text, at):
-                yield from advance(index + 1, nxt, acc + chunk)
+            for piece, _, binds, nxt in part.node.match(text, at):
+                if part.optional and not binds:
+                    yield from advance(index + 1, nxt, pieces, bound)
+                else:
+                    yield from advance(index + 1, nxt, pieces + (piece,), bound or binds)
             if part.optional:
-                yield from advance(index + 1, at, acc + [None] * width)
+                yield from advance(index + 1, at, pieces, bound)
 
-        yield from advance(0, pos, [])
+        yield from advance(0, pos, (), False)
 
 
 @dataclass(frozen=True)
 class ListOf(ValueSyntax):
-    """Comma-rendered list of an element syntax; top level only."""
+    """Comma-separated list of an element syntax; top level only."""
 
     element: ValueSyntax
     max_len: int = DEFAULT_LIST_MAX
@@ -397,78 +333,26 @@ class ListOf(ValueSyntax):
         if isinstance(self.element, (ListOf, BoolFlag)):
             raise CatalogError("unsupported list element syntax")
 
-    def render(self, payload) -> str:
-        if not isinstance(payload, (list, tuple)) or not payload:
-            raise OptionError(f"list payload must be a non-empty sequence, got {payload!r}")
-        if len(payload) > self.max_len:
-            raise OptionError(f"list holds {len(payload)} elements, cap is {self.max_len}")
-        return ",".join(self.element.render(item) for item in payload)
-
     def match(self, text: str, pos: int):
         raise TypeError("lists do not participate in positional matching")
 
 
 @dataclass(frozen=True)
 class OneOf(ValueSyntax):
-    """Alternation whose branches are not all literals.
-
-    The payload remembers the branch: (branch_index, branch_payload).
-    """
+    """Alternation whose branches are not all literals; always binds a leaf."""
 
     branches: tuple[ValueSyntax, ...]
 
     def __post_init__(self):
         if len(self.branches) < 2:
             raise CatalogError("alternation needs at least two branches")
-
-    def render(self, payload) -> str:
-        if not (isinstance(payload, tuple) and len(payload) == 2):
-            raise OptionError(f"alternation payload must be (branch, value), got {payload!r}")
-        index, inner = payload
-        if not isinstance(index, int) or not 0 <= index < len(self.branches):
-            raise OptionError(f"no alternation branch {index!r}")
-        return self.branches[index].render(inner)
+        if any(isinstance(branch, ListOf) for branch in self.branches):
+            raise CatalogError("lists cannot nest inside alternations")
 
     def match(self, text: str, pos: int):
-        for index, branch in enumerate(self.branches):
-            for inner, end in branch.match(text, pos):
-                yield (index, inner), end
-
-
-def _check_int(value, lo: int, hi: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise OptionError(f"integer payload expected, got {value!r}")
-    if not lo <= value < hi:
-        raise ValueRangeError(f"{value} outside [{lo}, {hi})", lo, hi)
-
-
-def _leaves(node: ValueSyntax) -> tuple[ValueSyntax, ...]:
-    if isinstance(node, Literal):
-        return ()
-    if isinstance(node, Compound):
-        return node.leaves()
-    return (node,)
-
-
-def _render_leaves(node: ValueSyntax, chunk: tuple) -> str:
-    if isinstance(node, Literal):
-        return node.text
-    if isinstance(node, Compound):
-        return node.render(tuple(chunk))
-    return node.render(chunk[0])
-
-
-def _match_leaves(node: ValueSyntax, text: str, pos: int):
-    """Yield (leaf-payload-list, end) parses for one compound part."""
-    if isinstance(node, Literal):
-        for _, end in node.match(text, pos):
-            yield [], end
-    elif isinstance(node, Compound):
-        for payload, end in node.match(text, pos):
-            yield list(payload), end
-    else:
-        for payload, end in node.match(text, pos):
-            yield [payload], end
+        for branch in self.branches:
+            for piece, number, _, end in branch.match(text, pos):
+                yield piece, number, True, end
 
 
 # --- syntax expression parsing -------------------------------------------
@@ -681,10 +565,12 @@ class OptionSpec:
 
 @dataclass(frozen=True)
 class OptionValue:
-    """An option paired with one concrete payload from its value space."""
+    """An option bound to one value: its canonical text and, for the
+    shapes integer_bounds() gives a window for, its integer."""
 
     spec: OptionSpec
-    payload: object
+    text: str
+    number: Optional[int] = None
 
     @property
     def name(self) -> str:
@@ -760,10 +646,8 @@ def validate_value(spec: OptionSpec, raw: str) -> OptionValue:
     """Parse a raw candidate string against the option's syntax."""
     node = spec.syntax
     if isinstance(node, BoolFlag):
-        if raw in ("", "true"):
-            return OptionValue(spec, True)
-        if raw == "false":
-            return OptionValue(spec, False)
+        if raw in ("", "true", "false"):
+            return OptionValue(spec, raw or "true")
         raise ValueParseError(f"option {spec.name!r}: {raw!r} is not a boolean flag value")
     if isinstance(node, ListOf):
         items = raw.split(",")
@@ -771,15 +655,15 @@ def validate_value(spec: OptionSpec, raw: str) -> OptionValue:
             raise ValueParseError(
                 f"option {spec.name!r}: {len(items)} elements exceed the cap of {node.max_len}"
             )
-        payload = [_validate_scalar(spec, node.element, item) for item in items]
-        return OptionValue(spec, payload)
-    return OptionValue(spec, _validate_scalar(spec, node, raw))
+        text = ",".join(_validate_scalar(spec, node.element, item)[0] for item in items)
+        return OptionValue(spec, text)
+    return OptionValue(spec, *_validate_scalar(spec, node, raw))
 
 
-def _validate_scalar(spec: OptionSpec, node: ValueSyntax, raw: str):
-    for payload, end in node.match(raw, 0):
+def _validate_scalar(spec: OptionSpec, node: ValueSyntax, raw: str) -> tuple[str, Optional[int]]:
+    for text, number, _, end in node.match(raw, 0):
         if end == len(raw):
-            return payload
+            return text, number
     raise _diagnose(spec, node, raw)
 
 
@@ -807,11 +691,6 @@ def _diagnose(spec: OptionSpec, node: ValueSyntax, raw: str) -> OptionError:
                     f"{prefix} magnitude {magnitude} outside [{lo}, {hi})", lo, hi
                 )
     return ValueParseError(f"{prefix} {raw!r} does not match {spec.expression!r}")
-
-
-def render_fragment(value: OptionValue) -> str:
-    """The value text after the equals sign (booleans render true/false)."""
-    return value.spec.syntax.render(value.payload)
 
 
 def integer_bounds(node: ValueSyntax) -> Optional[tuple[int, int]]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import importlib.resources
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Union
 
 import yaml
@@ -28,15 +28,15 @@ from .environment import (
     WorkloadSpec,
     compose_environment,
     baseline_environment,
+    doc_list,
 )
-from .events import EventSet
-from .monitor import TRACE_HEADER
+from .events import KIND_SYSCALL, EventSet
+from .monitor import TraceRecord, format_trace
 from .options import (
     OptionCatalog,
     OptionValue,
     default_catalog,
     integer_bounds,
-    render_fragment,
     validate_value,
 )
 
@@ -68,18 +68,7 @@ __all__ = [
 MODEL_VERSION = 1
 FIXTURE_NAMES = ("redis", "nginx")
 
-_WORKLOAD_FIELDS = frozenset(
-    (
-        "read_ops",
-        "update_ops",
-        "scan_ops",
-        "insert_ops",
-        "delete_ops",
-        "field_count",
-        "field_length",
-        "thread_count",
-    )
-)
+_WORKLOAD_FIELDS = frozenset(f.name for f in fields(WorkloadSpec))
 
 
 class ModelError(ValueError):
@@ -99,14 +88,14 @@ class OptionPresent:
 
 @dataclass(frozen=True)
 class OptionValueEquals:
-    """Matches when the option is bound and renders to exactly `value`."""
+    """Matches when the option is bound and its canonical text is exactly `value`."""
 
     option: str
     value: str
 
     def matches(self, env: Environment) -> bool:
         bound = env.option_value(self.option)
-        return bound is not None and render_fragment(bound) == self.value
+        return bound is not None and bound.text == self.value
 
     def to_doc(self) -> dict:
         return {"option_value_equals": {"option": self.option, "value": self.value}}
@@ -114,7 +103,7 @@ class OptionValueEquals:
 
 @dataclass(frozen=True)
 class OptionValueInRange:
-    """Matches integer-payload options with lo <= value <= hi."""
+    """Matches options bound to an integer with lo <= value <= hi."""
 
     option: str
     lo: int
@@ -126,9 +115,9 @@ class OptionValueInRange:
 
     def matches(self, env: Environment) -> bool:
         bound = env.option_value(self.option)
-        if bound is None or not isinstance(bound.payload, int):
+        if bound is None or bound.number is None:
             return False
-        return self.lo <= bound.payload <= self.hi
+        return self.lo <= bound.number <= self.hi
 
     def to_doc(self) -> dict:
         return {
@@ -226,22 +215,17 @@ def emit_trace(
     capset drops capabilities, prctl installs the syscall filter.  capset
     must precede prctl so that no preamble syscall lands after the filter
     marker; replay therefore reproduces the evaluated set exactly.  The
-    payload events follow in seeded-shuffled order with strictly
+    evaluated events follow in seeded-shuffled order with strictly
     increasing timestamps, so equal (model, env, seed) gives a
     byte-identical stream.
     """
-    events = evaluate(model, env)
-    payload = list(events.events())
-    random.Random(seed).shuffle(payload)
-    lines = [TRACE_HEADER]
-    timestamp = 1_000
-    for marker in ("unshare", "capset", "prctl"):
-        lines.append(f"{timestamp} {namespace_id} SYS {marker}")
-        timestamp += 1_000
-    for kind, name in payload:
-        lines.append(f"{timestamp} {namespace_id} {kind} {name}")
-        timestamp += 1_000
-    return "\n".join(lines) + "\n"
+    events = list(evaluate(model, env).events())
+    random.Random(seed).shuffle(events)
+    preamble = [(KIND_SYSCALL, marker) for marker in ("unshare", "capset", "prctl")]
+    return format_trace(
+        TraceRecord(1_000 * (index + 1), namespace_id, kind, name)
+        for index, (kind, name) in enumerate(preamble + events)
+    )
 
 
 # -- fixture file round trip ------------------------------------------------
@@ -306,14 +290,14 @@ def model_from_doc(doc) -> SyntheticContainerModel:
     if not isinstance(name, str) or not name:
         raise ModelError("model needs a non-empty name")
     rules = []
-    for entry in doc.get("rules") or []:
+    for entry in doc_list(doc, "rules", ModelError):
         if not isinstance(entry, dict) or "when" not in entry:
             raise ModelError(f"bad rule entry {entry!r}")
         rules.append(
             BehaviorRule(_predicate_from_doc(entry["when"]), EventSet.from_doc(entry.get("adds")))
         )
     interactions = []
-    for entry in doc.get("interaction_rules") or []:
+    for entry in doc_list(doc, "interaction_rules", ModelError):
         if not isinstance(entry, dict):
             raise ModelError(f"bad interaction entry {entry!r}")
         when = entry.get("when")

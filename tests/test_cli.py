@@ -1,6 +1,7 @@
 """Command line behaviors, end to end through main(argv)."""
 
 from importlib import resources
+from pathlib import Path
 
 import pytest
 import yaml
@@ -24,6 +25,7 @@ from leastpriv.options import default_catalog, validate_value
 from leastpriv.simharness import emit_trace, evaluate, load_fixture
 
 CVEDB = str(resources.files("leastpriv").joinpath("data/cves.cvedb"))
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def opt(name, raw=""):
@@ -214,6 +216,26 @@ class TestPlanAndInference:
         assert lines[0].split("\t") == ["factor_a", "factor_b", "exact", "delta", "size_delta"]
         assert len(lines) == 2
 
+    def test_plan_ids_are_pinned_for_non_canonical_spellings(self, tmp_path):
+        # Environment ids hash the canonical value text; the golden file
+        # pins the ids of these non-canonical spellings byte for byte.
+        plan_path = tmp_path / "plan.yaml"
+        code = main([
+            "plan", "default", "cpu-shares=007", "oom-score-adj=-0", "volume=/data:",
+            "memory=512m", "pids-limit=100", "W1", "--out", str(plan_path),
+        ])
+        assert code == 0
+        assert plan_path.read_bytes() == (GOLDEN / "plan-noncanonical.yaml").read_bytes()
+
+    def test_plan_accepts_a_nested_optional_part(self, tmp_path, capsys):
+        catalog = tmp_path / "my.catalog"
+        catalog.write_text('tag\tstring\t<U8> [":" <U8> ["/" <U8>]]\n')
+        plan_path = tmp_path / "plan.yaml"
+        code = main(["plan", str(catalog), "tag=5:6", "--out", str(plan_path)])
+        assert code == 0, capsys.readouterr().err
+        factor = yaml.safe_load(plan_path.read_text())["factors"][0]
+        assert factor["options"] == [{"name": "tag", "value": "5:6"}]
+
     def test_bare_factor_must_be_boolean(self, tmp_path, capsys):
         code = main(["plan", "default", "cpu-shares", "--out", str(tmp_path / "p.yaml")])
         assert code == 1
@@ -248,6 +270,21 @@ class TestExplore:
             "--config", "it_max=3",
         ])
         assert code == 0
+
+    @pytest.mark.parametrize("option,hi", [("pids-limit", (1 << 22) - 1), ("memory", (1 << 32) - 1)])
+    def test_range_rule_fires_on_every_integer_shape(self, tmp_path, capsys, option, hi):
+        model = tmp_path / "m.yaml"
+        model.write_text(yaml.safe_dump({
+            "model_version": 1,
+            "name": "ranged",
+            "base_events": {"syscalls": ["read"]},
+            "rules": [{
+                "when": {"option_value_in_range": {"option": option, "lo": 0, "hi": hi}},
+                "adds": {"syscalls": ["range_hit"]},
+            }],
+        }))
+        assert main(["explore", str(model), option, "--config", "it_max=5"]) == 0
+        assert "SYS\trange_hit" in capsys.readouterr().out.splitlines()
 
     def test_unknown_option_rejected(self, capsys):
         assert main(["explore", "redis", "no-such-option"]) == 1
@@ -348,6 +385,38 @@ class TestErrorReporting:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: EventNameError: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key,value", [("rules", 5), ("interaction_rules", 5)])
+    def test_model_rule_lists_must_be_lists(self, tmp_path, capsys, key, value):
+        model = tmp_path / "bad.yaml"
+        model.write_text(yaml.safe_dump({"model_version": 1, "name": "bad", key: value}))
+        assert main(["explore", str(model), "cpu-shares"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ModelError: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [
+        "plan_version: 1\nfactors: 5\n",
+        "plan_version: 1\npairs: 5\n",
+        "plan_version: 1\npairs: [5]\n",
+        "plan_version: 1\nbaseline: {options: 5}\n",
+        "plan_version: 1\nfactors: [{options: 5}]\n",
+        "plan_version: 1\nfactors: [\n",
+    ], ids=["factors", "pairs", "pair-entry", "baseline-options", "factor-options", "yaml"])
+    def test_malformed_plan_is_one_error_line(self, tmp_path, capsys, text):
+        plan = tmp_path / "bad.plan"
+        plan.write_text(text)
+        assert main(["validate-inference", "redis", str(plan)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: PlanFormatError: ")
+        assert err.count("\n") == 1
+
+    def test_config_value_too_large_is_one_error_line(self, capsys):
+        code = main(["explore", "redis", "cpu-shares", "--config", "v_max=" + "9" * 400])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ")
         assert err.count("\n") == 1
 
     def test_bad_targets_string(self, redis_store_path, capsys):

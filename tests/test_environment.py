@@ -87,7 +87,7 @@ class TestEnvironment:
 
     def test_option_value_lookup(self):
         env = compose_environment([opt("network", "host")])
-        assert env.option_value("network").payload == "host"
+        assert env.option_value("network").text == "host"
         assert env.option_value("tty") is None
 
     def test_compose_pair_merges_options_and_workloads(self):

@@ -103,5 +103,7 @@ def test_store_lines(body):
 @settings(max_examples=200, deadline=None)
 @given(body=lines)
 @example(body=["# config v_min=abc"])
+@example(body=[_LOG_PREFIX[1].replace("v_min=0", "v_min=None")])
+@example(body=[_LOG_PREFIX[1].replace("v_max=100", "v_max=" + "9" * 400)])
 def test_mutation_log_lines(body):
     parses_or_rejects_file([*_LOG_PREFIX, *body], read_log, ExplorerError)

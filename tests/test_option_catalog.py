@@ -1,6 +1,7 @@
-"""Option grammar: parsing, validation, rendering."""
+"""Option grammar: parsing, validation, canonical text."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leastpriv.options import (
     BoolFlag,
@@ -11,6 +12,7 @@ from leastpriv.options import (
     DuplicateOptionError,
     Enum,
     ListOf,
+    Literal,
     OneOf,
     OptionSpec,
     SignedInt,
@@ -23,7 +25,6 @@ from leastpriv.options import (
     integer_bounds,
     parse_catalog,
     parse_syntax,
-    render_fragment,
     validate_value,
 )
 
@@ -87,6 +88,8 @@ class TestSyntaxParsing:
             parse_syntax("<U18> <U18", "int")
         with pytest.raises(CatalogError):
             parse_syntax("<Wat>", "string")
+        with pytest.raises(CatalogError):
+            parse_syntax('<List>:(<U8>) | "none"', "list")
 
 
 class TestCatalog:
@@ -118,21 +121,21 @@ class TestCatalog:
 class TestValidation:
     def test_bool_accepts_empty_true_false(self):
         spec = spec_for("<Bool>", "bool")
-        assert validate_value(spec, "").payload is True
-        assert validate_value(spec, "true").payload is True
-        assert validate_value(spec, "false").payload is False
+        assert validate_value(spec, "").text == "true"
+        assert validate_value(spec, "true").text == "true"
+        assert validate_value(spec, "false").text == "false"
         with pytest.raises(ValueParseError):
             validate_value(spec, "yes")
 
     def test_unsigned_range_checked(self):
         spec = spec_for("<U8>", "int")
-        assert validate_value(spec, "255").payload == 255
+        assert validate_value(spec, "255").number == 255
         with pytest.raises(ValueRangeError):
             validate_value(spec, "256")
 
     def test_continuous_range_upper_bound_excluded(self):
         spec = spec_for("(1000, 1000000)", "int")
-        assert validate_value(spec, "999999").payload == 999999
+        assert validate_value(spec, "999999").number == 999999
         with pytest.raises(ValueRangeError):
             validate_value(spec, "1000000")
         with pytest.raises(ValueRangeError):
@@ -141,8 +144,8 @@ class TestValidation:
     def test_bytes_unit_checked(self):
         spec = spec_for('<U32> [("b" | "k" | "m" | "g")]', "bytes")
         val = validate_value(spec, "512m")
-        assert render_fragment(val) == "512m"
-        assert render_fragment(validate_value(spec, "512")) == "512"
+        assert (val.text, val.number) == ("512m", 512)
+        assert validate_value(spec, "512").text == "512"
         with pytest.raises(UnitError):
             validate_value(spec, "512q")
 
@@ -154,14 +157,14 @@ class TestValidation:
 
     def test_enum_rejects_unlisted_word(self):
         spec = spec_for('"bridge" | "host" | "none"', "string")
-        assert validate_value(spec, "host").payload == "host"
+        assert validate_value(spec, "host").text == "host"
         with pytest.raises(ValueParseError):
             validate_value(spec, "overlay")
 
     def test_oneof_takes_either_branch(self):
         spec = spec_for('"-1" | <U22>', "int")
-        validate_value(spec, "-1")
-        validate_value(spec, "4096")
+        assert validate_value(spec, "-1").number is None
+        assert validate_value(spec, "04096").number == 4096
         with pytest.raises(ValueParseError):
             validate_value(spec, "-2")
 
@@ -182,10 +185,9 @@ class TestIntegerBounds:
         assert integer_bounds(cat["cpu-period"].syntax) == (1000, 999999)
 
 
-# At least one raw value per shipped option, with the canonical text it
-# renders to.  Non-canonical spellings (a bare bool flag, an empty
-# optional tail) must render to the canonical form and validate back to
-# the same payload.
+# At least one raw value per shipped option, with its canonical text.
+# Non-canonical spellings (a bare bool flag, an empty optional tail) must
+# read as the canonical form and validate back from it to an equal value.
 ROUND_TRIP_VALUES = [
     ("attach", "stdin", "stdin"),
     ("attach", "stdout,stderr,stdin", "stdout,stderr,stdin"),
@@ -224,7 +226,56 @@ def test_round_trip_table_covers_the_shipped_catalog():
 def test_validate_render_validate_round_trip(name, raw, text):
     spec = default_catalog()[name]
     value = validate_value(spec, raw)
-    assert render_fragment(value) == text
+    assert value.text == text
     again = validate_value(spec, text)
     assert again == value
-    assert render_fragment(again) == text
+    assert again.text == text
+
+
+def spellings(node):
+    """Raw strings in a node's value space, non-canonical ones included:
+    zero-padded and negative-zero integers, empty optional tails."""
+    if isinstance(node, BoolFlag):
+        return st.sampled_from(["", "true", "false"])
+    if isinstance(node, (UnsignedInt, SignedInt, ContinuousRange)):
+        lo, hi = node.bounds
+        return st.builds(
+            lambda v, zeros, sign: ("-" if v < 0 or sign else "") + "0" * zeros + str(abs(v)),
+            st.integers(lo, hi - 1), st.integers(0, 2), st.booleans() if lo < 0 else st.just(False),
+        )
+    if isinstance(node, Enum):
+        return st.sampled_from(node.choices)
+    if isinstance(node, BytesWithUnit):
+        units = node.unit_suffixes + (("",) if node.suffix_optional else ())
+        return st.builds(
+            lambda v, zeros, unit: "0" * zeros + str(v) + unit,
+            st.integers(0, (1 << node.bit_width) - 1), st.integers(0, 2), st.sampled_from(units),
+        )
+    if isinstance(node, Literal):
+        return st.just(node.text)
+    if isinstance(node, Compound):
+        parts = [
+            st.one_of(st.just(""), spellings(p.node)) if p.optional else spellings(p.node)
+            for p in node.parts
+        ]
+        return st.tuples(*parts).map("".join)
+    if isinstance(node, OneOf):
+        return st.one_of([spellings(branch) for branch in node.branches])
+    if isinstance(node, ListOf):
+        return st.lists(spellings(node.element), min_size=1, max_size=node.max_len).map(",".join)
+    raise TypeError(node)
+
+
+shipped_spellings = st.sampled_from(list(default_catalog())).flatmap(
+    lambda spec: st.tuples(st.just(spec), spellings(spec.syntax))
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=shipped_spellings)
+def test_canonical_text_revalidates_to_an_equal_value(case):
+    spec, raw = case
+    value = validate_value(spec, raw)
+    again = validate_value(spec, value.text)
+    assert again == value
+    assert again.text == value.text
