@@ -534,7 +534,11 @@ def synthesize_policy(
 
     achieved_security = security_score(allowed, database)
     # ceiling admission implies the security target holds up to rounding
-    assert achieved_security + _SCORE_EPS >= targets.security_min
+    if achieved_security + _SCORE_EPS < targets.security_min:
+        raise DecisionError(
+            f"synthesized policy scores security {achieved_security}, "
+            f"below the target {targets.security_min}"
+        )
     return Policy(
         container=store.container,
         allowed=allowed,
@@ -628,30 +632,49 @@ def policy_from_doc(doc) -> Policy:
     classes = doc.get("classes") or {}
     if not isinstance(classes, dict):
         raise DecisionError(f"classes must be a mapping, got {classes!r}")
+    allowed = EventSet.from_doc(doc.get("allowed"))
+    always, included, excluded = (
+        EventSet.from_doc(classes.get(key))
+        for key in ("always", "sporadic_included", "sporadic_excluded")
+    )
+    stray = allowed.symmetric_difference(always | included)
+    if stray:
+        raise DecisionError(
+            "allowed must equal always + sporadic_included; they differ in "
+            + ", ".join(_event_label(event) for event in stray.events())
+        )
+    shared = (always & included) | (always & excluded) | (included & excluded)
+    if shared:
+        raise DecisionError(
+            "event classes overlap in "
+            + ", ".join(_event_label(event) for event in shared.events())
+        )
     targets_doc = doc.get("targets")
     targets = None
     if targets_doc is not None:
-        try:
-            targets = ScoreTargets(
-                float(targets_doc["security_min"]), float(targets_doc["functionality_min"])
-            )
-        except (TypeError, KeyError):
-            raise DecisionError(f"bad targets block {targets_doc!r}") from None
-    try:
-        achieved_security = float(doc["achieved_security"])
-        achieved_functionality = float(doc["achieved_functionality"])
-    except (TypeError, KeyError, ValueError):
-        raise DecisionError("policy needs numeric achieved scores") from None
+        if not isinstance(targets_doc, dict):
+            raise DecisionError(f"bad targets block {targets_doc!r}")
+        targets = ScoreTargets(
+            _unit_score(targets_doc, "security_min"), _unit_score(targets_doc, "functionality_min")
+        )
     return Policy(
         container=container,
-        allowed=EventSet.from_doc(doc.get("allowed")),
-        achieved_security=achieved_security,
-        achieved_functionality=achieved_functionality,
-        always=EventSet.from_doc(classes.get("always")),
-        sporadic_included=EventSet.from_doc(classes.get("sporadic_included")),
-        sporadic_excluded=EventSet.from_doc(classes.get("sporadic_excluded")),
+        allowed=allowed,
+        achieved_security=_unit_score(doc, "achieved_security"),
+        achieved_functionality=_unit_score(doc, "achieved_functionality"),
+        always=always,
+        sporadic_included=included,
+        sporadic_excluded=excluded,
         targets=targets,
     )
+
+
+def _unit_score(doc: dict, key: str) -> float:
+    """A policy score field: a YAML number in [0, 1]; a bool is not a number."""
+    value = doc.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
+        raise DecisionError(f"{key} must be a number in [0, 1], got {value!r}")
+    return float(value)
 
 
 def dump_policy(policy: Policy, path) -> None:

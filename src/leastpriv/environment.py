@@ -299,8 +299,12 @@ def environment_from_doc(doc: dict, catalog: OptionCatalog) -> Environment:
     values = []
     for entry in doc_list(doc, "options", PlanFormatError):
         try:
-            spec = catalog[entry["name"]]
-            values.append(validate_value(spec, str(entry["value"])))
+            spec, raw = catalog[entry["name"]], entry["value"]
+            if not isinstance(raw, str):
+                raise PlanFormatError(
+                    f"option {spec.name!r}: value {raw!r} is not a string; quote it in the plan"
+                )
+            values.append(validate_value(spec, raw))
         except (KeyError, TypeError) as exc:
             raise PlanFormatError(f"bad option entry {entry!r}") from exc
         except OptionError as exc:

@@ -15,6 +15,9 @@ with ``#`` comment lines.  The syntax-expression notation:
     <Signals>                  enum over the standard signal names
     <HVPath>, <CVPath>         enum over configured host / container path pools
 
+All four integer forms parse to one IntRange window; a ``bytes`` row's
+``<Uw> [(unit enum)]`` folds into a BytesWithUnit around its ``<Uw>``.
+
 Every expression denotes a finite value space.  Validating a raw string
 parses it once and yields an OptionValue holding the canonical text
 (integers without leading zeros or a negative zero, ``true`` for a bare
@@ -41,9 +44,7 @@ __all__ = [
     "ValueRangeError",
     "UnitError",
     "BoolFlag",
-    "UnsignedInt",
-    "SignedInt",
-    "ContinuousRange",
+    "IntRange",
     "Enum",
     "BytesWithUnit",
     "ListOf",
@@ -84,16 +85,7 @@ class ValueParseError(OptionError):
 
 
 class ValueRangeError(ValueParseError):
-    """Integer parsed but outside the legal bounds.
-
-    lo is inclusive, hi is exclusive; both are carried for callers that
-    want to surface the legal window.
-    """
-
-    def __init__(self, message: str, lo: int, hi: int):
-        super().__init__(message)
-        self.lo = lo
-        self.hi = hi
+    """Integer parsed but outside the legal bounds."""
 
 
 class UnitError(ValueParseError):
@@ -116,7 +108,7 @@ SIGNAL_NAMES: tuple[str, ...] = (
 HOST_PATH_POOL: tuple[str, ...] = ("/srv/export", "/tmp/scratch", "/var/lib/shared")
 CONTAINER_PATH_POOL: tuple[str, ...] = ("/data", "/mnt/ingest", "/var/cache/app")
 
-DEFAULT_LIST_MAX = 4
+LIST_MAX = 4
 
 CATEGORIES = frozenset({"bool", "int", "string", "bytes", "list"})
 
@@ -149,64 +141,26 @@ class BoolFlag(ValueSyntax):
 
 
 @dataclass(frozen=True)
-class UnsignedInt(ValueSyntax):
-    bit_width: int
+class IntRange(ValueSyntax):
+    """Integer window: admits lo <= v < hi.
 
-    def __post_init__(self):
-        if not 1 <= self.bit_width <= 64:
-            raise CatalogError(f"unsigned bit width out of range: {self.bit_width}")
-
-    @property
-    def bounds(self) -> tuple[int, int]:
-        return 0, 1 << self.bit_width
-
-    def match(self, text: str, pos: int):
-        m = _DIGITS.match(text, pos)
-        if m:
-            value = int(m.group())
-            if value < (1 << self.bit_width):
-                yield str(value), value, True, m.end()
-
-
-@dataclass(frozen=True)
-class SignedInt(ValueSyntax):
-    bit_width: int
-
-    def __post_init__(self):
-        if not 2 <= self.bit_width <= 64:
-            raise CatalogError(f"signed bit width out of range: {self.bit_width}")
-
-    @property
-    def bounds(self) -> tuple[int, int]:
-        half = 1 << (self.bit_width - 1)
-        return -half, half
-
-    def match(self, text: str, pos: int):
-        m = _SIGNED.match(text, pos)
-        if m:
-            value = int(m.group())
-            lo, hi = self.bounds
-            if lo <= value < hi:
-                yield str(value), value, True, m.end()
-
-
-@dataclass(frozen=True)
-class ContinuousRange(ValueSyntax):
-    """Integer window: admits lo <= v < hi."""
+    ``<Uw>`` parses to ``IntRange(0, 2**w, signed=False)``, ``<Iw>`` to
+    ``IntRange(-2**(w-1), 2**(w-1))``, and ``(lo, hi)`` or
+    ``<Continuous_range>:(lo, Uw)`` to ``IntRange(lo, hi)``.  An
+    unsigned window takes no minus sign, so ``-0`` reads as 0 only in a
+    signed one.
+    """
 
     lo: int
     hi: int
+    signed: bool = True
 
     def __post_init__(self):
         if self.lo >= self.hi:
             raise CatalogError(f"empty range ({self.lo}, {self.hi})")
 
-    @property
-    def bounds(self) -> tuple[int, int]:
-        return self.lo, self.hi
-
     def match(self, text: str, pos: int):
-        m = _SIGNED.match(text, pos)
+        m = (_SIGNED if self.signed else _DIGITS).match(text, pos)
         if m:
             value = int(m.group())
             if self.lo <= value < self.hi:
@@ -235,31 +189,23 @@ class Enum(ValueSyntax):
 
 @dataclass(frozen=True)
 class BytesWithUnit(ValueSyntax):
-    """Byte size: a magnitude with a unit suffix; its number is the magnitude."""
+    """Byte size: an unsigned ``<Uw>`` magnitude with a unit suffix.
 
-    bit_width: int
+    Folded from ``<Uw> [(unit enum)]`` in a ``bytes`` row; its number is
+    the magnitude.
+    """
+
+    magnitude: IntRange
     unit_suffixes: tuple[str, ...]
     suffix_optional: bool
 
-    def __post_init__(self):
-        if not 1 <= self.bit_width <= 64:
-            raise CatalogError(f"magnitude bit width out of range: {self.bit_width}")
-        if not self.unit_suffixes:
-            raise CatalogError("byte size without unit suffixes")
-
     def match(self, text: str, pos: int):
-        m = _DIGITS.match(text, pos)
-        if not m:
-            return
-        magnitude = int(m.group())
-        if magnitude >= (1 << self.bit_width):
-            return
-        end = m.end()
-        for suffix in self.unit_suffixes:
-            if text.startswith(suffix, end):
-                yield f"{magnitude}{suffix}", magnitude, True, end + len(suffix)
-        if self.suffix_optional:
-            yield str(magnitude), magnitude, True, end
+        for digits, number, _, end in self.magnitude.match(text, pos):
+            for suffix in self.unit_suffixes:
+                if text.startswith(suffix, end):
+                    yield digits + suffix, number, True, end + len(suffix)
+            if self.suffix_optional:
+                yield digits, number, True, end
 
 
 @dataclass(frozen=True)
@@ -322,14 +268,12 @@ class Compound(ValueSyntax):
 
 @dataclass(frozen=True)
 class ListOf(ValueSyntax):
-    """Comma-separated list of an element syntax; top level only."""
+    """Comma-separated list of an element syntax, at most LIST_MAX
+    elements; top level only."""
 
     element: ValueSyntax
-    max_len: int = DEFAULT_LIST_MAX
 
     def __post_init__(self):
-        if self.max_len < 1:
-            raise CatalogError(f"list cap must be positive, got {self.max_len}")
         if isinstance(self.element, (ListOf, BoolFlag)):
             raise CatalogError("unsupported list element syntax")
 
@@ -491,12 +435,16 @@ class _Parser:
         if name == "Continuous_range":
             self.take(":")
             return self.range_parens()
-        m = re.fullmatch(r"U(\d+)", name)
+        m = re.fullmatch(r"([UI])(\d+)", name)
         if m:
-            return UnsignedInt(int(m.group(1)))
-        m = re.fullmatch(r"I(\d+)", name)
-        if m:
-            return SignedInt(int(m.group(1)))
+            width = int(m.group(2))
+            if m.group(1) == "U":
+                if not 1 <= width <= 64:
+                    raise CatalogError(f"unsigned bit width out of range: {width}")
+                return IntRange(0, 1 << width, signed=False)
+            if not 2 <= width <= 64:
+                raise CatalogError(f"signed bit width out of range: {width}")
+            return IntRange(-(1 << (width - 1)), 1 << (width - 1))
         raise CatalogError(f"unknown syntax token <{name}> in {self.expression!r}")
 
     def _range_ahead(self) -> bool:
@@ -511,7 +459,7 @@ class _Parser:
             and shape[4].kind == ")"
         )
 
-    def range_parens(self) -> ContinuousRange:
+    def range_parens(self) -> IntRange:
         self.take("(")
         lo = int(self.take("int").text)
         self.take(",")
@@ -523,7 +471,7 @@ class _Parser:
         else:
             raise CatalogError(f"bad range bound {hi_token.text!r} in {self.expression!r}")
         self.take(")")
-        return ContinuousRange(lo, hi)
+        return IntRange(lo, hi)
 
 
 def parse_syntax(expression: str, category: str = "string") -> ValueSyntax:
@@ -535,20 +483,18 @@ def parse_syntax(expression: str, category: str = "string") -> ValueSyntax:
 
 
 def _fold_byte_size(node: ValueSyntax) -> ValueSyntax:
-    """Collapse ``<Uw> [(unit enum)]`` into a byte-size node."""
+    """Collapse ``<Uw> [(unit enum)]`` into a byte-size node; a signed
+    window or a range is left as it is."""
     if not isinstance(node, Compound) or len(node.parts) != 2:
         return node
     first, second = node.parts
     if (
-        isinstance(first.node, UnsignedInt)
+        isinstance(first.node, IntRange)
+        and not first.node.signed
         and not first.optional
         and isinstance(second.node, Enum)
     ):
-        return BytesWithUnit(
-            first.node.bit_width,
-            second.node.choices,
-            suffix_optional=second.optional,
-        )
+        return BytesWithUnit(first.node, second.node.choices, second.optional)
     return node
 
 
@@ -651,9 +597,9 @@ def validate_value(spec: OptionSpec, raw: str) -> OptionValue:
         raise ValueParseError(f"option {spec.name!r}: {raw!r} is not a boolean flag value")
     if isinstance(node, ListOf):
         items = raw.split(",")
-        if len(items) > node.max_len:
+        if len(items) > LIST_MAX:
             raise ValueParseError(
-                f"option {spec.name!r}: {len(items)} elements exceed the cap of {node.max_len}"
+                f"option {spec.name!r}: {len(items)} elements exceed the cap of {LIST_MAX}"
             )
         text = ",".join(_validate_scalar(spec, node.element, item)[0] for item in items)
         return OptionValue(spec, text)
@@ -669,12 +615,10 @@ def _validate_scalar(spec: OptionSpec, node: ValueSyntax, raw: str) -> tuple[str
 
 def _diagnose(spec: OptionSpec, node: ValueSyntax, raw: str) -> OptionError:
     prefix = f"option {spec.name!r}:"
-    if isinstance(node, (UnsignedInt, SignedInt, ContinuousRange)):
-        if re.fullmatch(r"-?\d+", raw):
-            value = int(raw)
-            lo, hi = node.bounds
-            if not lo <= value < hi:
-                return ValueRangeError(f"{prefix} {value} outside [{lo}, {hi})", lo, hi)
+    if isinstance(node, IntRange) and re.fullmatch(r"-?\d+", raw):
+        value = int(raw)
+        if not node.lo <= value < node.hi:
+            return ValueRangeError(f"{prefix} {value} outside [{node.lo}, {node.hi})")
     if isinstance(node, BytesWithUnit):
         m = re.fullmatch(r"(\d+)([A-Za-z]*)", raw)
         if m:
@@ -685,23 +629,18 @@ def _diagnose(spec: OptionSpec, node: ValueSyntax, raw: str) -> OptionError:
                 )
             if not suffix and not node.suffix_optional:
                 return UnitError(f"{prefix} a unit suffix is required")
-            lo, hi = 0, 1 << node.bit_width
+            lo, hi = node.magnitude.lo, node.magnitude.hi
             if not lo <= magnitude < hi:
-                return ValueRangeError(
-                    f"{prefix} magnitude {magnitude} outside [{lo}, {hi})", lo, hi
-                )
+                return ValueRangeError(f"{prefix} magnitude {magnitude} outside [{lo}, {hi})")
     return ValueParseError(f"{prefix} {raw!r} does not match {spec.expression!r}")
 
 
 def integer_bounds(node: ValueSyntax) -> Optional[tuple[int, int]]:
     """Inclusive (low, high) integer window for mutation, if one exists."""
-    if isinstance(node, (UnsignedInt, SignedInt)):
-        lo, hi = node.bounds
-        return lo, hi - 1
-    if isinstance(node, ContinuousRange):
-        return node.lo, node.hi - 1
     if isinstance(node, BytesWithUnit):
-        return 0, (1 << node.bit_width) - 1
+        node = node.magnitude
+    if isinstance(node, IntRange):
+        return node.lo, node.hi - 1
     if isinstance(node, OneOf):
         windows = [integer_bounds(b) for b in node.branches]
         windows = [w for w in windows if w is not None]

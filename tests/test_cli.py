@@ -355,6 +355,13 @@ class TestErrorReporting:
         ("allowed", {"syscalls": [1, 2]}, "EventNameError"),
         ("classes", {"always": {"capabilities": [1, 2]}}, "EventNameError"),
         ("classes", [1, 2], "DecisionError"),
+        ("allowed", {"syscalls": ["read", "ptrace"]}, "DecisionError"),
+        ("classes", {"always": {"syscalls": ["read"]},
+                     "sporadic_excluded": {"syscalls": ["read"]}}, "DecisionError"),
+        ("achieved_security", 7.5, "DecisionError"),
+        ("achieved_security", True, "DecisionError"),
+        ("achieved_functionality", "1.0", "DecisionError"),
+        ("targets", {"security_min": "high", "functionality_min": 0.5}, "DecisionError"),
     ])
     def test_malformed_policy_is_one_error_line(self, tmp_path, capsys, key, value, error):
         doc = {
@@ -363,6 +370,7 @@ class TestErrorReporting:
             "achieved_security": 1.0,
             "achieved_functionality": 1.0,
             "allowed": {"syscalls": ["read"]},
+            "classes": {"always": {"syscalls": ["read"]}},
             key: value,
         }
         policy = tmp_path / "bad.policy"
@@ -403,7 +411,10 @@ class TestErrorReporting:
         "plan_version: 1\nbaseline: {options: 5}\n",
         "plan_version: 1\nfactors: [{options: 5}]\n",
         "plan_version: 1\nfactors: [\n",
-    ], ids=["factors", "pairs", "pair-entry", "baseline-options", "factor-options", "yaml"])
+        "plan_version: 1\nfactors: [{options: [{name: cpu-shares, value: 010}]}]\n",
+        "plan_version: 1\nfactors: [{options: [{name: tty, value: true}]}]\n",
+    ], ids=["factors", "pairs", "pair-entry", "baseline-options", "factor-options", "yaml",
+            "octal-value", "bool-value"])
     def test_malformed_plan_is_one_error_line(self, tmp_path, capsys, text):
         plan = tmp_path / "bad.plan"
         plan.write_text(text)

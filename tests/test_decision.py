@@ -1,17 +1,24 @@
 """Scores, event classes, policy synthesis, mitigation, persistence."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import leastpriv
 
 from leastpriv.decision import (
     CVEDB_HEADER,
     CveDatabase,
     CveEntry,
     DbFormatError,
+    DecisionError,
     Infeasible,
     OBSERVATIONS_HEADER,
     ObservationStore,
@@ -174,6 +181,32 @@ class TestSynthesis:
         assert policy.allowed == parse_event_list(["a"])
         assert policy.achieved_security == 1.0
         assert abs(policy.achieved_functionality - 0.5) < 1e-12
+
+    def test_security_shortfall_is_an_error(self, monkeypatch):
+        monkeypatch.setattr("leastpriv.decision.security_score", lambda allowed, db: 0.0)
+        store = store_of(x1="a", x2="a,b")
+        with pytest.raises(DecisionError, match="below the target"):
+            synthesize_policy(store, db_of(b=2.0), ScoreTargets(0.5, 1.0))
+
+    def test_security_shortfall_is_an_error_under_python_O(self):
+        snippet = (
+            "import leastpriv.decision as d\n"
+            "d.security_score = lambda allowed, db: 0.0\n"
+            "store = d.ObservationStore('app')\n"
+            "store.record('x1', d.parse_event_list(['a']))\n"
+            "store.record('x2', d.parse_event_list(['a', 'b']))\n"
+            "db = d.CveDatabase([d.CveEntry('CVE-0-0000', 2.0, d.parse_event_list(['b']))])\n"
+            "try:\n"
+            "    d.synthesize_policy(store, db, d.ScoreTargets(0.5, 1.0))\n"
+            "except d.DecisionError:\n"
+            "    print(__debug__, 'DecisionError')\n"
+        )
+        src = str(Path(leastpriv.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        run = subprocess.run([sys.executable, "-O", "-c", snippet], env=env,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout == "False DecisionError\n"
 
     def test_always_event_over_ceiling_is_infeasible(self):
         store = store_of(x1="a,risky", x2="a,risky")

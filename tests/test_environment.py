@@ -1,6 +1,7 @@
 """Environment composition, hashing, and plan round trips."""
 
 import pytest
+import yaml
 
 from leastpriv.environment import (
     Environment,
@@ -143,6 +144,24 @@ class TestPlans:
         assert [(a.id, b.id, c.id) for a, b, c in again.pair_environments()] == [
             (a.id, b.id, c.id) for a, b, c in plan.pair_environments()
         ]
+
+    def test_quoted_plan_value_keeps_its_digits(self, tmp_path):
+        path = tmp_path / "plan.yaml"
+        path.write_text(
+            "plan_version: 1\nfactors: [{options: [{name: cpu-shares, value: '010'}]}]\n"
+        )
+        (factor,) = load_plan(path, default_catalog()).factors
+        assert factor.option_value("cpu-shares").text == "10"
+
+    def test_written_plan_values_load_as_strings(self, tmp_path):
+        raw_values = [("tty", "false"), ("cpu-shares", "10"), ("oom-score-adj", "-5"),
+                      ("pids-limit", "-1"), ("memory", "512"), ("publish", "1:30")]
+        plan = plan_environments([compose_environment([opt(n, v)]) for n, v in raw_values])
+        path = tmp_path / "plan.yaml"
+        write_plan(plan, path)
+        doc = yaml.safe_load(path.read_text())
+        assert [f["options"][0]["value"] for f in doc["factors"]] == [v for _, v in raw_values]
+        assert load_plan(path, default_catalog()) == plan
 
     def test_plan_file_rejects_tampered_factor_id(self, tmp_path):
         plan = plan_environments(self.factors())

@@ -7,18 +7,17 @@ from leastpriv.options import (
     BoolFlag,
     BytesWithUnit,
     CatalogError,
+    LIST_MAX,
     Compound,
-    ContinuousRange,
     DuplicateOptionError,
     Enum,
+    IntRange,
     ListOf,
     Literal,
     OneOf,
     OptionSpec,
-    SignedInt,
     UnitError,
     UnknownOptionError,
-    UnsignedInt,
     ValueParseError,
     ValueRangeError,
     default_catalog,
@@ -39,22 +38,44 @@ class TestSyntaxParsing:
 
     def test_unsigned_width(self):
         node = parse_syntax("<U18>", "int")
-        assert isinstance(node, UnsignedInt)
-        assert node.bounds == (0, 1 << 18)
+        assert node == IntRange(0, 1 << 18, signed=False)
 
     def test_signed_width(self):
         node = parse_syntax("<I16>", "int")
-        assert isinstance(node, SignedInt)
-        assert node.bounds == (-(1 << 15), 1 << 15)
+        assert node == IntRange(-(1 << 15), 1 << 15)
 
     def test_continuous_range_is_half_open(self):
         node = parse_syntax("(1000, 1000000)", "int")
-        assert isinstance(node, ContinuousRange)
+        assert isinstance(node, IntRange)
         assert (node.lo, node.hi) == (1000, 1000000)
 
     def test_range_with_power_of_two_bound(self):
         node = parse_syntax("<Continuous_range>:(0, U16)", "int")
         assert (node.lo, node.hi) == (0, 1 << 16)
+
+    @pytest.mark.parametrize("expression,node,window", [
+        ("<U1>", IntRange(0, 2, signed=False), (0, 1)),
+        ("<U64>", IntRange(0, 1 << 64, signed=False), (0, (1 << 64) - 1)),
+        ("<I2>", IntRange(-2, 2), (-2, 1)),
+        ("<I64>", IntRange(-(1 << 63), 1 << 63), (-(1 << 63), (1 << 63) - 1)),
+        ("(1000, 1000000)", IntRange(1000, 1000000), (1000, 999999)),
+        ("<Continuous_range>:(0, U16)", IntRange(0, 1 << 16), (0, (1 << 16) - 1)),
+    ])
+    def test_integer_syntax_is_one_window(self, expression, node, window):
+        assert parse_syntax(expression, "int") == node
+        assert integer_bounds(node) == window
+
+    @pytest.mark.parametrize("expression,message", [
+        ("<U0>", "unsigned bit width out of range: 0"),
+        ("<U65>", "unsigned bit width out of range: 65"),
+        ("<I1>", "signed bit width out of range: 1"),
+        ("<I65>", "signed bit width out of range: 65"),
+        ("(5, 5)", "empty range (5, 5)"),
+    ])
+    def test_integer_syntax_errors(self, expression, message):
+        with pytest.raises(CatalogError) as excinfo:
+            parse_syntax(expression, "int")
+        assert str(excinfo.value) == message
 
     def test_enum_alternation_of_literals(self):
         node = parse_syntax('"bridge" | "host" | "none"', "string")
@@ -64,7 +85,7 @@ class TestSyntaxParsing:
     def test_byte_size_folds_to_units(self):
         node = parse_syntax('<U32> [("b" | "k" | "m" | "g")]', "bytes")
         assert isinstance(node, BytesWithUnit)
-        assert node.bit_width == 32
+        assert node.magnitude == IntRange(0, 1 << 32, signed=False)
         assert node.unit_suffixes == ("b", "k", "m", "g")
         assert node.suffix_optional
 
@@ -76,7 +97,7 @@ class TestSyntaxParsing:
     def test_list_wrapper(self):
         node = parse_syntax('<List>:(<U16> ":" <U16>)', "list")
         assert isinstance(node, ListOf)
-        assert node.max_len == 4
+        assert LIST_MAX == 4
 
     def test_mixed_alternation_becomes_oneof(self):
         node = parse_syntax('"-1" | <U22>', "int")
@@ -155,6 +176,12 @@ class TestValidation:
         with pytest.raises(ValueParseError):
             validate_value(spec, "1:1,2:2,3:3,4:4,5:5")
 
+    @pytest.mark.parametrize("name,raw", [("cpu-shares", "-0"), ("memory", "-0k")])
+    def test_unsigned_window_takes_no_minus_sign(self, name, raw):
+        with pytest.raises(ValueParseError) as excinfo:
+            validate_value(default_catalog()[name], raw)
+        assert type(excinfo.value) is ValueParseError
+
     def test_enum_rejects_unlisted_word(self):
         spec = spec_for('"bridge" | "host" | "none"', "string")
         assert validate_value(spec, "host").text == "host"
@@ -198,6 +225,7 @@ ROUND_TRIP_VALUES = [
     ("health-retries", "4294967295", "4294967295"),
     ("publish", "80:8080", "80:8080"),
     ("publish", "0:65535/udp,443:8443/tcp", "0:65535/udp,443:8443/tcp"),
+    ("publish", "-0:80", "0:80"),
     ("pids-limit", "-1", "-1"),
     ("pids-limit", "4194303", "4194303"),
     ("memory", "512m", "512m"),
@@ -212,6 +240,7 @@ ROUND_TRIP_VALUES = [
     ("volume", "/data:", "/data"),
     ("volume", "/srv/export:/data:ro,/mnt/ingest:rw", "/srv/export:/data:ro,/mnt/ingest:rw"),
     ("oom-score-adj", "-1024", "-1024"),
+    ("oom-score-adj", "-0", "0"),
     ("shm-size", "64", "64"),
     ("init", "", "true"),
     ("network", "host", "host"),
@@ -237,11 +266,11 @@ def spellings(node):
     zero-padded and negative-zero integers, empty optional tails."""
     if isinstance(node, BoolFlag):
         return st.sampled_from(["", "true", "false"])
-    if isinstance(node, (UnsignedInt, SignedInt, ContinuousRange)):
-        lo, hi = node.bounds
+    if isinstance(node, IntRange):
         return st.builds(
             lambda v, zeros, sign: ("-" if v < 0 or sign else "") + "0" * zeros + str(abs(v)),
-            st.integers(lo, hi - 1), st.integers(0, 2), st.booleans() if lo < 0 else st.just(False),
+            st.integers(node.lo, node.hi - 1), st.integers(0, 2),
+            st.booleans() if node.lo < 0 else st.just(False),
         )
     if isinstance(node, Enum):
         return st.sampled_from(node.choices)
@@ -249,7 +278,8 @@ def spellings(node):
         units = node.unit_suffixes + (("",) if node.suffix_optional else ())
         return st.builds(
             lambda v, zeros, unit: "0" * zeros + str(v) + unit,
-            st.integers(0, (1 << node.bit_width) - 1), st.integers(0, 2), st.sampled_from(units),
+            st.integers(node.magnitude.lo, node.magnitude.hi - 1), st.integers(0, 2),
+            st.sampled_from(units),
         )
     if isinstance(node, Literal):
         return st.just(node.text)
@@ -262,7 +292,7 @@ def spellings(node):
     if isinstance(node, OneOf):
         return st.one_of([spellings(branch) for branch in node.branches])
     if isinstance(node, ListOf):
-        return st.lists(spellings(node.element), min_size=1, max_size=node.max_len).map(",".join)
+        return st.lists(spellings(node.element), min_size=1, max_size=LIST_MAX).map(",".join)
     raise TypeError(node)
 
 
