@@ -2,7 +2,7 @@
 
 The pipeline: describe launch-option grammars (options), compose
 environments and plans (environment), replay collector traces into
-per-namespace event sets (monitor), discover environment-sensitive
+per-namespace event counts (monitor), discover environment-sensitive
 events by option mutation and pair inference (explorer, simharness),
 score and synthesize policies under operator targets (decision), and
 render seccomp profiles plus capability flags (emitter).

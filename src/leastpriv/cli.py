@@ -118,18 +118,9 @@ def _event_rows(events: EventSet) -> list[str]:
 
 
 def _cmd_ingest(args) -> int:
-    records = read_trace(args.trace)
-    states = replay_trace(records)
-    if args.namespace is not None:
-        namespace = args.namespace
-    elif len(states) == 1:
-        namespace = next(iter(states))
-    else:
-        known = ", ".join(str(ns) for ns in sorted(states)) or "none"
-        raise CliError(
-            f"trace tracks {len(states)} namespaces ({known}); pick one with --namespace"
-        )
-    observation = event_set_for(args.env_id, states, namespace)
+    states = replay_trace(read_trace(args.trace))
+    observation = event_set_for(args.env_id, states, args.namespace)
+    namespace = args.namespace if args.namespace is not None else next(iter(states))
     if os.path.exists(args.store):
         store = load_store(args.store)
         if args.container is not None and args.container != store.container:

@@ -20,9 +20,14 @@ scores are the exact formulas.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import secrets
+import shutil
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Union
 
 import yaml
@@ -75,8 +80,8 @@ CVEDB_HEADER = "beacon-cvedb v1"
 OBSERVATIONS_HEADER = "beacon-observations v1"
 POLICY_VERSION = 1
 
-# Guard band for the final score sanity check; the ceiling construction
-# makes achieved security >= the target up to division rounding only.
+# Guard band for comparing achieved scores with targets; the ceiling
+# construction makes achieved security >= the target up to rounding only.
 _SCORE_EPS = 1e-9
 
 
@@ -138,10 +143,6 @@ class CveDatabase:
         return len(self.entries)
 
 
-def _coerce_db(db: Union[CveDatabase, Iterable[CveEntry]]) -> CveDatabase:
-    return db if isinstance(db, CveDatabase) else CveDatabase(db)
-
-
 def _parse_event_name(name: str) -> tuple[str, str]:
     if name.upper().startswith("CAP_"):
         return KIND_CAPABILITY, canonical_capability(name)
@@ -197,54 +198,43 @@ def default_cvedb() -> CveDatabase:
 
 
 class ObservationStore:
-    """Per-environment event sets for one container, with occurrence counts.
+    """Per-environment syscall and capability Counters for one container.
 
-    Environments are keyed by id; recording the same id twice merges
-    (sets union, counts add).  The environment set is expected to include
-    the baseline: a policy must at minimum let the container start.
+    An environment's events are the names it counts, zero counts included;
+    recording an id again adds to its counts.  The environments should
+    include the baseline: a policy must at minimum let the container start.
     """
 
     def __init__(self, container: str = "container"):
         if not container or any(ch.isspace() for ch in container):
             raise StoreError(f"bad container name {container!r}")
         self.container = container
+        self._counts: dict[str, tuple[Counter, Counter]] = {}
+        # built from the counts' keys on every write, read by every score
         self._events: dict[str, EventSet] = {}
-        self._syscall_counts: dict[str, Counter] = {}
-        self._capability_counts: dict[str, Counter] = {}
 
-    def record(
-        self,
-        environment_id: str,
-        events: EventSet,
-        syscall_counts: Optional[Iterable[tuple[str, int]]] = None,
-        capability_counts: Optional[Iterable[tuple[str, int]]] = None,
-    ) -> None:
+    def _add(self, environment_id: str, syscall_counts, capability_counts) -> None:
+        """Add a Counter.update argument per kind to one environment's counts."""
         if not environment_id or any(ch.isspace() for ch in environment_id):
             raise StoreError(f"bad environment id {environment_id!r}")
-        current = self._events.get(environment_id, EventSet.empty())
-        self._events[environment_id] = current | events
-        sys_counter = self._syscall_counts.setdefault(environment_id, Counter())
-        cap_counter = self._capability_counts.setdefault(environment_id, Counter())
-        for name, count in syscall_counts or ():
-            sys_counter[name] += count
-        for name, count in capability_counts or ():
-            cap_counter[name] += count
-        # events without explicit counts still appear once
-        for name in events.syscalls:
-            sys_counter.setdefault(name, 1)
-        for name in events.capabilities:
-            cap_counter.setdefault(name, 1)
+        syscalls, capabilities = self._counts.setdefault(environment_id, (Counter(), Counter()))
+        syscalls.update(syscall_counts)
+        capabilities.update(capability_counts)
+        self._events[environment_id] = EventSet(frozenset(syscalls), frozenset(capabilities))
+
+    def record(self, environment_id: str, events: EventSet) -> None:
+        """Count one occurrence of each event."""
+        self._add(environment_id, events.syscalls, events.capabilities)
 
     def record_observation(self, observation: Observation) -> None:
-        self.record(
+        self._add(
             observation.environment_id,
-            observation.events,
-            observation.syscall_counts,
-            observation.capability_counts,
+            dict(observation.syscall_counts),
+            dict(observation.capability_counts),
         )
 
     def environments(self) -> tuple[str, ...]:
-        return tuple(sorted(self._events))
+        return tuple(sorted(self._counts))
 
     def events_for(self, environment_id: str) -> EventSet:
         try:
@@ -253,77 +243,52 @@ class ObservationStore:
             raise StoreError(f"unknown environment {environment_id!r}") from None
 
     def counts_for(self, environment_id: str) -> tuple[Counter, Counter]:
-        if environment_id not in self._events:
-            raise StoreError(f"unknown environment {environment_id!r}")
-        return (
-            Counter(self._syscall_counts[environment_id]),
-            Counter(self._capability_counts[environment_id]),
-        )
+        try:
+            syscalls, capabilities = self._counts[environment_id]
+        except KeyError:
+            raise StoreError(f"unknown environment {environment_id!r}") from None
+        return Counter(syscalls), Counter(capabilities)
 
     def union_events(self) -> EventSet:
-        combined = EventSet.empty()
-        for events in self._events.values():
-            combined = combined | events
-        return combined
-
-    def intersection_events(self) -> EventSet:
-        iterator = iter(self._events.values())
-        try:
-            combined = next(iterator)
-        except StopIteration:
-            return EventSet.empty()
-        for events in iterator:
-            combined = combined & events
-        return combined
+        return EventSet.from_events(self.event_frequencies())
 
     def event_frequencies(self) -> dict[tuple[str, str], int]:
         """Event -> number of environments it appeared in."""
-        frequencies: Counter = Counter()
-        for events in self._events.values():
-            for event in events.events():
-                frequencies[event] += 1
-        return dict(frequencies)
+        frequencies = {}
+        for kind, index in ((KIND_SYSCALL, 0), (KIND_CAPABILITY, 1)):
+            names = Counter(chain.from_iterable(counts[index] for counts in self._counts.values()))
+            frequencies.update(((kind, name), count) for name, count in names.items())
+        return frequencies
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._counts)
 
     def __bool__(self) -> bool:
-        return bool(self._events)
+        return bool(self._counts)
 
 
 def save_store(store: ObservationStore, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with _replacing(path) as handle:
         handle.write(OBSERVATIONS_HEADER + "\n")
         handle.write(f"CONTAINER {store.container}\n")
         for environment_id in store.environments():
             handle.write(f"ENV {environment_id}\n")
-            sys_counts, cap_counts = store.counts_for(environment_id)
-            events = store.events_for(environment_id)
-            for name in sorted(events.syscalls):
-                handle.write(f"SYS {name} {sys_counts.get(name, 1)}\n")
-            for name in sorted(events.capabilities):
-                handle.write(f"CAP {name} {cap_counts.get(name, 1)}\n")
+            for tag, counts in zip(("SYS", "CAP"), store._counts[environment_id]):
+                for name in sorted(counts):
+                    handle.write(f"{tag} {name} {counts[name]}\n")
 
 
 def load_store(path) -> ObservationStore:
     store: Optional[ObservationStore] = None
     environment_id: Optional[str] = None
-    pending: dict[str, list] = {}
+    block: dict[str, dict[str, int]] = {}
 
     def flush():
         if environment_id is not None:
-            store.record(
-                environment_id,
-                EventSet(
-                    frozenset(name for name, _ in pending["SYS"]),
-                    frozenset(name for name, _ in pending["CAP"]),
-                ),
-                pending["SYS"],
-                pending["CAP"],
-            )
+            store._add(environment_id, block["SYS"], block["CAP"])
 
     def decode(line: str) -> None:
-        nonlocal store, environment_id, pending
+        nonlocal store, environment_id, block
         if line.startswith("#"):
             return
         parts = line.split()
@@ -337,7 +302,7 @@ def load_store(path) -> ObservationStore:
                 raise StoreFormatError("bad ENV line")
             flush()
             environment_id = parts[1]
-            pending = {"SYS": [], "CAP": []}
+            block = {"SYS": {}, "CAP": {}}
         elif tag in ("SYS", "CAP"):
             if environment_id is None or len(parts) != 3:
                 raise StoreFormatError(f"stray or malformed {tag} line")
@@ -348,7 +313,8 @@ def load_store(path) -> ObservationStore:
             if count < 0:
                 raise StoreFormatError(f"negative count {count}")
             canonical = canonical_syscall if tag == "SYS" else canonical_capability
-            pending[tag].append((canonical(parts[1]), count))
+            name, counts = canonical(parts[1]), block[tag]
+            counts[name] = counts.get(name, 0) + count
         else:
             raise StoreFormatError(f"unknown tag {tag!r}")
 
@@ -360,12 +326,27 @@ def load_store(path) -> ObservationStore:
     return store
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """Write a temporary file that replaces path, keeping open(path, "w")'s mode."""
+    temporary = f"{path}.{secrets.token_hex(4)}.tmp"
+    handle = open(temporary, "x", encoding="utf-8")
+    try:
+        with handle:
+            if os.path.exists(path):
+                shutil.copymode(path, temporary)
+            yield handle
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise
+
+
 # -- scores ------------------------------------------------------------------
 
 
-def security_score(allowed: EventSet, db: Union[CveDatabase, Iterable[CveEntry]]) -> float:
+def security_score(allowed: EventSet, database: CveDatabase) -> float:
     """1 - worst normalized CVSS over allowed events; empty set scores 1.0."""
-    database = _coerce_db(db)
     worst = 0.0
     for event in allowed.events():
         cvss = database.max_cvss(*event)
@@ -398,8 +379,10 @@ class EventClasses:
 
 
 def classify_events(store: ObservationStore) -> EventClasses:
-    observed = store.union_events()
-    always = store.intersection_events()
+    """An event is always-class when every environment records it."""
+    frequencies = store.event_frequencies()
+    observed = EventSet.from_events(frequencies)
+    always = EventSet.from_events(event for event, n in frequencies.items() if n == len(store))
     return EventClasses(always, observed - always, observed)
 
 
@@ -464,7 +447,7 @@ def _event_label(event: tuple[str, str]) -> str:
 
 def synthesize_policy(
     store: ObservationStore,
-    db: Union[CveDatabase, Iterable[CveEntry]],
+    database: CveDatabase,
     targets: ScoreTargets,
 ) -> Union[Policy, Infeasible]:
     """Deterministic target-driven synthesis; see the module docstring.
@@ -476,7 +459,6 @@ def synthesize_policy(
     """
     if not store:
         raise StoreError("cannot synthesize from an empty store")
-    database = _coerce_db(db)
     classes = classify_events(store)
     ceiling = targets.cvss_ceiling
 
@@ -555,11 +537,10 @@ def synthesize_policy(
 
 def sweep(
     store: ObservationStore,
-    db: Union[CveDatabase, Iterable[CveEntry]],
+    database: CveDatabase,
     target_list: Iterable[ScoreTargets],
 ) -> list[tuple[ScoreTargets, Union[Policy, Infeasible]]]:
     """Synthesize once per target pair, in the given order."""
-    database = _coerce_db(db)
     return [(targets, synthesize_policy(store, database, targets)) for targets in target_list]
 
 
@@ -576,7 +557,7 @@ class MitigationRow:
 
 def check_mitigation(
     policy: Union[Policy, EventSet],
-    db: Union[CveDatabase, Iterable[CveEntry]],
+    database: CveDatabase,
 ) -> tuple[MitigationRow, ...]:
     """Per database entry: is at least one attack-vector event denied?
 
@@ -584,7 +565,6 @@ def check_mitigation(
     capability blocks a CVE even when all its syscalls stay allowed.
     """
     allowed = policy.allowed if isinstance(policy, Policy) else policy
-    database = _coerce_db(db)
     rows = []
     for entry in database.entries:
         missing = tuple(
@@ -657,11 +637,21 @@ def policy_from_doc(doc) -> Policy:
         targets = ScoreTargets(
             _unit_score(targets_doc, "security_min"), _unit_score(targets_doc, "functionality_min")
         )
+    security = _unit_score(doc, "achieved_security")
+    functionality = _unit_score(doc, "achieved_functionality")
+    if targets is not None and (
+        security + _SCORE_EPS < targets.security_min
+        or functionality + _SCORE_EPS < targets.functionality_min
+    ):
+        raise DecisionError(
+            f"achieved security {security} and functionality {functionality} miss the "
+            f"policy's own targets {targets.security_min} and {targets.functionality_min}"
+        )
     return Policy(
         container=container,
         allowed=allowed,
-        achieved_security=_unit_score(doc, "achieved_security"),
-        achieved_functionality=_unit_score(doc, "achieved_functionality"),
+        achieved_security=security,
+        achieved_functionality=functionality,
         always=always,
         sporadic_included=included,
         sporadic_excluded=excluded,
@@ -678,7 +668,7 @@ def _unit_score(doc: dict, key: str) -> float:
 
 
 def dump_policy(policy: Policy, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with _replacing(path) as handle:
         yaml.safe_dump(policy_to_doc(policy), handle, sort_keys=False)
 
 

@@ -16,15 +16,16 @@ capability checks once its capability flag is set.  The flag-setting
 record itself arrives before confinement and is not recorded, but any
 later occurrence of a marker is an ordinary event like any other.
 Records for namespaces that never saw an unshare are dropped.  A second
-unshare inside a tracked namespace does not reset the entry.  Per-event
-occurrence counts are kept as metadata next to the sets.
+unshare inside a tracked namespace does not reset the entry.  An entry
+keeps one occurrence count per recorded event; its event sets are the
+names it counted.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from ._lineformat import decode_lines
 from .events import (
@@ -138,13 +139,16 @@ def write_trace(records: Iterable[TraceRecord], path) -> None:
 class NamespaceState:
     seccomp_flag: bool = False
     capability_flag: bool = False
-    syscalls: set[str] = field(default_factory=set)
-    capabilities: set[str] = field(default_factory=set)
     syscall_counts: Counter = field(default_factory=Counter)
     capability_counts: Counter = field(default_factory=Counter)
 
-    def event_set(self) -> EventSet:
-        return EventSet(frozenset(self.syscalls), frozenset(self.capabilities))
+    @property
+    def syscalls(self) -> frozenset[str]:
+        return frozenset(self.syscall_counts)
+
+    @property
+    def capabilities(self) -> frozenset[str]:
+        return frozenset(self.capability_counts)
 
 
 class TraceReplayer:
@@ -175,24 +179,18 @@ class TraceReplayer:
 
         if record.kind == KIND_SYSCALL:
             if state.seccomp_flag:
-                state.syscalls.add(record.name)
                 state.syscall_counts[record.name] += 1
             if record.name in _SECCOMP_MARKERS:
                 state.seccomp_flag = True
             elif record.name == _CAPABILITY_MARKER:
                 state.capability_flag = True
-        else:
-            if state.capability_flag:
-                state.capabilities.add(record.name)
-                state.capability_counts[record.name] += 1
+        elif state.capability_flag:
+            state.capability_counts[record.name] += 1
 
     def run(self, records: Iterable[TraceRecord]) -> "TraceReplayer":
         for record in records:
             self.step(record)
         return self
-
-    def event_sets(self) -> dict[int, EventSet]:
-        return {ns: state.event_set() for ns, state in self.states.items()}
 
 
 def replay_trace(records: Iterable[TraceRecord]) -> dict[int, NamespaceState]:
@@ -201,34 +199,48 @@ def replay_trace(records: Iterable[TraceRecord]) -> dict[int, NamespaceState]:
 
 def ingest_trace(records: Iterable[TraceRecord]) -> dict[int, EventSet]:
     """Replay a record stream into namespace_id -> EventSet."""
-    return TraceReplayer().run(records).event_sets()
+    return {
+        ns: EventSet(state.syscalls, state.capabilities)
+        for ns, state in replay_trace(records).items()
+    }
 
 
 @dataclass(frozen=True)
 class Observation:
-    """One environment's recorded behavior, ready for scoring."""
+    """One environment's recorded behavior: sorted (name, count) pairs per kind."""
 
     environment_id: str
-    events: EventSet
     syscall_counts: tuple[tuple[str, int], ...] = ()
     capability_counts: tuple[tuple[str, int], ...] = ()
+
+    @property
+    def events(self) -> EventSet:
+        return EventSet(
+            frozenset(name for name, _ in self.syscall_counts),
+            frozenset(name for name, _ in self.capability_counts),
+        )
 
 
 def event_set_for(
     environment_id: str,
     states: dict[int, NamespaceState],
-    namespace_id: int,
+    namespace_id: Optional[int] = None,
 ) -> Observation:
-    """Label one namespace's replayed state with its environment."""
+    """Label one namespace's replayed state (by default the only one) with its environment."""
+    if namespace_id is None and len(states) == 1:
+        (namespace_id,) = states
     state = states.get(namespace_id)
     if state is None:
         known = ", ".join(str(ns) for ns in sorted(states)) or "none"
+        if namespace_id is None:
+            raise UnknownNamespaceError(
+                f"trace tracks {len(states)} namespaces ({known}); pick one with --namespace"
+            )
         raise UnknownNamespaceError(
             f"namespace {namespace_id} not present in trace (tracked: {known})"
         )
     return Observation(
         environment_id,
-        state.event_set(),
         tuple(sorted(state.syscall_counts.items())),
         tuple(sorted(state.capability_counts.items())),
     )

@@ -615,10 +615,11 @@ def _validate_scalar(spec: OptionSpec, node: ValueSyntax, raw: str) -> tuple[str
 
 def _diagnose(spec: OptionSpec, node: ValueSyntax, raw: str) -> OptionError:
     prefix = f"option {spec.name!r}:"
-    if isinstance(node, IntRange) and re.fullmatch(r"-?\d+", raw):
-        value = int(raw)
-        if not node.lo <= value < node.hi:
-            return ValueRangeError(f"{prefix} {value} outside [{node.lo}, {node.hi})")
+    window = integer_bounds(node) if isinstance(node, (IntRange, OneOf)) else None
+    if window is not None and re.fullmatch(r"-?\d+", raw):
+        value, (lo, high) = int(raw), window
+        if not lo <= value <= high:
+            return ValueRangeError(f"{prefix} {value} outside [{lo}, {high + 1})")
     if isinstance(node, BytesWithUnit):
         m = re.fullmatch(r"(\d+)([A-Za-z]*)", raw)
         if m:

@@ -362,6 +362,8 @@ class TestErrorReporting:
         ("achieved_security", True, "DecisionError"),
         ("achieved_functionality", "1.0", "DecisionError"),
         ("targets", {"security_min": "high", "functionality_min": 0.5}, "DecisionError"),
+        ("achieved_security", 0.1, "DecisionError"),
+        ("achieved_functionality", 0.25, "DecisionError"),
     ])
     def test_malformed_policy_is_one_error_line(self, tmp_path, capsys, key, value, error):
         doc = {
@@ -371,6 +373,7 @@ class TestErrorReporting:
             "achieved_functionality": 1.0,
             "allowed": {"syscalls": ["read"]},
             "classes": {"always": {"syscalls": ["read"]}},
+            "targets": {"security_min": 0.9, "functionality_min": 0.5},
             key: value,
         }
         policy = tmp_path / "bad.policy"

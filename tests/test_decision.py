@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import leastpriv
+import leastpriv.decision as decision
 
 from leastpriv.decision import (
     CVEDB_HEADER,
@@ -44,6 +46,7 @@ from leastpriv.decision import (
     synthesize_policy,
 )
 from leastpriv.events import EventSet
+from leastpriv.monitor import Observation
 
 
 def store_of(container="app", **envs):
@@ -404,12 +407,7 @@ class TestCveDbFiles:
 class TestStoreFiles:
     def test_round_trip_with_counts(self, tmp_path):
         store = ObservationStore("redis")
-        store.record(
-            "e" * 32,
-            parse_event_list(["read", "CAP_CHOWN"]),
-            syscall_counts=[("read", 5)],
-            capability_counts=[("CAP_CHOWN", 2)],
-        )
+        store.record_observation(Observation("e" * 32, (("read", 5),), (("CAP_CHOWN", 2),)))
         path = tmp_path / "obs.store"
         save_store(store, path)
         text = path.read_text()
@@ -424,11 +422,24 @@ class TestStoreFiles:
 
     def test_merging_repeated_environments(self):
         store = ObservationStore("app")
-        store.record("x1", parse_event_list(["a"]), syscall_counts=[("a", 2)])
-        store.record("x1", parse_event_list(["a", "b"]), syscall_counts=[("a", 1), ("b", 4)])
+        store.record_observation(Observation("x1", (("a", 2),)))
+        store.record_observation(Observation("x1", (("a", 1), ("b", 4))))
         assert store.events_for("x1") == parse_event_list(["a", "b"])
         assert store.counts_for("x1")[0] == {"a": 3, "b": 4}
         assert len(store) == 1
+
+    def test_recording_an_event_set_counts_one_occurrence_per_call(self):
+        store = ObservationStore("app")
+        store.record("x1", parse_event_list(["a", "CAP_CHOWN"]))
+        store.record("x1", parse_event_list(["a"]))
+        assert store.counts_for("x1") == ({"a": 2}, {"CAP_CHOWN": 1})
+
+    def test_events_are_the_counted_names(self):
+        store = ObservationStore("app")
+        store.record_observation(Observation("x1", (("a", 2), ("ghost", 0)), (("CAP_CHOWN", 1),)))
+        sys_counts, cap_counts = store.counts_for("x1")
+        assert store.events_for("x1") == EventSet(frozenset(sys_counts), frozenset(cap_counts))
+        assert store.events_for("x1") == parse_event_list(["a", "ghost", "CAP_CHOWN"])
 
     def test_frequencies_count_environments_not_calls(self):
         store = store_of(x1="a,b", x2="a", x3="a")
@@ -452,6 +463,55 @@ class TestStoreFiles:
         store = ObservationStore("redis")
         with pytest.raises(StoreError):
             ObservationStore("")
+
+
+class TestAtomicWrites:
+    """save_store and dump_policy replace their file whole or leave it be."""
+
+    def test_failed_store_write_keeps_the_old_bytes(self, tmp_path, monkeypatch):
+        path = tmp_path / "obs.store"
+        save_store(store_of(x1="a"), path)
+        before = path.read_bytes()
+        store = store_of(x1="a", x2="b")
+
+        def first_then_fail():
+            yield "x1"
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(store, "environments", first_then_fail)
+        with pytest.raises(RuntimeError):
+            save_store(store, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["obs.store"]
+
+    def test_failed_policy_write_keeps_the_old_bytes(self, tmp_path, monkeypatch):
+        path = tmp_path / "policy.yaml"
+        policy = TestPolicyFiles().build()
+        dump_policy(policy, path)
+        before = path.read_bytes()
+
+        def write_then_fail(doc, handle, **kwargs):
+            handle.write("partial\n")
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(decision.yaml, "safe_dump", write_then_fail)
+        with pytest.raises(RuntimeError):
+            dump_policy(policy, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["policy.yaml"]
+
+    def test_mode_is_what_a_plain_open_gives(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        fresh = tmp_path / "fresh.store"
+        save_store(store_of(x1="a"), fresh)
+        assert fresh.stat().st_mode == plain.stat().st_mode
+        kept = tmp_path / "kept.policy"
+        kept.write_text("")
+        kept.chmod(0o640)
+        dump_policy(TestPolicyFiles().build(), kept)
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert sorted(os.listdir(tmp_path)) == ["fresh.store", "kept.policy", "plain"]
 
 
 class TestPolicyFiles:

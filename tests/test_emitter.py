@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from leastpriv.decision import ScoreTargets, synthesize_policy
+from leastpriv.decision import CveDatabase, ScoreTargets, synthesize_policy
 from leastpriv.decision import ObservationStore, parse_event_list
 from leastpriv.emitter import (
     DEFAULT_ARCHITECTURES,
@@ -89,7 +89,7 @@ class TestCapabilityFlags:
     def test_policy_object_accepted(self):
         store = ObservationStore("app")
         store.record("x1", events_of("read", "CAP_NET_BIND_SERVICE"))
-        policy = synthesize_policy(store, [], ScoreTargets(0.0, 1.0))
+        policy = synthesize_policy(store, CveDatabase([]), ScoreTargets(0.0, 1.0))
         flags = emit_capability_flags(policy)
         assert "--cap-add=NET_BIND_SERVICE" in flags
         profile = parse_seccomp_profile(emit_seccomp_profile(policy))

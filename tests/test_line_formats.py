@@ -3,11 +3,13 @@
 Traces, CVE databases, observation stores and mutation logs share one
 reader.  Whatever lines follow a valid header, a read either succeeds or
 raises the format's error class with a `source:` prefix, never a bare
-ValueError from deeper down.
+ValueError from deeper down.  A valid store survives save and load with
+its counts, and its events are exactly the names it counts.
 """
 
 import os
 import tempfile
+from collections import Counter
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -18,7 +20,9 @@ from leastpriv.decision import (
     StoreFormatError,
     load_store,
     parse_cvedb,
+    save_store,
 )
+from leastpriv.events import EventSet, canonical_capability, canonical_syscall
 from leastpriv.explorer import (
     LOG_HEADER,
     ExplorerError,
@@ -107,3 +111,57 @@ def test_store_lines(body):
 @example(body=[_LOG_PREFIX[1].replace("v_max=100", "v_max=" + "9" * 400)])
 def test_mutation_log_lines(body):
     parses_or_rejects_file([*_LOG_PREFIX, *body], read_log, ExplorerError)
+
+
+# Valid store blocks: (environment id, [(tag, name, count)]).  Ids come
+# from a small pool so that one id often has several ENV blocks, names
+# mix cases and capability names often lack their CAP_ prefix.
+store_blocks = st.lists(
+    st.tuples(
+        st.sampled_from(("x1", "x2", "e" * 32)),
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("SYS"), st.sampled_from(("read", "READ", "openat")),
+                          st.integers(0, 3)),
+                st.tuples(st.just("CAP"), st.sampled_from(("chown", "CAP_CHOWN", "net_raw")),
+                          st.integers(0, 3)),
+            ),
+            max_size=5,
+        ),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks=store_blocks)
+@example(blocks=[("x", [("SYS", "read", 0)])])
+@example(blocks=[("x", [("SYS", "read", 2)]), ("x", [("SYS", "read", 3), ("CAP", "chown", 1)])])
+def test_store_round_trip(blocks):
+    expected: dict[str, tuple[Counter, Counter]] = {}
+    lines = [OBSERVATIONS_HEADER, "CONTAINER app"]
+    for environment_id, entries in blocks:
+        lines.append(f"ENV {environment_id}")
+        syscalls, capabilities = expected.setdefault(environment_id, (Counter(), Counter()))
+        for tag, name, count in entries:
+            lines.append(f"{tag} {name} {count}")
+            if tag == "SYS":
+                syscalls[canonical_syscall(name)] += count
+            else:
+                capabilities[canonical_capability(name)] += count
+    with tempfile.TemporaryDirectory() as directory:
+        source, first, second = (os.path.join(directory, name) for name in ("in", "a", "b"))
+        with open(source, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        store = load_store(source)
+        save_store(store, first)
+        save_store(load_store(first), second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+    assert store.environments() == tuple(sorted(expected))
+    for environment_id, counts in expected.items():
+        assert store.counts_for(environment_id) == counts
+        syscalls, capabilities = counts
+        assert store.events_for(environment_id) == EventSet(
+            frozenset(syscalls), frozenset(capabilities)
+        )

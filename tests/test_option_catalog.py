@@ -182,6 +182,18 @@ class TestValidation:
             validate_value(default_catalog()[name], raw)
         assert type(excinfo.value) is ValueParseError
 
+    @pytest.mark.parametrize("name,raw,error,message", [
+        ("pids-limit", "4194304", ValueRangeError, "4194304 outside [0, 4194304)"),
+        ("pids-limit", "-2", ValueRangeError, "-2 outside [0, 4194304)"),
+        ("pids-limit", "x", ValueParseError, """'x' does not match '"-1" | <U22>'"""),
+        ("publish", "70000:80", ValueParseError, "'70000:80' does not match '<List>:("),
+    ])
+    def test_out_of_range_integer_in_alternation_names_the_window(self, name, raw, error, message):
+        with pytest.raises(ValueParseError) as excinfo:
+            validate_value(default_catalog()[name], raw)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value).startswith(f"option {name!r}: {message}")
+
     def test_enum_rejects_unlisted_word(self):
         spec = spec_for('"bridge" | "host" | "none"', "string")
         assert validate_value(spec, "host").text == "host"
