@@ -56,7 +56,6 @@ from .monitor import (
     parse_trace,
     read_trace,
     replay_trace,
-    write_trace,
 )
 from .explorer import (
     EventProbe,
@@ -79,7 +78,6 @@ from .simharness import (
     SyntheticContainerModel,
     build_pair_corpus,
     build_threshold_probe,
-    dump_model,
     emit_trace,
     evaluate,
     load_fixture,

@@ -15,6 +15,7 @@ import shlex
 import sys
 from typing import Optional
 
+from ._files import replacing
 from .decision import (
     Infeasible,
     ObservationStore,
@@ -314,15 +315,17 @@ def _cmd_emit(args) -> int:
     policy = load_policy(args.policy)
     if not args.seccomp and not args.caps:
         raise CliError("nothing to emit: pass --seccomp and/or --caps")
+    # both artifacts are built before either is written
+    outputs = []
     if args.seccomp:
-        with open(args.seccomp, "w", encoding="utf-8") as handle:
-            handle.write(emit_seccomp_profile(policy))
-        print(f"seccomp profile -> {args.seccomp}")
+        outputs.append(("seccomp profile", args.seccomp, emit_seccomp_profile(policy)))
     if args.caps:
         flags = emit_capability_flags(policy)
-        with open(args.caps, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(flags) + "\n")
-        print(f"capability flags -> {args.caps}")
+        outputs.append(("capability flags", args.caps, "\n".join(flags) + "\n"))
+    for label, path, text in outputs:
+        with replacing(path) as handle:
+            handle.write(text)
+        print(f"{label} -> {path}")
     return 0
 
 

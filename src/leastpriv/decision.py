@@ -20,19 +20,13 @@ scores are the exact formulas.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import secrets
-import shutil
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Optional, Union
 
-import yaml
-
-from ._lineformat import decode_lines
+from ._files import decode_lines, dump_yaml, load_yaml, replacing
 from .events import (
     KIND_CAPABILITY,
     KIND_SYSCALL,
@@ -268,7 +262,7 @@ class ObservationStore:
 
 
 def save_store(store: ObservationStore, path) -> None:
-    with _replacing(path) as handle:
+    with replacing(path) as handle:
         handle.write(OBSERVATIONS_HEADER + "\n")
         handle.write(f"CONTAINER {store.container}\n")
         for environment_id in store.environments():
@@ -324,22 +318,6 @@ def load_store(path) -> ObservationStore:
         raise StoreFormatError(f"{path}: missing CONTAINER line")
     flush()
     return store
-
-
-@contextlib.contextmanager
-def _replacing(path):
-    """Write a temporary file that replaces path, keeping open(path, "w")'s mode."""
-    temporary = f"{path}.{secrets.token_hex(4)}.tmp"
-    handle = open(temporary, "x", encoding="utf-8")
-    try:
-        with handle:
-            if os.path.exists(path):
-                shutil.copymode(path, temporary)
-            yield handle
-        os.replace(temporary, path)
-    except BaseException:
-        os.unlink(temporary)
-        raise
 
 
 # -- scores ------------------------------------------------------------------
@@ -668,14 +646,8 @@ def _unit_score(doc: dict, key: str) -> float:
 
 
 def dump_policy(policy: Policy, path) -> None:
-    with _replacing(path) as handle:
-        yaml.safe_dump(policy_to_doc(policy), handle, sort_keys=False)
+    dump_yaml(policy_to_doc(policy), path)
 
 
 def load_policy(path) -> Policy:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = yaml.safe_load(handle)
-        except yaml.YAMLError as exc:
-            raise DecisionError(f"{path}: {exc}") from None
-    return policy_from_doc(doc)
+    return policy_from_doc(load_yaml(path, DecisionError))

@@ -16,8 +16,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-import yaml
-
+from ._files import dump_yaml, load_yaml
 from .options import (
     OptionCatalog,
     OptionError,
@@ -328,16 +327,11 @@ def write_plan(plan: EnvironmentPlan, path) -> None:
         ],
         "pairs": [list(pair) for pair in plan.pairs],
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        yaml.safe_dump(doc, handle, sort_keys=False)
+    dump_yaml(doc, path)
 
 
 def load_plan(path, catalog: OptionCatalog) -> EnvironmentPlan:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = yaml.safe_load(handle)
-        except yaml.YAMLError as exc:
-            raise PlanFormatError(f"{path}: {exc}") from None
+    doc = load_yaml(path, PlanFormatError)
     if not isinstance(doc, dict) or doc.get("plan_version") != 1:
         raise PlanFormatError(f"{path}: not a plan_version 1 document")
     baseline = environment_from_doc(doc.get("baseline") or {}, catalog)

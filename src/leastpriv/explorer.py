@@ -21,7 +21,7 @@ import subprocess
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
-from ._lineformat import decode_lines
+from ._files import decode_lines, replacing
 from .environment import Environment, compose_environment, compose_pair
 from .events import EventSet
 from .monitor import ingest_trace, parse_trace
@@ -338,7 +338,7 @@ def _parse_config(line: str) -> MutationConfig:
 
 def write_log(config: MutationConfig, result: ExplorationResult, path) -> None:
     """Log file: version line, config echo, warnings, then one record per probe."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with replacing(path) as handle:
         handle.write(LOG_HEADER + "\n")
         handle.write(_format_config(config) + "\n")
         for warning in result.warnings:

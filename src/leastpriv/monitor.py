@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from ._lineformat import decode_lines
+from ._files import decode_lines
 from .events import (
     KIND_CAPABILITY,
     KIND_SYSCALL,
@@ -48,7 +48,6 @@ __all__ = [
     "parse_trace",
     "read_trace",
     "format_trace",
-    "write_trace",
     "replay_trace",
     "ingest_trace",
     "Observation",
@@ -128,11 +127,6 @@ def format_trace(records: Iterable[TraceRecord]) -> str:
             f"{record.timestamp_ns} {record.namespace_id} {record.kind} {record.name}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_trace(records: Iterable[TraceRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(format_trace(records))
 
 
 @dataclass

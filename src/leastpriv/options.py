@@ -615,9 +615,7 @@ def _validate_scalar(spec: OptionSpec, node: ValueSyntax, raw: str) -> tuple[str
 
 def _diagnose(spec: OptionSpec, node: ValueSyntax, raw: str) -> OptionError:
     prefix = f"option {spec.name!r}:"
-    window = integer_bounds(node) if isinstance(node, (IntRange, OneOf)) else None
-    if window is not None and re.fullmatch(r"-?\d+", raw):
-        value, (lo, high) = int(raw), window
+    for value, (lo, high) in _windowed_integers(node, raw):
         if not lo <= value <= high:
             return ValueRangeError(f"{prefix} {value} outside [{lo}, {high + 1})")
     if isinstance(node, BytesWithUnit):
@@ -634,6 +632,29 @@ def _diagnose(spec: OptionSpec, node: ValueSyntax, raw: str) -> OptionError:
             if not lo <= magnitude < hi:
                 return ValueRangeError(f"{prefix} magnitude {magnitude} outside [{lo}, {hi})")
     return ValueParseError(f"{prefix} {raw!r} does not match {spec.expression!r}")
+
+
+def _windowed_integers(node: ValueSyntax, raw: str) -> Iterator[tuple[int, tuple[int, int]]]:
+    """Each integer raw puts where node has an integer window, with that window.
+
+    A Compound's parts match left to right up to the first required one
+    that fails; each IntRange part reads the integer at its position.
+    """
+    if isinstance(node, (IntRange, OneOf)):
+        window = integer_bounds(node)
+        if window is not None and _SIGNED.fullmatch(raw):
+            yield int(raw), window
+    elif isinstance(node, Compound):
+        pos = 0
+        for part in node.parts:
+            number = _SIGNED.match(raw, pos)
+            if number and isinstance(part.node, IntRange):
+                yield int(number.group()), integer_bounds(part.node)
+            end = next((end for *_, end in part.node.match(raw, pos)), None)
+            if end is not None:
+                pos = end
+            elif not part.optional:
+                return
 
 
 def integer_bounds(node: ValueSyntax) -> Optional[tuple[int, int]]:

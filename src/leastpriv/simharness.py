@@ -18,23 +18,20 @@ from __future__ import annotations
 import importlib.resources
 import random
 from dataclasses import dataclass, fields
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
-import yaml
-
+from ._files import load_yaml
 from .environment import (
     WORKLOAD_PRESETS,
     Environment,
     WorkloadSpec,
     compose_environment,
-    baseline_environment,
     doc_list,
 )
 from .events import KIND_SYSCALL, EventSet
 from .monitor import TraceRecord, format_trace
 from .options import (
     OptionCatalog,
-    OptionValue,
     default_catalog,
     integer_bounds,
     validate_value,
@@ -53,9 +50,7 @@ __all__ = [
     "SyntheticContainerModel",
     "evaluate",
     "emit_trace",
-    "model_to_doc",
     "model_from_doc",
-    "dump_model",
     "load_model",
     "load_fixture",
     "FIXTURE_NAMES",
@@ -82,9 +77,6 @@ class OptionPresent:
     def matches(self, env: Environment) -> bool:
         return env.option_value(self.option) is not None
 
-    def to_doc(self) -> dict:
-        return {"option_present": self.option}
-
 
 @dataclass(frozen=True)
 class OptionValueEquals:
@@ -96,9 +88,6 @@ class OptionValueEquals:
     def matches(self, env: Environment) -> bool:
         bound = env.option_value(self.option)
         return bound is not None and bound.text == self.value
-
-    def to_doc(self) -> dict:
-        return {"option_value_equals": {"option": self.option, "value": self.value}}
 
 
 @dataclass(frozen=True)
@@ -119,23 +108,11 @@ class OptionValueInRange:
             return False
         return self.lo <= bound.number <= self.hi
 
-    def to_doc(self) -> dict:
-        return {
-            "option_value_in_range": {
-                "option": self.option,
-                "lo": self.lo,
-                "hi": self.hi,
-            }
-        }
-
 
 @dataclass(frozen=True)
 class WorkloadPresent:
     def matches(self, env: Environment) -> bool:
         return env.workload is not None
-
-    def to_doc(self) -> dict:
-        return {"workload_present": True}
 
 
 @dataclass(frozen=True)
@@ -151,14 +128,6 @@ class WorkloadFieldAtLeast:
         if env.workload is None:
             return False
         return getattr(env.workload, self.field) >= self.threshold
-
-    def to_doc(self) -> dict:
-        return {
-            "workload_field_at_least": {
-                "field": self.field,
-                "threshold": self.threshold,
-            }
-        }
 
 
 Predicate = Union[
@@ -228,7 +197,7 @@ def emit_trace(
     )
 
 
-# -- fixture file round trip ------------------------------------------------
+# -- model files ------------------------------------------------------------
 
 
 def _predicate_from_doc(doc) -> Predicate:
@@ -257,27 +226,6 @@ def _predicate_from_doc(doc) -> Predicate:
         except (TypeError, KeyError, ValueError):
             raise ModelError(f"bad workload_field_at_least body {body!r}") from None
     raise ModelError(f"unknown trigger kind {key!r}")
-
-
-def model_to_doc(model: SyntheticContainerModel) -> dict:
-    doc = {
-        "model_version": MODEL_VERSION,
-        "name": model.name,
-        "base_events": model.base_events.to_doc(),
-        "rules": [
-            {"when": rule.trigger.to_doc(), "adds": rule.adds.to_doc()}
-            for rule in model.rules
-        ],
-    }
-    if model.interaction_rules:
-        doc["interaction_rules"] = [
-            {
-                "when": [rule.first.to_doc(), rule.second.to_doc()],
-                "adds": rule.adds.to_doc(),
-            }
-            for rule in model.interaction_rules
-        ]
-    return doc
 
 
 def model_from_doc(doc) -> SyntheticContainerModel:
@@ -315,18 +263,8 @@ def model_from_doc(doc) -> SyntheticContainerModel:
     )
 
 
-def dump_model(model: SyntheticContainerModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        yaml.safe_dump(model_to_doc(model), handle, sort_keys=False)
-
-
 def load_model(path) -> SyntheticContainerModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = yaml.safe_load(handle)
-        except yaml.YAMLError as exc:
-            raise ModelError(f"{path}: {exc}") from None
-    return model_from_doc(doc)
+    return model_from_doc(load_yaml(path, ModelError))
 
 
 def load_fixture(name: str) -> SyntheticContainerModel:
@@ -336,8 +274,8 @@ def load_fixture(name: str) -> SyntheticContainerModel:
     resource = importlib.resources.files("leastpriv").joinpath(
         f"data/fixtures/{name}.yaml"
     )
-    doc = yaml.safe_load(resource.read_text(encoding="utf-8"))
-    return model_from_doc(doc)
+    with importlib.resources.as_file(resource) as path:
+        return model_from_doc(load_yaml(path, ModelError))
 
 
 # -- generated corpora ------------------------------------------------------

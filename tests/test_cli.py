@@ -426,6 +426,62 @@ class TestErrorReporting:
         assert err.startswith("error: PlanFormatError: ")
         assert err.count("\n") == 1
 
+    def test_emit_writes_nothing_on_error(self, tmp_path, capsys):
+        policy = tmp_path / "bogus.policy"
+        events = {"syscalls": ["read"], "capabilities": ["CAP_BOGUS"]}
+        policy.write_text(yaml.safe_dump({
+            "policy_version": 1,
+            "container": "web",
+            "achieved_security": 1.0,
+            "achieved_functionality": 1.0,
+            "allowed": events,
+            "classes": {"always": events},
+        }))
+        code = main(["emit", str(policy),
+                     "--seccomp", str(tmp_path / "s.json"), "--caps", str(tmp_path / "c.txt")])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: EmitError: ")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bogus.policy"]
+
+    # written raw: yaml.safe_dump itself recurses on a document this deep
+    DEEP = "[" * 5000 + "]" * 5000
+
+    @pytest.mark.parametrize("command,field,error", [
+        ("emit", "policy_version: 1\ncontainer: web\nallowed: ", "DecisionError"),
+        ("check", "policy_version: 1\ncontainer: web\nallowed: ", "DecisionError"),
+        ("explore", "model_version: 1\nname: deep\nrules: ", "ModelError"),
+        ("validate-inference", "plan_version: 1\nfactors: ", "PlanFormatError"),
+    ], ids=["emit", "check", "explore", "validate-inference"])
+    def test_deeply_nested_input_is_one_error_line(self, tmp_path, capsys, command, field, error):
+        deep = tmp_path / "deep.yaml"
+        deep.write_text(field + self.DEEP + "\n")
+        argv = {
+            "emit": ["emit", str(deep), "--seccomp", str(tmp_path / "s.json")],
+            "check": ["check", str(deep), CVEDB],
+            "explore": ["explore", str(deep), "cpu-shares"],
+            "validate-inference": ["validate-inference", "redis", str(deep)],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: ")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.yaml"]
+
+    def test_alias_tree_is_one_short_error_line(self, tmp_path, capsys):
+        # a "billion laughs": 465 bytes whose last list expands to 10**5 names
+        levels = ["&l0 [a, a, a, a, a, a, a, a, a, a]"] + [
+            f"&l{i} [{', '.join([f'*l{i - 1}'] * 10)}]" for i in range(1, 6)
+        ]
+        policy = tmp_path / "laughs.policy"
+        policy.write_text("policy_version: 1\ncontainer: web\n"
+                          f"allowed: {{syscalls: [], capabilities: [{', '.join(levels)}]}}\n")
+        assert main(["check", str(policy), CVEDB]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: DecisionError: {policy}: aliases expand to more than 10000 nodes\n"
+
     def test_config_value_too_large_is_one_error_line(self, capsys):
         code = main(["explore", "redis", "cpu-shares", "--config", "v_max=" + "9" * 400])
         assert code == 1

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import leastpriv
-import leastpriv.decision as decision
-
+from leastpriv import _files
 from leastpriv.decision import (
     CVEDB_HEADER,
     CveDatabase,
@@ -494,7 +493,7 @@ class TestAtomicWrites:
             handle.write("partial\n")
             raise RuntimeError("disk full")
 
-        monkeypatch.setattr(decision.yaml, "safe_dump", write_then_fail)
+        monkeypatch.setattr(_files.yaml, "dump", write_then_fail)
         with pytest.raises(RuntimeError):
             dump_policy(policy, path)
         assert path.read_bytes() == before

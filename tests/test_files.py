@@ -1,0 +1,194 @@
+"""File input and output: the YAML loader's limits, atomic output files,
+and the rule that only `leastpriv._files` reads YAML or opens a file for
+writing."""
+
+import ast
+import os
+from importlib import resources
+from pathlib import Path
+
+import pytest
+import yaml
+
+import leastpriv
+from leastpriv import _files
+from leastpriv.cli import main
+
+
+class Malformed(ValueError):
+    pass
+
+
+def load_text(tmp_path, text):
+    path = tmp_path / "doc.yaml"
+    path.write_text(text)
+    return _files.load_yaml(path, Malformed)
+
+
+def alias_chain(links):
+    """A mapping whose last list sits `links` + 1 levels deep once aliases expand."""
+    return "a0: &a0 [x]\n" + "".join(f"a{i}: &a{i} [*a{i - 1}]\n" for i in range(1, links + 1))
+
+
+def laughs(levels):
+    """A mapping whose list l<levels> expands to 10**levels scalars: a "billion laughs"."""
+    return "l0: &l0 [a, a, a, a, a, a, a, a, a, a]\n" + "".join(
+        f"l{i}: &l{i} [{', '.join([f'*l{i - 1}'] * 10)}]\n" for i in range(1, levels + 1)
+    )
+
+
+@pytest.fixture(params=["libyaml", "pure"])
+def loader(request, monkeypatch):
+    """Run each test with libyaml and with the pure-Python fallback."""
+    if request.param == "pure":
+        monkeypatch.setattr(_files, "_LOADER", yaml.SafeLoader)
+    elif not yaml.__with_libyaml__:
+        pytest.skip("PyYAML was built without libyaml")
+
+
+@pytest.mark.usefixtures("loader")
+class TestLoadYaml:
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        "{a: " * 5000 + "b" + "}" * 5000,
+        "[" * (_files.MAX_DEPTH + 1) + "]" * (_files.MAX_DEPTH + 1),
+        "a: &a [*a]\n",
+        alias_chain(_files.MAX_DEPTH),
+    ], ids=["flow-100000", "mapping-5000", "one-past-the-limit", "cycle", "alias-chain"])
+    def test_too_deep_is_the_callers_error(self, tmp_path, text):
+        with pytest.raises(Malformed, match="collections nest deeper than 32 levels$"):
+            load_text(tmp_path, text)
+
+    def test_alias_expansion_is_the_callers_error(self, tmp_path):
+        with pytest.raises(Malformed, match="aliases expand to more than 10000 nodes$"):
+            load_text(tmp_path, laughs(5))
+
+    def test_at_the_limit_loads(self, tmp_path):
+        depth = _files.MAX_DEPTH
+        assert load_text(tmp_path, "[" * depth + "]" * depth) is not None
+        doc = load_text(tmp_path, alias_chain(depth - 2))
+        assert doc["a0"] == ["x"] and len(doc) == depth - 1
+
+    def test_shared_aliases_load(self, tmp_path):
+        assert load_text(tmp_path, "a: &a [1, 2]\nb: *a\nc: [*a, *a]\n") == {
+            "a": [1, 2], "b": [1, 2], "c": [[1, 2], [1, 2]],
+        }
+
+    @pytest.mark.parametrize("text", ["a: [1\n", "a: *undefined\n", "a: 1\n---\nb: 2\n"],
+                             ids=["unclosed", "undefined-alias", "two-documents"])
+    def test_malformed_yaml_is_the_callers_error(self, tmp_path, text):
+        with pytest.raises(Malformed, match=r"doc\.yaml: "):
+            load_text(tmp_path, text)
+
+    @pytest.mark.parametrize("name", ["fixtures/redis.yaml", "fixtures/nginx.yaml"])
+    def test_same_document_as_the_pure_python_loader(self, name):
+        resource = resources.files("leastpriv").joinpath(f"data/{name}")
+        with resources.as_file(resource) as path:
+            assert _files.load_yaml(path, Malformed) == yaml.load(
+                path.read_text(), Loader=yaml.SafeLoader
+            )
+
+
+def test_dump_writes_the_golden_plan_bytes(tmp_path):
+    golden = Path(__file__).parent / "golden" / "plan-noncanonical.yaml"
+    _files.dump_yaml(yaml.safe_load(golden.read_text()), tmp_path / "plan.yaml")
+    assert (tmp_path / "plan.yaml").read_bytes() == golden.read_bytes()
+
+
+# -- atomic output files -----------------------------------------------------
+
+def _policy(syscalls, capabilities):
+    events = f"{{syscalls: [{syscalls}], capabilities: [{capabilities}]}}"
+    return (f"policy_version: 1\ncontainer: web\nachieved_security: 1.0\n"
+            f"achieved_functionality: 1.0\nallowed: {events}\nclasses: {{always: {events}}}\n")
+
+
+def _argv(output, inputs, path, version):
+    """A command writing `output` to path; versions 1 and 2 write different bytes."""
+    if output in ("seccomp", "caps"):
+        policy = inputs / f"v{version}.policy"
+        policy.write_text(_policy("read", "CAP_CHOWN") if version == 1
+                          else _policy("read, write", "CAP_CHOWN, CAP_KILL"))
+        return ["emit", str(policy), f"--{output}", str(path)]
+    if output == "plan":
+        return ["plan", "default", *["tty"] * (version - 1), "--out", str(path)]
+    return ["explore", "redis", "cpu-shares", "--seed", str(version), "--log", str(path)]
+
+
+def _write_half_then_fail(real_open):
+    def opener(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        if mode != "r":
+            write = handle.write
+
+            def write_half(text):
+                write(text[: len(text) // 2])
+                raise OSError("disk full")
+
+            handle.write = write_half
+        return handle
+
+    return opener
+
+
+@pytest.mark.parametrize("output", ["plan", "log", "seccomp", "caps"])
+def test_failed_write_keeps_the_old_bytes(tmp_path, monkeypatch, capsys, output):
+    outputs = tmp_path / "out"
+    outputs.mkdir()
+    path = outputs / "artifact"
+    assert main(_argv(output, tmp_path, path, 1)) == 0
+    before = path.read_bytes()
+    monkeypatch.setattr(_files, "open", _write_half_then_fail(open), raising=False)
+    capsys.readouterr()
+    assert main(_argv(output, tmp_path, path, 2)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: OSError: disk full\n"
+    assert path.read_bytes() == before
+    assert os.listdir(outputs) == ["artifact"]
+    monkeypatch.undo()
+    assert main(_argv(output, tmp_path, path, 2)) == 0
+    assert path.read_bytes() != before
+    assert os.listdir(outputs) == ["artifact"]
+
+
+# -- one owner ---------------------------------------------------------------
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """open(path, mode) or handle.open(mode) with a mode that is not plain reading.
+
+    A mode that is not a literal, as in open(p, mode), counts as writing;
+    so does Path(p).write_text(t).
+    """
+    if isinstance(call.func, ast.Name) and call.func.id == "open":
+        position = 1
+    elif isinstance(call.func, ast.Attribute) and call.func.attr == "open":
+        position = 0
+    else:
+        return isinstance(call.func, ast.Attribute) and call.func.attr in (
+            "write_text", "write_bytes"
+        )
+    modes = call.args[position:position + 1]
+    modes += [keyword.value for keyword in call.keywords if keyword.arg == "mode"]
+    if not modes:
+        return False
+    return not (isinstance(modes[0], ast.Constant) and set(str(modes[0].value)) <= set("rbt"))
+
+
+def test_only_the_files_module_reads_yaml_or_opens_for_writing():
+    offenders = []
+    for path in sorted(Path(leastpriv.__file__).parent.glob("*.py")):
+        if path.name == "_files.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if any(module.split(".")[0] == "yaml" for module in modules):
+                offenders.append(f"{path.name}:{node.lineno}: imports yaml")
+            if isinstance(node, ast.Call) and _opens_for_writing(node):
+                offenders.append(f"{path.name}:{node.lineno}: opens a file for writing")
+    assert offenders == []

@@ -186,7 +186,9 @@ class TestValidation:
         ("pids-limit", "4194304", ValueRangeError, "4194304 outside [0, 4194304)"),
         ("pids-limit", "-2", ValueRangeError, "-2 outside [0, 4194304)"),
         ("pids-limit", "x", ValueParseError, """'x' does not match '"-1" | <U22>'"""),
-        ("publish", "70000:80", ValueParseError, "'70000:80' does not match '<List>:("),
+        ("publish", "70000:80", ValueRangeError, "70000 outside [0, 65536)"),
+        ("publish", "80:80,443:70000/tcp", ValueRangeError, "70000 outside [0, 65536)"),
+        ("publish", "80:80/sctp", ValueParseError, "'80:80/sctp' does not match '<List>:("),
     ])
     def test_out_of_range_integer_in_alternation_names_the_window(self, name, raw, error, message):
         with pytest.raises(ValueParseError) as excinfo:

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+import yaml
 
 from leastpriv.environment import (
     WORKLOAD_PRESETS,
@@ -26,13 +27,11 @@ from leastpriv.simharness import (
     WorkloadPresent,
     build_pair_corpus,
     build_threshold_probe,
-    dump_model,
     emit_trace,
     evaluate,
     load_fixture,
     load_model,
     model_from_doc,
-    model_to_doc,
 )
 
 
@@ -219,25 +218,41 @@ class TestModelFiles:
             ),
         )
 
+    TOY = """\
+model_version: 1
+name: toy
+base_events: {syscalls: [read, close], capabilities: [CAP_CHOWN]}
+rules:
+  - when: {option_present: tty}
+    adds: {syscalls: [ioctl]}
+  - when: {option_value_in_range: {option: cpu-shares, lo: 10, hi: 90}}
+    adds: {syscalls: [sched_yield]}
+  - when: {workload_field_at_least: {field: read_ops, threshold: 1}}
+    adds: {syscalls: [pread64]}
+  - when: {option_value_equals: {option: network, value: none}}
+    adds: {syscalls: [socketpair]}
+  - when: {workload_present: true}
+    adds: {capabilities: [CAP_IPC_LOCK]}
+interaction_rules:
+  - when: [{option_present: tty}, {workload_present: true}]
+    adds: {syscalls: [eventfd2]}
+"""
+
     def test_doc_round_trip(self):
-        model = self.build()
-        assert model_from_doc(model_to_doc(model)) == model
+        assert model_from_doc(yaml.safe_load(self.TOY)) == self.build()
 
     def test_file_round_trip(self, tmp_path):
-        model = self.build()
         path = tmp_path / "toy.yaml"
-        dump_model(model, path)
-        again = load_model(path)
-        assert again == model
+        path.write_text(self.TOY)
+        model = load_model(path)
+        assert model == self.build()
         env = env_of(("tty", ""), workload=WORKLOAD_PRESETS["W2"])
-        assert evaluate(again, env) == evaluate(model, env)
+        assert evaluate(model, env) == evaluate(self.build(), env)
 
     def test_version_checked(self, tmp_path):
-        model = self.build()
         path = tmp_path / "toy.yaml"
-        dump_model(model, path)
-        path.write_text(path.read_text().replace("model_version: 1", "model_version: 9"))
-        with pytest.raises(ModelError):
+        path.write_text(self.TOY.replace("model_version: 1", "model_version: 9"))
+        with pytest.raises(ModelError, match="unsupported model_version 9"):
             load_model(path)
 
 
