@@ -91,6 +91,7 @@ from .decision import (
     ObservationStore,
     Policy,
     ScoreTargets,
+    append_observation,
     check_mitigation,
     classify_events,
     default_cvedb,

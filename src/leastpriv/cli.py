@@ -10,17 +10,17 @@ identical inputs, including configured seeds.
 from __future__ import annotations
 
 import argparse
-import os
 import shlex
 import sys
 from typing import Optional
 
 from ._files import replacing
 from .decision import (
+    ContainerMismatchError,
     Infeasible,
-    ObservationStore,
     Policy,
     ScoreTargets,
+    append_observation,
     check_mitigation,
     functionality_score,
     load_cvedb,
@@ -28,7 +28,6 @@ from .decision import (
     load_store,
     dump_policy,
     parse_event_list,
-    save_store,
     security_score,
     sweep,
     synthesize_policy,
@@ -119,25 +118,19 @@ def _event_rows(events: EventSet) -> list[str]:
 
 
 def _cmd_ingest(args) -> int:
+    """Replay a trace and append its environment's block to the store."""
     states = replay_trace(read_trace(args.trace))
     observation = event_set_for(args.env_id, states, args.namespace)
     namespace = args.namespace if args.namespace is not None else next(iter(states))
-    if os.path.exists(args.store):
-        store = load_store(args.store)
-        if args.container is not None and args.container != store.container:
-            raise CliError(
-                f"store {args.store} is for container {store.container!r}, "
-                f"not {args.container!r}"
-            )
-    else:
-        store = ObservationStore(args.container or "container")
-    store.record_observation(observation)
-    save_store(store, args.store)
+    try:
+        environments = append_observation(args.store, observation, args.container)
+    except ContainerMismatchError as exc:
+        raise CliError(str(exc)) from None
     events = observation.events
     print(
         f"recorded {args.env_id} (namespace {namespace}): "
         f"{len(events.syscalls)} syscalls, {len(events.capabilities)} capabilities "
-        f"-> {args.store} ({len(store)} environments)"
+        f"-> {args.store} ({environments} environments)"
     )
     return 0
 

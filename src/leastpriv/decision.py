@@ -21,6 +21,8 @@ scores are the exact formulas.
 from __future__ import annotations
 
 import math
+import os
+import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -43,6 +45,7 @@ __all__ = [
     "DbFormatError",
     "StoreError",
     "StoreFormatError",
+    "ContainerMismatchError",
     "CveEntry",
     "CveDatabase",
     "parse_cvedb",
@@ -52,6 +55,7 @@ __all__ = [
     "ObservationStore",
     "load_store",
     "save_store",
+    "append_observation",
     "security_score",
     "functionality_score",
     "EventClasses",
@@ -92,6 +96,10 @@ class StoreError(DecisionError):
 
 
 class StoreFormatError(StoreError):
+    pass
+
+
+class ContainerMismatchError(StoreError):
     pass
 
 
@@ -191,6 +199,11 @@ def default_cvedb() -> CveDatabase:
 # -- observation store -------------------------------------------------------
 
 
+def _check_environment_id(environment_id: str) -> None:
+    if not environment_id or any(ch.isspace() for ch in environment_id):
+        raise StoreError(f"bad environment id {environment_id!r}")
+
+
 class ObservationStore:
     """Per-environment syscall and capability Counters for one container.
 
@@ -209,8 +222,7 @@ class ObservationStore:
 
     def _add(self, environment_id: str, syscall_counts, capability_counts) -> None:
         """Add a Counter.update argument per kind to one environment's counts."""
-        if not environment_id or any(ch.isspace() for ch in environment_id):
-            raise StoreError(f"bad environment id {environment_id!r}")
+        _check_environment_id(environment_id)
         syscalls, capabilities = self._counts.setdefault(environment_id, (Counter(), Counter()))
         syscalls.update(syscall_counts)
         capabilities.update(capability_counts)
@@ -261,18 +273,106 @@ class ObservationStore:
         return bool(self._counts)
 
 
+def _block_text(environment_id: str, syscall_counts, capability_counts) -> str:
+    """One ENV block as a store holds it, names sorted within each kind."""
+    lines = [f"ENV {environment_id}\n"]
+    for tag, counts in (("SYS", syscall_counts), ("CAP", capability_counts)):
+        lines.extend(f"{tag} {name} {counts[name]}\n" for name in sorted(counts))
+    return "".join(lines)
+
+
+def _store_text(container: str, body: str) -> str:
+    return f"{OBSERVATIONS_HEADER}\nCONTAINER {container}\n{body}"
+
+
+def _body_text(store: ObservationStore) -> str:
+    """Every environment's block, in id order."""
+    return "".join(_block_text(e, *store._counts[e]) for e in store.environments())
+
+
 def save_store(store: ObservationStore, path) -> None:
+    """Write the canonical form: one block per environment, in id order."""
     with replacing(path) as handle:
-        handle.write(OBSERVATIONS_HEADER + "\n")
-        handle.write(f"CONTAINER {store.container}\n")
-        for environment_id in store.environments():
-            handle.write(f"ENV {environment_id}\n")
-            for tag, counts in zip(("SYS", "CAP"), store._counts[environment_id]):
-                for name in sorted(counts):
-                    handle.write(f"{tag} {name} {counts[name]}\n")
+        handle.write(_store_text(store.container, _body_text(store)))
+
+
+# The form the writers here produce, which append_observation copies
+# unparsed: comment or blank lines after the header, the CONTAINER line,
+# then ENV, SYS and CAP lines whose names are ASCII in canonical case and
+# whose counts have no leading zeros and fewer digits than int() accepts.
+# Each _OFF_ pattern finds the first line outside the form.  A flat
+# lookahead keeps sre's stack constant; a repeat over the whole store
+# would grow it by every line it matched.
+_COUNT = r"(?:0|[1-9][0-9]{0,17})"
+_OFF_PREAMBLE = re.compile(r"^(?!(?:#[^\r\n]*|[ \t]*)\n|\Z)", re.M)
+_OFF_BODY = re.compile(
+    rf"^(?!ENV [!-~]+\n|SYS [!-@\[-~]+ {_COUNT}\n|CAP CAP_[!-`{{-~]+ {_COUNT}\n|\Z)", re.M
+)
+_CONTAINER_LINE = re.compile(r"CONTAINER ([!-~]+)\n")
+_ENV_ID = re.compile(r"^ENV (\S+)", re.M)
+
+
+def _read_written(path) -> Optional[tuple[str, str]]:
+    """(container, ENV blocks) of a store in the written form, else None.
+
+    load_store reads such a store to exactly the counts of its blocks.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:  # load_store may report an earlier line first
+        return None
+    start = len(OBSERVATIONS_HEADER) + 1
+    at = text.find("\nCONTAINER ", start - 1) + 1
+    if not text.startswith(OBSERVATIONS_HEADER + "\n") or not at:
+        return None
+    line = _CONTAINER_LINE.match(text, at)
+    if line is None or _OFF_PREAMBLE.search(text, start, at):
+        return None
+    body = text[line.end():]
+    if not body.startswith("ENV ") or _OFF_BODY.search(body):
+        return None
+    return line[1], body
+
+
+def append_observation(path, observation: Observation, container: Optional[str] = None) -> int:
+    """Add one environment's counts to the store at path; return its environment count.
+
+    A missing store is created for `container` (default "container"); an
+    existing one must be for `container` when it is given.  A store in the
+    form this module writes is checked in one pass and copied unparsed,
+    and the new ENV block goes after its blocks: blocks stay in ingest
+    order and an id seen before gets a second block, which load_store
+    merges.  Any other store, such as a hand-written one, is read by
+    load_store, so it fails with the same error, and is rewritten in
+    canonical form before the block is appended.  Comments are dropped.
+    """
+    if os.path.exists(path):
+        found = _read_written(path)
+        if found is None:
+            store = load_store(path)
+            found = store.container, _body_text(store)
+        name, body = found
+        if container is not None and container != name:
+            raise ContainerMismatchError(
+                f"store {path} is for container {name!r}, not {container!r}"
+            )
+    else:
+        name, body = container or "container", ""
+        ObservationStore(name)  # rejects a bad container name
+    environment_id = observation.environment_id
+    _check_environment_id(environment_id)
+    block = _block_text(
+        environment_id, dict(observation.syscall_counts), dict(observation.capability_counts)
+    )
+    with replacing(path) as handle:
+        handle.write(_store_text(name, body))
+        handle.write(block)
+    return len(set(_ENV_ID.findall(body)) | {environment_id})
 
 
 def load_store(path) -> ObservationStore:
+    """Read a store, merging its ENV blocks: any order, an id repeated adds its counts."""
     store: Optional[ObservationStore] = None
     environment_id: Optional[str] = None
     block: dict[str, dict[str, int]] = {}

@@ -70,7 +70,7 @@ class EventNameError(ValueError):
 def canonical_syscall(name: str) -> str:
     """Return the canonical (lower-case) form of a syscall name."""
     cleaned = name.strip().lower()
-    if not cleaned or any(ch.isspace() for ch in cleaned):
+    if cleaned.split() != [cleaned]:  # empty, or whitespace inside
         raise EventNameError(f"invalid syscall name {name!r}")
     return cleaned
 
@@ -83,7 +83,7 @@ def canonical_capability(name: str) -> str:
     emitter enforces membership in CANONICAL_CAPABILITIES.
     """
     cleaned = name.strip().upper()
-    if not cleaned or any(ch.isspace() for ch in cleaned):
+    if cleaned.split() != [cleaned]:
         raise EventNameError(f"invalid capability name {name!r}")
     if not cleaned.startswith(CAP_PREFIX):
         cleaned = CAP_PREFIX + cleaned

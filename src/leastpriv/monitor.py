@@ -221,11 +221,16 @@ def event_set_for(
     namespace_id: Optional[int] = None,
 ) -> Observation:
     """Label one namespace's replayed state (by default the only one) with its environment."""
+    if not states:
+        raise UnknownNamespaceError(
+            "trace tracks no namespace: it has no `unshare` record, "
+            "so replay dropped every record"
+        )
     if namespace_id is None and len(states) == 1:
         (namespace_id,) = states
     state = states.get(namespace_id)
     if state is None:
-        known = ", ".join(str(ns) for ns in sorted(states)) or "none"
+        known = ", ".join(str(ns) for ns in sorted(states))
         if namespace_id is None:
             raise UnknownNamespaceError(
                 f"trace tracks {len(states)} namespaces ({known}); pick one with --namespace"

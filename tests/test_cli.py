@@ -1,11 +1,13 @@
 """Command line behaviors, end to end through main(argv)."""
 
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
 import pytest
 import yaml
 
+from leastpriv import cli, decision, events, monitor
 from leastpriv.cli import main
 from leastpriv.decision import (
     ObservationStore,
@@ -13,6 +15,8 @@ from leastpriv.decision import (
     load_cvedb,
     load_policy,
     load_store,
+    parse_event_list,
+    save_store,
     synthesize_policy,
 )
 from leastpriv.emitter import parse_seccomp_profile
@@ -176,8 +180,6 @@ class TestPipeline:
 
 class TestInfeasibleExit:
     def test_exit_code_2_with_reason(self, tmp_path, capsys):
-        from leastpriv.decision import parse_event_list, save_store
-
         store = ObservationStore("app")
         store.record("x1", parse_event_list(["socket"]))
         store_path = tmp_path / "app.obs"
@@ -350,6 +352,17 @@ class TestErrorReporting:
         assert main(["ingest", str(trace), "--env-id", "a", "--store", str(store),
                      "--namespace", "2"]) == 0
 
+    def test_trace_without_unshare_says_nothing_was_tracked(self, tmp_path, capsys):
+        trace = tmp_path / "t.trace"
+        trace.write_text("beacon-trace v1\n1 7 SYS prctl\n2 7 SYS read\n")
+        store = tmp_path / "s.obs"
+        assert main(["ingest", str(trace), "--env-id", "a", "--store", str(store)]) == 1
+        assert capsys.readouterr().err == (
+            "error: UnknownNamespaceError: trace tracks no namespace: it has no "
+            "`unshare` record, so replay dropped every record\n"
+        )
+        assert not store.exists()
+
     @pytest.mark.parametrize("key,value,error", [
         ("allowed", {"syscalls": "read"}, "EventNameError"),
         ("allowed", {"syscalls": [1, 2]}, "EventNameError"),
@@ -492,3 +505,54 @@ class TestErrorReporting:
     def test_bad_targets_string(self, redis_store_path, capsys):
         code = main(["sweep", str(redis_store_path), CVEDB, "--targets", "nonsense"])
         assert code == 1
+
+
+class TestIngestAppends:
+    """ingest appends one block to a store it wrote, without parsing the store."""
+
+    @staticmethod
+    def written_store(path, environments):
+        store = ObservationStore("app")
+        for i in range(environments):
+            store.record(f"env-{i:04d}", parse_event_list([f"call{i % 7}", "read", "CAP_CHOWN"]))
+        save_store(store, path)
+
+    @staticmethod
+    def trace(path, records):
+        lines = ["beacon-trace v1", "1 5 SYS unshare", "2 5 SYS capset", "3 5 SYS prctl"]
+        lines += [f"{ts} 5 {'CAP net_raw' if ts % 10 == 0 else f'SYS call{ts % 50}'}"
+                  for ts in range(4, records + 1)]
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_ingest_reads_each_record_once_and_never_loads_the_store(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        store, trace = tmp_path / "s.obs", tmp_path / "t.trace"
+        self.written_store(store, 500)
+        self.trace(trace, 1000)
+        before = store.read_bytes()
+        real_load_store = decision.load_store
+
+        def no_load(path):
+            raise AssertionError("ingest parsed the whole store")
+
+        for module in (decision, cli):
+            monkeypatch.setattr(module, "load_store", no_load)
+        calls = Counter()
+        for name in ("canonical_syscall", "canonical_capability"):
+            def counted(text, _canonical=getattr(events, name)):
+                calls["canonical"] += 1
+                return _canonical(text)
+            for module in (events, monitor, decision):
+                monkeypatch.setattr(module, name, counted)
+
+        assert main(["ingest", str(trace), "--env-id", "zz-new", "--store", str(store),
+                     "--container", "app"]) == 0
+        assert calls["canonical"] == 1000
+        assert capsys.readouterr().out.endswith("(501 environments)\n")
+        after = store.read_bytes()
+        assert after.startswith(before)
+        assert after[len(before):].startswith(b"ENV zz-new\nSYS call1 19\n")
+        loaded = real_load_store(store)
+        assert len(loaded) == 501
+        assert loaded.counts_for("zz-new")[1] == Counter({"CAP_NET_RAW": 100})

@@ -1,0 +1,68 @@
+"""The package keeps to the oldest Python that pyproject.toml promises (3.10).
+
+Newer `re` syntax such as possessive quantifiers and atomic groups
+compiles on 3.11 and fails on 3.10 at import.  This test compiles every
+module-level pattern of the package under a Python 3.10 interpreter when
+one is found, on PATH as `python3.10` or in a pyenv install, and skips
+otherwise.  Only the patterns go across, as (pattern, flags) pairs, so
+the interpreter needs no third-party packages.
+"""
+
+import glob
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+import leastpriv.cli  # noqa: F401  (imports every module)
+
+_COMPILE_ALL = """
+import json, re, sys
+for module, name, pattern, flags in json.load(sys.stdin):
+    try:
+        re.compile(pattern, flags)
+    except re.error as exc:
+        sys.exit(f"{module}.{name}: {exc}")
+print(sys.version_info[:2] == (3, 10))
+"""
+
+
+def _python310():
+    pyenv = os.environ.get("PYENV_ROOT") or os.path.expanduser("~/.pyenv")
+    candidates = [shutil.which("python3.10")]
+    candidates += sorted(glob.glob(os.path.join(pyenv, "versions", "3.10*", "bin", "python3")))
+    for candidate in filter(None, candidates):
+        try:
+            probe = subprocess.run([candidate, "-c", "import sys; print(sys.version_info[:2])"],
+                                   capture_output=True, text=True, timeout=30)
+        except OSError:
+            continue
+        if probe.returncode == 0 and probe.stdout.strip() == "(3, 10)":
+            return candidate
+    return None
+
+
+def _module_patterns():
+    return [
+        (module_name, name, value.pattern, value.flags)
+        for module_name, module in sorted(sys.modules.items())
+        if module_name.split(".")[0] == "leastpriv"
+        for name, value in vars(module).items()
+        if isinstance(value, re.Pattern)
+    ]
+
+
+def test_module_patterns_compile_on_python_3_10():
+    patterns = _module_patterns()
+    assert any(module == "leastpriv.decision" for module, *_ in patterns)
+    python = _python310()
+    if python is None:
+        pytest.skip("no Python 3.10 interpreter found")
+    result = subprocess.run([python, "-c", _COMPILE_ALL], input=json.dumps(patterns),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "True"

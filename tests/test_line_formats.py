@@ -4,15 +4,21 @@ Traces, CVE databases, observation stores and mutation logs share one
 reader.  Whatever lines follow a valid header, a read either succeeds or
 raises the format's error class with a `source:` prefix, never a bare
 ValueError from deeper down.  A valid store survives save and load with
-its counts, and its events are exactly the names it counts.
+its counts, and its events are exactly the names it counts.  Ingesting
+into any store either fails with load_store's error and leaves the file
+alone, or leaves a store that loads to the old counts plus the trace's.
 """
 
+import io
 import os
 import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
+from leastpriv.cli import main
 from leastpriv.decision import (
     CVEDB_HEADER,
     OBSERVATIONS_HEADER,
@@ -165,3 +171,110 @@ def test_store_round_trip(blocks):
         assert store.events_for(environment_id) == EventSet(
             frozenset(syscalls), frozenset(capabilities)
         )
+
+
+# -- ingest into an existing store -------------------------------------------
+
+# The trace every ingest below replays, and the counts it records.
+_TRACE = [TRACE_HEADER, "1 4 SYS unshare", "2 4 SYS capset", "3 4 SYS prctl",
+          "4 4 SYS read", "5 4 SYS read", "6 4 SYS openat", "7 4 CAP chown"]
+_TRACE_COUNTS = (Counter({"read": 2, "openat": 1}), Counter({"CAP_CHOWN": 1}))
+
+
+def _written(lines, newline="\n", final=True):
+    return newline.join(lines) + (newline if final else "")
+
+
+def _canonical_names(blocks):
+    canonical = {"SYS": canonical_syscall, "CAP": canonical_capability}
+    return [(env, [(tag, canonical[tag](name), count) for tag, name, count in entries])
+            for env, entries in blocks]
+
+
+# Each turns store blocks into a store's text: the form the tool writes
+# (names in canonical case) and hand-written variants of it.
+_STORE_FORMS = {
+    "written": lambda blocks: _written(_store_lines(_canonical_names(blocks))),
+    "mixed case": lambda blocks: _written(_store_lines(blocks)),
+    "salt comment": lambda blocks: _written(
+        [OBSERVATIONS_HEADER, "# salt 0001", "", *_store_lines(_canonical_names(blocks))[1:]]),
+    "comment after CONTAINER": lambda blocks: _written(
+        [*_store_lines(_canonical_names(blocks))[:2], "# note", *_store_lines(blocks)[2:]]),
+    "CRLF": lambda blocks: _written(_store_lines(_canonical_names(blocks)), "\r\n"),
+    "no final newline": lambda blocks: _written(_store_lines(_canonical_names(blocks)), final=False),
+    "non-ASCII ids": lambda blocks: _written(
+        [line.replace("ENV x", "ENV é") for line in _store_lines(_canonical_names(blocks))]),
+}
+
+
+def _store_lines(blocks):
+    lines = [OBSERVATIONS_HEADER, "CONTAINER app"]
+    for environment_id, entries in blocks:
+        lines.append(f"ENV {environment_id}")
+        lines.extend(f"{tag} {name} {count}" for tag, name, count in entries)
+    return lines
+
+
+store_texts = st.one_of(
+    st.builds(lambda form, blocks: _STORE_FORMS[form](blocks),
+              st.sampled_from(sorted(_STORE_FORMS)), store_blocks),
+    st.builds(_STORE_FORMS["written"], store_blocks),
+    st.builds(lambda body: _written([OBSERVATIONS_HEADER, "CONTAINER app", "ENV e1", *body]),
+              lines),
+)
+
+
+def _counts(store):
+    return {environment_id: store.counts_for(environment_id)
+            for environment_id in store.environments()}
+
+
+_H = OBSERVATIONS_HEADER
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=store_texts, environment_id=st.sampled_from(("x1", "new", "é")))
+@example(text=f"{_H}\n# salt 1\nCONTAINER app\nENV x1\nSYS read 1\n", environment_id="x1")
+@example(text=f"{_H}\nCONTAINER app\n# note\nENV x1\nSYS read 1\n", environment_id="new")
+@example(text=f"{_H}\r\nCONTAINER app\r\nENV x1\r\nSYS read 1\r\n", environment_id="x1")
+@example(text=f"{_H}\nCONTAINER app\nENV é\nSYS read 1\n", environment_id="é")
+@example(text=f"{_H}\nCONTAINER app\nENV x1\nSYS read 1", environment_id="new")
+@example(text=f"{_H}\nCONTAINER app\nENV x1\nSYS read 1\nENV x2\nENV x1\nCAP CAP_CHOWN 2\n",
+         environment_id="x1")
+@example(text=f"{_H}\nCONTAINER app\n", environment_id="x1")
+@example(text=f"{_H}\nCONTAINER app\nENV x1\nSYS read 007\n", environment_id="x1")
+@example(text=f"{_H}\nCONTAINER app\nENV x1\nSYS read {'9' * 5000}\n", environment_id="x1")
+@example(text=f"{_H}\nCONTAINER app\nENV x1\nCAP cap_ 1\n", environment_id="x1")
+@example(text=f"{_H}\nCONTAINER app\nENV x1\nSYS read -1\n", environment_id="x1")
+@example(text=f"{_H}\n# a\rENV x\nCONTAINER app\nENV x1\n", environment_id="x1")
+@example(text=f"{_H}\nCONTAINER app\nCONTAINER app\nENV x1\n", environment_id="x1")
+@example(text=f"{_H}\nSYS read 1\nCONTAINER app\nENV x1\n", environment_id="x1")
+def test_ingest_appends_or_fails_like_load_store(text, environment_id):
+    """ingest into any store: load_store's error line with the file untouched,
+    or a store that loads to the old counts plus the trace's."""
+    with tempfile.TemporaryDirectory() as directory:
+        store, trace = os.path.join(directory, "s.obs"), os.path.join(directory, "t.trace")
+        with open(store, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        with open(trace, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(_TRACE) + "\n")
+        try:
+            expected, error = _counts(load_store(store)), None
+        except ValueError as exc:
+            expected, error = None, f"error: {type(exc).__name__}: {exc}\n"
+        before = Path(store).read_bytes()
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["ingest", trace, "--env-id", environment_id, "--store", store])
+        assert sorted(os.listdir(directory)) == ["s.obs", "t.trace"]
+        if error is not None:
+            assert (code, out.getvalue(), err.getvalue()) == (1, "", error)
+            assert Path(store).read_bytes() == before
+            return
+        assert (code, err.getvalue()) == (0, "")
+        syscalls, capabilities = expected.setdefault(environment_id, (Counter(), Counter()))
+        syscalls.update(_TRACE_COUNTS[0])
+        capabilities.update(_TRACE_COUNTS[1])
+        result = load_store(store)
+        assert _counts(result) == expected
+        assert out.getvalue().endswith(f"({len(result)} environments)\n")
