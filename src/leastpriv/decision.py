@@ -11,11 +11,13 @@ The security floor becomes a hard CVSS ceiling c* = 10*(1 - security_min)
 on admissible events: events observed in every environment must all sit
 under the ceiling or synthesis is infeasible outright, sporadic events
 over the ceiling are excluded, and the remaining sporadic events are
-added greedily (most environments first) until the functionality floor
-is met.  Feasibility decisions always compare raw CVSS against the
-ceiling rather than recomputing score inequalities, so they cannot
-disagree with themselves across call sites; the reported achieved
-scores are the exact formulas.
+ranked greedily (most environments first).  The policy admits the
+shortest prefix of that order that covers functionality_min of the
+environments; when no prefix does, the blocking events are the sporadic
+events over the ceiling.  Feasibility decisions always compare raw CVSS
+against the ceiling rather than recomputing score inequalities, so they
+cannot disagree with themselves across call sites; the reported
+achieved scores are the exact formulas.
 """
 
 from __future__ import annotations
@@ -298,17 +300,19 @@ def save_store(store: ObservationStore, path) -> None:
 
 # The form the writers here produce, which append_observation copies
 # unparsed: comment or blank lines after the header, the CONTAINER line,
-# then ENV, SYS and CAP lines whose names are ASCII in canonical case and
-# whose counts have no leading zeros and fewer digits than int() accepts.
+# then ENV, SYS and CAP lines whose names hold no whitespace and no ASCII
+# letter outside canonical case, and whose counts have no leading zeros
+# and fewer digits than int() accepts.  \s is exactly str.isspace, what
+# load_store splits on; other characters are canonicalised when loaded.
 # Each _OFF_ pattern finds the first line outside the form.  A flat
 # lookahead keeps sre's stack constant; a repeat over the whole store
 # would grow it by every line it matched.
 _COUNT = r"(?:0|[1-9][0-9]{0,17})"
 _OFF_PREAMBLE = re.compile(r"^(?!(?:#[^\r\n]*|[ \t]*)\n|\Z)", re.M)
 _OFF_BODY = re.compile(
-    rf"^(?!ENV [!-~]+\n|SYS [!-@\[-~]+ {_COUNT}\n|CAP CAP_[!-`{{-~]+ {_COUNT}\n|\Z)", re.M
+    rf"^(?!ENV \S+\n|SYS [^\sA-Z]+ {_COUNT}\n|CAP CAP_[^\sa-z]+ {_COUNT}\n|\Z)", re.M
 )
-_CONTAINER_LINE = re.compile(r"CONTAINER ([!-~]+)\n")
+_CONTAINER_LINE = re.compile(r"CONTAINER (\S+)\n")
 _ENV_ID = re.compile(r"^ENV (\S+)", re.M)
 
 
@@ -531,22 +535,33 @@ def synthesize_policy(
     """Deterministic target-driven synthesis; see the module docstring.
 
     Greedy order over admissible sporadic events: descending environment
-    frequency, then ascending CVSS, then (kind, name).  Each step first
-    checks whether functionality already meets the target, so no more
-    events are admitted than the target requires.
+    frequency, then ascending CVSS, then (kind, name).  The policy admits
+    the shortest prefix of that order whose coverage meets
+    functionality_min, found from each environment's covering step.  An
+    unreachable target is blocked by exactly the sporadic events over the
+    ceiling: each leaves an environment uncovered.
     """
     if not store:
         raise StoreError("cannot synthesize from an empty store")
     classes = classify_events(store)
     ceiling = targets.cvss_ceiling
-
-    admissible = [
-        event for event in classes.sporadic.events()
-        if database.max_cvss(*event) <= ceiling
-    ]
+    frequencies = store.event_frequencies()
+    admissible = sorted(
+        (event for event in classes.sporadic.events() if database.max_cvss(*event) <= ceiling),
+        key=lambda event: (-frequencies[event], database.max_cvss(*event), event),
+    )
     candidate_max = classes.always | EventSet.from_events(admissible)
     best_security = security_score(candidate_max, database)
-    best_functionality = functionality_score(candidate_max, store)
+    # An environment's covering step is the greedy rank of the last of its
+    # events admitted (always-class events rank 0); one holding an event
+    # over the ceiling is never covered.
+    rank = dict.fromkeys(classes.always.events(), 0)
+    rank.update((event, step) for step, event in enumerate(admissible, 1))
+    steps = sorted(
+        max((rank.get(event, math.inf) for event in store.events_for(env).events()), default=0)
+        for env in store.environments()
+    )
+    best_functionality = sum(step < math.inf for step in steps) / len(store)
 
     over_always = [
         event for event in classes.always.events()
@@ -561,28 +576,10 @@ def synthesize_policy(
             best_functionality,
         )
 
-    frequencies = store.event_frequencies()
-    ordered = sorted(
-        admissible,
-        key=lambda event: (-frequencies[event], database.max_cvss(*event), event),
-    )
-    allowed = classes.always
-    included = []
-    for event in ordered:
-        if functionality_score(allowed, store) >= targets.functionality_min:
-            break
-        allowed = allowed | EventSet.from_events([event])
-        included.append(event)
-    included_set = EventSet.from_events(included)
-
-    achieved_functionality = functionality_score(allowed, store)
-    if achieved_functionality < targets.functionality_min:
-        uncovered_needs: set[tuple[str, str]] = set()
-        for environment_id in store.environments():
-            events = store.events_for(environment_id)
-            if not events <= candidate_max:
-                uncovered_needs.update((events - candidate_max).events())
-        blocking = tuple(sorted(uncovered_needs))
+    needed = next(n for n in range(len(store) + 1) if n / len(store) >= targets.functionality_min)
+    stop = steps[needed - 1] if needed else 0
+    if stop == math.inf:
+        blocking = tuple(sorted((classes.sporadic - candidate_max).events()))
         names = ", ".join(_event_label(event) for event in blocking)
         return Infeasible(
             f"functionality target {targets.functionality_min:g} unreachable: "
@@ -591,6 +588,9 @@ def synthesize_policy(
             best_security,
             best_functionality,
         )
+    included_set = EventSet.from_events(admissible[:stop])
+    allowed = classes.always | included_set
+    achieved_functionality = sum(step <= stop for step in steps) / len(store)
 
     achieved_security = security_score(allowed, database)
     # ceiling admission implies the security target holds up to rounding

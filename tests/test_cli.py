@@ -556,3 +556,25 @@ class TestIngestAppends:
         loaded = real_load_store(store)
         assert len(loaded) == 501
         assert loaded.counts_for("zz-new")[1] == Counter({"CAP_NET_RAW": 100})
+
+    def test_non_ascii_names_and_ids_keep_ingest_off_load_store(self, tmp_path, monkeypatch):
+        store, trace = tmp_path / "s.obs", tmp_path / "t.trace"
+        written = ObservationStore("app")
+        written.record("café", parse_event_list(["réad", "CAP_ÇHOWN"]))
+        save_store(written, store)
+        trace.write_text("beacon-trace v1\n1 5 SYS unshare\n2 5 SYS capset\n3 5 SYS prctl\n"
+                         "4 5 SYS rÉad\n5 5 SYS write\n6 5 CAP çhown\n", encoding="utf-8")
+        real_load_store = decision.load_store
+
+        def no_load(path):
+            raise AssertionError("ingest parsed the whole store")
+
+        for module in (decision, cli):
+            monkeypatch.setattr(module, "load_store", no_load)
+        for i in range(50):
+            assert main(["ingest", str(trace), "--env-id", f"ünï-{i % 20}", "--store", str(store),
+                         "--container", "app"]) == 0
+        loaded = real_load_store(store)
+        assert loaded.environments() == ("café", *sorted(f"ünï-{i}" for i in range(20)))
+        assert loaded.counts_for("ünï-3") == (Counter({"réad": 3, "write": 3}),
+                                              Counter({"CAP_ÇHOWN": 3}))

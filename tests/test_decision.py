@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import leastpriv
 from leastpriv import _files
@@ -319,6 +319,78 @@ def test_greedy_feasibility_matches_brute_force(data):
         assert all(db.max_cvss(*e) <= ceiling for e in result.allowed.events())
 
 
+def reference_synthesis(store, db, targets):
+    """Oracle: the greedy step by step, rescoring every environment before
+    each admitted event, and blockers gathered from uncovered environments."""
+    classes = classify_events(store)
+    ceiling = targets.cvss_ceiling
+    admissible = [e for e in classes.sporadic.events() if db.max_cvss(*e) <= ceiling]
+    candidate_max = classes.always | EventSet.from_events(admissible)
+    best = (security_score(candidate_max, db), functionality_score(candidate_max, store))
+    over_always = [e for e in classes.always.events() if db.max_cvss(*e) > ceiling]
+    if over_always:
+        names = ", ".join(name for _, name in over_always)
+        return Infeasible(f"always-required events exceed the CVSS ceiling {ceiling:g}: {names}",
+                          tuple(over_always), *best)
+    frequencies = store.event_frequencies()
+    ordered = sorted(admissible, key=lambda e: (-frequencies[e], db.max_cvss(*e), e))
+    allowed, included = classes.always, []
+    for event in ordered:
+        if functionality_score(allowed, store) >= targets.functionality_min:
+            break
+        allowed = allowed | EventSet.from_events([event])
+        included.append(event)
+    achieved = functionality_score(allowed, store)
+    if achieved < targets.functionality_min:
+        needs = set()
+        for environment_id in store.environments():
+            needs.update((store.events_for(environment_id) - candidate_max).events())
+        blocking = tuple(sorted(needs))
+        names = ", ".join(name for _, name in blocking)
+        return Infeasible(
+            f"functionality target {targets.functionality_min:g} unreachable: "
+            f"required events sit above the CVSS ceiling {ceiling:g}: {names}",
+            blocking, *best)
+    included_set = EventSet.from_events(included)
+    return Policy(store.container, allowed, security_score(allowed, db), achieved,
+                  classes.always, included_set, classes.sporadic - included_set, targets)
+
+
+_POOL = ["a", "b", "c", "d", "e", "risky", "CAP_NET_RAW", "CAP_CHOWN"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    envs=st.lists(st.sets(st.sampled_from(_POOL), max_size=6), min_size=1, max_size=7),
+    cvss=st.dictionaries(st.sampled_from(_POOL), st.sampled_from([0.5, 4.9, 5.0, 7.8, 10.0]),
+                         max_size=5),
+    security=st.sampled_from([0.0, 0.3, 0.5, 0.51, 0.9, 1.0]),
+    functionality=st.one_of(st.sampled_from([0.0, 1 / 3, 0.5, 2 / 3, 0.75, 1.0]),
+                            st.floats(0.0, 1.0)),
+)
+@example(envs=[{"a", "b"}, {"a", "c"}, {"a"}], cvss={}, security=0.0, functionality=0.0)
+@example(envs=[{"a", "b"}, {"a", "c"}, {"a"}], cvss={"c": 7.8}, security=0.5, functionality=1.0)
+@example(envs=[{"a", "b"}, {"a", "c"}, {"a", "d"}], cvss={}, security=0.0,
+         functionality=2 / 3)
+@example(envs=[set(), {"a"}, {"a", "risky"}], cvss={"risky": 10.0}, security=0.5,
+         functionality=0.5)
+@example(envs=[{"a", "risky"}, {"a", "risky", "b"}], cvss={"risky": 10.0}, security=0.5,
+         functionality=0.5)
+def test_synthesis_matches_the_step_by_step_greedy(envs, cvss, security, functionality):
+    store = ObservationStore("app")
+    for i, names in enumerate(envs):
+        store.record(f"env{i}", parse_event_list(sorted(names)))
+    db = db_of(**cvss)
+    targets = ScoreTargets(security, functionality)
+    expected = reference_synthesis(store, db, targets)
+    result = synthesize_policy(store, db, targets)
+    if isinstance(expected, Policy):
+        assert isinstance(result, Policy)
+        assert policy_to_doc(result) == policy_to_doc(expected)
+    else:
+        assert result == expected
+
+
 class TestSweep:
     def test_reference_walk_is_monotone(self):
         store = store_of(x1="a", x2="a,b", x3="a,b,c")
@@ -331,6 +403,24 @@ class TestSweep:
         sizes = [len(policy.allowed) for _, policy in rows if isinstance(policy, Policy)]
         assert sizes == sorted(sizes, reverse=True)
         assert len(rows) == 3
+
+    def test_synthesis_never_rescores_the_store(self, monkeypatch):
+        store = ObservationStore("app")
+        for i in range(400):
+            store.record(f"env{i:03d}", parse_event_list(["base", f"e{i % 37}", f"f{i % 11}"]))
+        db = db_of(e1=9.0, f2=6.0, e5=3.0)
+        calls = []
+
+        def counted(allowed, store):
+            calls.append(1)
+            return functionality_score(allowed, store)
+
+        monkeypatch.setattr("leastpriv.decision.functionality_score", counted)
+        targets = [ScoreTargets(s, f) for s in (0.0, 0.5) for f in (0.5, 0.9, 1.0)]
+        rows = sweep(store, db, targets)
+        assert [isinstance(result, Policy) for _, result in rows] == [
+            True, True, True, True, False, False]
+        assert calls == []
 
     def test_infeasible_rows_kept_in_order(self):
         store = store_of(x1="a", x2="a,b")

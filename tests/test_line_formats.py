@@ -11,6 +11,7 @@ alone, or leaves a store that loads to the old counts plus the trace's.
 
 import io
 import os
+import re
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -121,15 +122,18 @@ def test_mutation_log_lines(body):
 
 # Valid store blocks: (environment id, [(tag, name, count)]).  Ids come
 # from a small pool so that one id often has several ENV blocks, names
-# mix cases and capability names often lack their CAP_ prefix.
+# mix cases, ASCII and not, and capability names often lack their CAP_
+# prefix.
 store_blocks = st.lists(
     st.tuples(
-        st.sampled_from(("x1", "x2", "e" * 32)),
+        st.sampled_from(("x1", "x2", "e" * 32, "café")),
         st.lists(
             st.one_of(
-                st.tuples(st.just("SYS"), st.sampled_from(("read", "READ", "openat")),
+                st.tuples(st.just("SYS"), st.sampled_from(("read", "READ", "openat", "réad",
+                                                           "rÉad", "RÉAD")),
                           st.integers(0, 3)),
-                st.tuples(st.just("CAP"), st.sampled_from(("chown", "CAP_CHOWN", "net_raw")),
+                st.tuples(st.just("CAP"), st.sampled_from(("chown", "CAP_CHOWN", "net_raw",
+                                                           "CAP_ÇHOWN", "CAP_çHOWN", "çhown")),
                           st.integers(0, 3)),
             ),
             max_size=5,
@@ -204,6 +208,10 @@ _STORE_FORMS = {
     "no final newline": lambda blocks: _written(_store_lines(_canonical_names(blocks)), final=False),
     "non-ASCII ids": lambda blocks: _written(
         [line.replace("ENV x", "ENV é") for line in _store_lines(_canonical_names(blocks))]),
+    # whitespace that str.split() splits on but a line break does not end
+    "odd whitespace": lambda blocks: _written(
+        [line.replace("ENV x", "ENV x\u00a0").replace("ré", "r\u2028é").replace("ÇH", "Ç\x1cH")
+         for line in _store_lines(_canonical_names(blocks))]),
 }
 
 
@@ -249,6 +257,14 @@ _H = OBSERVATIONS_HEADER
 @example(text=f"{_H}\n# a\rENV x\nCONTAINER app\nENV x1\n", environment_id="x1")
 @example(text=f"{_H}\nCONTAINER app\nCONTAINER app\nENV x1\n", environment_id="x1")
 @example(text=f"{_H}\nSYS read 1\nCONTAINER app\nENV x1\n", environment_id="x1")
+@example(text=f"{_H}\nCONTAINER app\nENV café\nSYS rÉad 1\nCAP CAP_çHOWN 2\n",
+         environment_id="café")
+@example(text=f"{_H}\nCONTAINER app\nENV x1\nSYS READ 1\n", environment_id="x1")
+@example(text=f"{_H}\nCONTAINER app\nENV x1\nCAP CAP_Chown 1\n", environment_id="x1")
+@example(text=f"{_H}\nCONTAINER app\nENV caf\u00a0é\nSYS read 1\n", environment_id="x1")
+@example(text=f"{_H}\nCONTAINER app\nENV x1\nSYS ré\u2028ad 1\n", environment_id="x1")
+@example(text=f"{_H}\nCONTAINER app\nENV x1\nCAP CAP_Ç\x1cHOWN 1\n", environment_id="x1")
+@example(text=f"{_H}\nCONTAINER á\x1cpp\nENV x1\n", environment_id="x1")
 def test_ingest_appends_or_fails_like_load_store(text, environment_id):
     """ingest into any store: load_store's error line with the file untouched,
     or a store that loads to the old counts plus the trace's."""
@@ -277,4 +293,6 @@ def test_ingest_appends_or_fails_like_load_store(text, environment_id):
         capabilities.update(_TRACE_COUNTS[1])
         result = load_store(store)
         assert _counts(result) == expected
+        # ASCII letters are left in canonical case, whichever path ran
+        assert not re.search(r"^(SYS \S*[A-Z]|CAP \S*[a-z])", Path(store).read_text("utf-8"), re.M)
         assert out.getvalue().endswith(f"({len(result)} environments)\n")
