@@ -1,7 +1,7 @@
 """Every file the tool reads or writes goes through this module.
 
-The line formats (traces, CVE databases, observation stores, mutation
-logs) share `decode_lines`; plans, models and policies are YAML read by
+The line formats (traces, CVE databases, observation stores, mutation logs)
+share the lazy `decode_lines`; plans, models and policies are YAML read by
 `load_yaml` and written by `dump_yaml`; every output file is written
 through `replacing`, so a failed write leaves the old file as it was.
 """
@@ -12,7 +12,7 @@ import contextlib
 import os
 import secrets
 import shutil
-from typing import Callable, Iterable, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 import yaml
 
@@ -35,14 +35,15 @@ def decode_lines(
     source: str,
     error: type[ValueError],
     decode: Callable[[str], Optional[T]],
-) -> list[T]:
-    """Check the header, then decode every non-blank line after it.
+) -> Iterator[T]:
+    """Check the header, then yield each non-blank line after it, decoded as it is read.
 
-    Line numbers count the header as line 1.  `decode` gets one line
-    without its newline and returns a value, or None for a line that
-    yields nothing; the other values come back in order.  A missing or
-    wrong header, and any ValueError that `decode` raises, become
-    `error` with a `source:` or `source:lineno:` prefix.
+    The first next() checks the header; nothing is kept, so the caller
+    decides what to hold.  Line numbers count the header as line 1.
+    `decode` gets one line without its newline and returns a value, or
+    None for a line that yields nothing.  A missing or wrong header, and
+    any ValueError that `decode` raises, become `error` with a `source:`
+    or `source:lineno:` prefix.
     """
     iterator = iter(lines)
     first = next(iterator, None)
@@ -51,7 +52,6 @@ def decode_lines(
     first = first.rstrip("\n")
     if first != header:
         raise error(f"{source}: bad header {first!r}, expected {header!r}")
-    values = []
     for lineno, raw in enumerate(iterator, start=2):
         line = raw.rstrip("\n")
         if not line or line.isspace():
@@ -61,8 +61,7 @@ def decode_lines(
         except ValueError as exc:
             raise error(f"{source}:{lineno}: {exc}") from None
         if value is not None:
-            values.append(value)
-    return values
+            yield value
 
 
 def load_yaml(source, error: type[ValueError]):

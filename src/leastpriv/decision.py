@@ -178,7 +178,8 @@ def _decode_cve(line: str) -> Optional[CveEntry]:
 
 
 def parse_cvedb(lines: Iterable[str], source: str = "<memory>") -> CveDatabase:
-    entries = decode_lines(lines, CVEDB_HEADER, source, DbFormatError, _decode_cve)
+    # decoded before the try: a bad line's error already has its prefix
+    entries = tuple(decode_lines(lines, CVEDB_HEADER, source, DbFormatError, _decode_cve))
     try:
         return CveDatabase(entries)
     except DecisionError as exc:
@@ -209,9 +210,9 @@ def _check_environment_id(environment_id: str) -> None:
 class ObservationStore:
     """Per-environment syscall and capability Counters for one container.
 
-    An environment's events are the names it counts, zero counts included;
-    recording an id again adds to its counts.  The environments should
-    include the baseline: a policy must at minimum let the container start.
+    The count maps are the only copy: events are their names, zero counts
+    included, and recording an id again adds to them.  The environments
+    should include the baseline: a policy must let the container start.
     """
 
     def __init__(self, container: str = "container"):
@@ -219,8 +220,6 @@ class ObservationStore:
             raise StoreError(f"bad container name {container!r}")
         self.container = container
         self._counts: dict[str, tuple[Counter, Counter]] = {}
-        # built from the counts' keys on every write, read by every score
-        self._events: dict[str, EventSet] = {}
 
     def _add(self, environment_id: str, syscall_counts, capability_counts) -> None:
         """Add a Counter.update argument per kind to one environment's counts."""
@@ -228,7 +227,6 @@ class ObservationStore:
         syscalls, capabilities = self._counts.setdefault(environment_id, (Counter(), Counter()))
         syscalls.update(syscall_counts)
         capabilities.update(capability_counts)
-        self._events[environment_id] = EventSet(frozenset(syscalls), frozenset(capabilities))
 
     def record(self, environment_id: str, events: EventSet) -> None:
         """Count one occurrence of each event."""
@@ -245,10 +243,8 @@ class ObservationStore:
         return tuple(sorted(self._counts))
 
     def events_for(self, environment_id: str) -> EventSet:
-        try:
-            return self._events[environment_id]
-        except KeyError:
-            raise StoreError(f"unknown environment {environment_id!r}") from None
+        syscalls, capabilities = self.counts_for(environment_id)
+        return EventSet(frozenset(syscalls), frozenset(capabilities))
 
     def counts_for(self, environment_id: str) -> tuple[Counter, Counter]:
         try:
@@ -417,7 +413,8 @@ def load_store(path) -> ObservationStore:
             raise StoreFormatError(f"unknown tag {tag!r}")
 
     with open(path, "r", encoding="utf-8") as handle:
-        decode_lines(handle, OBSERVATIONS_HEADER, str(path), StoreFormatError, decode)
+        for _ in decode_lines(handle, OBSERVATIONS_HEADER, str(path), StoreFormatError, decode):
+            pass
     if store is None:
         raise StoreFormatError(f"{path}: missing CONTAINER line")
     flush()
@@ -462,9 +459,12 @@ class EventClasses:
 
 def classify_events(store: ObservationStore) -> EventClasses:
     """An event is always-class when every environment records it."""
-    frequencies = store.event_frequencies()
+    return _classes(store.event_frequencies(), len(store))
+
+
+def _classes(frequencies: dict[tuple[str, str], int], environments: int) -> EventClasses:
     observed = EventSet.from_events(frequencies)
-    always = EventSet.from_events(event for event, n in frequencies.items() if n == len(store))
+    always = EventSet.from_events(event for event, n in frequencies.items() if n == environments)
     return EventClasses(always, observed - always, observed)
 
 
@@ -543,9 +543,9 @@ def synthesize_policy(
     """
     if not store:
         raise StoreError("cannot synthesize from an empty store")
-    classes = classify_events(store)
-    ceiling = targets.cvss_ceiling
     frequencies = store.event_frequencies()
+    classes = _classes(frequencies, len(store))
+    ceiling = targets.cvss_ceiling
     admissible = sorted(
         (event for event in classes.sporadic.events() if database.max_cvss(*event) <= ceiling),
         key=lambda event: (-frequencies[event], database.max_cvss(*event), event),
@@ -558,8 +558,10 @@ def synthesize_policy(
     rank = dict.fromkeys(classes.always.events(), 0)
     rank.update((event, step) for step, event in enumerate(admissible, 1))
     steps = sorted(
-        max((rank.get(event, math.inf) for event in store.events_for(env).events()), default=0)
-        for env in store.environments()
+        max((rank.get((kind, name), math.inf)
+             for kind, names in zip((KIND_SYSCALL, KIND_CAPABILITY), counts) for name in names),
+            default=0)
+        for counts in store._counts.values()
     )
     best_functionality = sum(step < math.inf for step in steps) / len(store)
 

@@ -15,6 +15,7 @@ measures how often that heuristic is exact.
 
 from __future__ import annotations
 
+import io
 import math
 import random
 import subprocess
@@ -202,10 +203,10 @@ def model_probe(model, option_spec: Optional[OptionSpec] = None) -> EventProbe:
 def command_probe(command: list[str]) -> EventProbe:
     """Probe that shells out to an external collector per evaluation.
 
-    The command must print a `beacon-trace v1` stream on stdout; events
-    are unioned across all namespaces it reports.  Occurrences of
-    {option_value} and {env_id} in the argument list are substituted
-    before each run.
+    The command must print a `beacon-trace v1` stream on stdout, whose
+    lines end only at newlines, as in a trace file; events are unioned
+    across all namespaces it reports.  Occurrences of {option_value} and
+    {env_id} in the argument list are substituted before each run.
     """
     if not command:
         raise ProbeError("empty probe command")
@@ -222,7 +223,7 @@ def command_probe(command: list[str]) -> EventProbe:
             raise ProbeError(
                 f"probe command {argv[0]!r} exited {proc.returncode}: {proc.stderr.strip()}"
             )
-        states = ingest_trace(parse_trace(proc.stdout.splitlines(), source=argv[0]))
+        states = ingest_trace(parse_trace(io.StringIO(proc.stdout), source=argv[0]))
         combined = EventSet.empty()
         for events in states.values():
             combined = combined | events
@@ -372,10 +373,10 @@ def read_log(path) -> tuple[MutationConfig, tuple[ProbeLogEntry, ...], tuple[str
             raise ExplorerError(f"malformed record {line!r}") from None
 
     with open(path, "r", encoding="utf-8") as handle:
-        entries = decode_lines(handle, LOG_HEADER, str(path), ExplorerError, decode)
+        entries = tuple(decode_lines(handle, LOG_HEADER, str(path), ExplorerError, decode))
     if config is None:
         raise ExplorerError(f"{path}: missing config echo line")
-    return config, tuple(entries), tuple(warnings)
+    return config, entries, tuple(warnings)
 
 
 # -- pair inference ----------------------------------------------------------

@@ -18,14 +18,16 @@ later occurrence of a marker is an ordinary event like any other.
 Records for namespaces that never saw an unshare are dropped.  A second
 unshare inside a tracked namespace does not reset the entry.  An entry
 keeps one occurrence count per recorded event; its event sets are the
-names it counted.
+names it counted.  `replay_trace(read_trace(path))` replays a trace as
+it is read, never holding it whole, so the first fault in file order,
+a bad line or a backwards timestamp, is the one raised.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from ._files import decode_lines
 from .events import (
@@ -112,12 +114,13 @@ def _decode_record(line: str) -> TraceRecord:
 
 
 def parse_trace(lines: Iterable[str], source: str = "<memory>") -> list[TraceRecord]:
-    return decode_lines(lines, TRACE_HEADER, source, TraceFormatError, _decode_record)
+    return list(decode_lines(lines, TRACE_HEADER, source, TraceFormatError, _decode_record))
 
 
-def read_trace(path) -> list[TraceRecord]:
+def read_trace(path) -> Iterator[TraceRecord]:
+    """The file's records, decoded lazily as each line is read; parse_trace is the list form."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_trace(handle, source=str(path))
+        yield from decode_lines(handle, TRACE_HEADER, str(path), TraceFormatError, _decode_record)
 
 
 def format_trace(records: Iterable[TraceRecord]) -> str:

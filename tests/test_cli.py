@@ -273,6 +273,20 @@ class TestExplore:
         ])
         assert code == 0
 
+    def test_command_probe_splits_lines_like_a_trace_file(self, tmp_path, monkeypatch, capsys):
+        # \034 (FS) ends a line for str.splitlines() but not in a file;
+        # str.split() splits on it, so line 3 has 8 fields
+        script = tmp_path / "probe.sh"
+        script.write_text("#!/bin/sh\nprintf 'beacon-trace v1\\n1 1 SYS unshare\\n"
+                          "2 1 SYS prctl\\0343 1 SYS read\\n'\n")
+        script.chmod(0o755)
+        monkeypatch.chdir(tmp_path)
+        assert main(["explore", "cmd:./probe.sh", "cpu-shares", "--config", "it_max=3"]) == 1
+        assert capsys.readouterr().err == (
+            "error: ExplorationError: iteration 0: ./probe.sh: probe failed: "
+            "./probe.sh:3: expected 4 fields, got 8\n"
+        )
+
     @pytest.mark.parametrize("option,hi", [("pids-limit", (1 << 22) - 1), ("memory", (1 << 32) - 1)])
     def test_range_rule_fires_on_every_integer_shape(self, tmp_path, capsys, option, hi):
         model = tmp_path / "m.yaml"
@@ -362,6 +376,24 @@ class TestErrorReporting:
             "`unshare` record, so replay dropped every record\n"
         )
         assert not store.exists()
+
+    @pytest.mark.parametrize("fault,error", [
+        ("4 1 SYS write\nbad line\n",
+         "TraceOrderError: record 3: timestamp 4 goes backwards in namespace 1"),
+        ("bad line\n4 1 SYS write\n", "TraceFormatError: {trace}:5: expected 4 fields, got 2"),
+    ])
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, capsys, fault, error):
+        trace, store = tmp_path / "t.trace", tmp_path / "s.obs"
+        good = "beacon-trace v1\n1 1 SYS unshare\n2 1 SYS prctl\n5 1 SYS read\n"
+        trace.write_text(good)
+        assert main(["ingest", str(trace), "--env-id", "a", "--store", str(store)]) == 0
+        before = store.read_bytes()
+        capsys.readouterr()
+        trace.write_text(good + fault)
+        assert main(["ingest", str(trace), "--env-id", "b", "--store", str(store)]) == 1
+        assert capsys.readouterr() == ("", f"error: {error.format(trace=trace)}\n")
+        assert store.read_bytes() == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["s.obs", "t.trace"]
 
     @pytest.mark.parametrize("key,value,error", [
         ("allowed", {"syscalls": "read"}, "EventNameError"),

@@ -422,6 +422,19 @@ class TestSweep:
             True, True, True, True, False, False]
         assert calls == []
 
+    def test_synthesis_counts_event_frequencies_once(self, monkeypatch):
+        store = store_of(x1="a,b", x2="a,c,CAP_CHOWN", x3="a")
+        calls = []
+        real = ObservationStore.event_frequencies
+
+        def counted(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(ObservationStore, "event_frequencies", counted)
+        assert isinstance(synthesize_policy(store, db_of(c=9.0), ScoreTargets(0.5, 0.5)), Policy)
+        assert len(calls) == 1
+
     def test_infeasible_rows_kept_in_order(self):
         store = store_of(x1="a", x2="a,b")
         db = db_of(a=9.5)

@@ -95,6 +95,21 @@ def test_dump_writes_the_golden_plan_bytes(tmp_path):
     assert (tmp_path / "plan.yaml").read_bytes() == golden.read_bytes()
 
 
+# -- line formats ------------------------------------------------------------
+
+def test_decode_lines_yields_each_value_before_reading_the_next_line():
+    def lines():
+        yield "header"
+        yield "first"
+        raise AssertionError("line 3 was read before the first value was taken")
+
+    values = _files.decode_lines(lines(), "header", "src", Malformed, str.upper)
+    assert next(values) == "FIRST"
+    unchecked = _files.decode_lines(iter(["wrong"]), "header", "src", Malformed, str.upper)
+    with pytest.raises(Malformed, match="^src: bad header 'wrong', expected 'header'$"):
+        next(unchecked)
+
+
 # -- atomic output files -----------------------------------------------------
 
 def _policy(syscalls, capabilities):

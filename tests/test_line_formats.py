@@ -69,6 +69,7 @@ def parses_or_rejects(read, error, source):
         read()
     except error as exc:
         assert str(exc).startswith(f"{source}:"), str(exc)
+        assert str(exc).count(f"{source}:") == 1, str(exc)
 
 
 def parses_or_rejects_file(lines, read, error):
@@ -94,6 +95,7 @@ def test_trace_lines(body):
 @settings(max_examples=200, deadline=None)
 @given(body=lines)
 @example(body=["CVE-1\t7.5\tsocket, cap_"])
+@example(body=["CVE-1\t11\tread"])
 def test_cvedb_lines(body):
     parses_or_rejects(
         lambda: parse_cvedb([CVEDB_HEADER, *body], source="c.cvedb"),

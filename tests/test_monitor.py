@@ -1,5 +1,7 @@
 """Trace replay state machine and trace wire format."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from leastpriv.monitor import (
     format_trace,
     ingest_trace,
     parse_trace,
+    read_trace,
     replay_trace,
 )
 
@@ -179,6 +182,27 @@ class TestWireFormat:
     def test_blank_lines_skipped(self):
         records = parse_trace([TRACE_HEADER, "", "   ", "1\t1\tSYS\tunshare"])
         assert len(records) == 1
+
+    def test_parse_trace_returns_a_list(self):
+        assert type(parse_trace([TRACE_HEADER, "1\t1\tSYS\tunshare"])) is list
+
+
+def test_replaying_a_trace_file_never_holds_its_records(tmp_path):
+    path = tmp_path / "long.trace"
+    lines = [TRACE_HEADER, "0 1 SYS unshare", "0 1 SYS capset", "0 1 SYS prctl"]
+    lines += [f"{ts} 1 {'CAP chown' if ts % 9 == 0 else f'SYS call{ts % 50}'}"
+              for ts in range(1, 100_001)]
+    path.write_text("\n".join(lines) + "\n")
+    del lines
+    tracemalloc.start()
+    try:
+        states = replay_trace(read_trace(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    recorded = states[1].syscall_counts + states[1].capability_counts
+    assert recorded.total() == 100_000
+    assert peak < 1_000_000, f"replay of a 100k-record trace peaked at {peak} bytes"
 
 
 def test_observation_labels_namespace():
