@@ -7,17 +7,18 @@ it and zero when unmapped.  Functionality is the fraction of observed
 environments whose full event set the policy covers.
 
 Synthesis turns an operator target pair into a policy deterministically.
-The security floor becomes a hard CVSS ceiling c* = 10*(1 - security_min)
-on admissible events: events observed in every environment must all sit
-under the ceiling or synthesis is infeasible outright, sporadic events
-over the ceiling are excluded, and the remaining sporadic events are
-ranked greedily (most environments first).  The policy admits the
-shortest prefix of that order that covers functionality_min of the
-environments; when no prefix does, the blocking events are the sporadic
-events over the ceiling.  Feasibility decisions always compare raw CVSS
-against the ceiling rather than recomputing score inequalities, so they
-cannot disagree with themselves across call sites; the reported
-achieved scores are the exact formulas.
+The sporadic events are ranked greedily (most environments first) once
+per store: the order does not depend on the targets, and a target is a
+cut of it.  The security floor becomes a hard CVSS ceiling
+c* = 10*(1 - security_min) on admissible events: events observed in
+every environment must all sit under the ceiling or synthesis is
+infeasible outright, and sporadic events over the ceiling are excluded.
+The policy admits the rest of the shortest prefix of the order that
+covers functionality_min of the environments; when no prefix does, the
+blocking events are the sporadic events over the ceiling.  Feasibility
+decisions always compare raw CVSS against the ceiling rather than
+recomputing score inequalities, so they cannot disagree with themselves
+across call sites; the reported achieved scores are the exact formulas.
 """
 
 from __future__ import annotations
@@ -358,7 +359,7 @@ def append_observation(path, observation: Observation, container: Optional[str] 
                 f"store {path} is for container {name!r}, not {container!r}"
             )
     else:
-        name, body = container or "container", ""
+        name, body = "container" if container is None else container, ""
         ObservationStore(name)  # rejects a bad container name
     environment_id = observation.environment_id
     _check_environment_id(environment_id)
@@ -534,85 +535,14 @@ def synthesize_policy(
 ) -> Union[Policy, Infeasible]:
     """Deterministic target-driven synthesis; see the module docstring.
 
-    Greedy order over admissible sporadic events: descending environment
-    frequency, then ascending CVSS, then (kind, name).  The policy admits
-    the shortest prefix of that order whose coverage meets
-    functionality_min, found from each environment's covering step.  An
-    unreachable target is blocked by exactly the sporadic events over the
-    ceiling: each leaves an environment uncovered.
+    Greedy order over sporadic events, whatever the targets: descending
+    environment frequency, then ascending CVSS, then (kind, name).  The
+    policy admits the events under the ceiling in the shortest prefix
+    whose coverage meets functionality_min.  An unreachable target is
+    blocked by exactly the sporadic events over the ceiling: each leaves
+    an environment uncovered.
     """
-    if not store:
-        raise StoreError("cannot synthesize from an empty store")
-    frequencies = store.event_frequencies()
-    classes = _classes(frequencies, len(store))
-    ceiling = targets.cvss_ceiling
-    admissible = sorted(
-        (event for event in classes.sporadic.events() if database.max_cvss(*event) <= ceiling),
-        key=lambda event: (-frequencies[event], database.max_cvss(*event), event),
-    )
-    candidate_max = classes.always | EventSet.from_events(admissible)
-    best_security = security_score(candidate_max, database)
-    # An environment's covering step is the greedy rank of the last of its
-    # events admitted (always-class events rank 0); one holding an event
-    # over the ceiling is never covered.
-    rank = dict.fromkeys(classes.always.events(), 0)
-    rank.update((event, step) for step, event in enumerate(admissible, 1))
-    steps = sorted(
-        max((rank.get((kind, name), math.inf)
-             for kind, names in zip((KIND_SYSCALL, KIND_CAPABILITY), counts) for name in names),
-            default=0)
-        for counts in store._counts.values()
-    )
-    best_functionality = sum(step < math.inf for step in steps) / len(store)
-
-    over_always = [
-        event for event in classes.always.events()
-        if database.max_cvss(*event) > ceiling
-    ]
-    if over_always:
-        names = ", ".join(_event_label(event) for event in over_always)
-        return Infeasible(
-            f"always-required events exceed the CVSS ceiling {ceiling:g}: {names}",
-            tuple(over_always),
-            best_security,
-            best_functionality,
-        )
-
-    needed = next(n for n in range(len(store) + 1) if n / len(store) >= targets.functionality_min)
-    stop = steps[needed - 1] if needed else 0
-    if stop == math.inf:
-        blocking = tuple(sorted((classes.sporadic - candidate_max).events()))
-        names = ", ".join(_event_label(event) for event in blocking)
-        return Infeasible(
-            f"functionality target {targets.functionality_min:g} unreachable: "
-            f"required events sit above the CVSS ceiling {ceiling:g}: {names}",
-            blocking,
-            best_security,
-            best_functionality,
-        )
-    included_set = EventSet.from_events(admissible[:stop])
-    allowed = classes.always | included_set
-    achieved_functionality = sum(step <= stop for step in steps) / len(store)
-
-    achieved_security = security_score(allowed, database)
-    # ceiling admission implies the security target holds up to rounding
-    if achieved_security + _SCORE_EPS < targets.security_min:
-        raise DecisionError(
-            f"synthesized policy scores security {achieved_security}, "
-            f"below the target {targets.security_min}"
-        )
-    return Policy(
-        container=store.container,
-        allowed=allowed,
-        achieved_security=achieved_security,
-        achieved_functionality=achieved_functionality,
-        always=classes.always,
-        sporadic_included=included_set,
-        # excluded covers both over-ceiling events and admissible ones
-        # the functionality target never required
-        sporadic_excluded=classes.sporadic - included_set,
-        targets=targets,
-    )
+    return _synthesizer(store, database)(targets)
 
 
 def sweep(
@@ -620,8 +550,74 @@ def sweep(
     database: CveDatabase,
     target_list: Iterable[ScoreTargets],
 ) -> list[tuple[ScoreTargets, Union[Policy, Infeasible]]]:
-    """Synthesize once per target pair, in the given order."""
-    return [(targets, synthesize_policy(store, database, targets)) for targets in target_list]
+    """Synthesize once per target pair, in the given order.
+
+    The store is ranked once: each target is a cut of the same greedy order.
+    """
+    cut = _synthesizer(store, database)
+    return [(targets, cut(targets)) for targets in target_list]
+
+
+def _synthesizer(store: ObservationStore, database: CveDatabase):
+    """Rank the store once; return the cut that synthesizes for one target pair."""
+    frequencies = store.event_frequencies()
+    classes = _classes(frequencies, len(store))
+    cvss = {event: database.max_cvss(*event) for event in frequencies}
+    order = sorted(classes.sporadic.events(), key=lambda e: (-frequencies[e], cvss[e], e))
+    # An event's greedy rank is its place in the order; always-class events rank 0.
+    rank = {event: step for step, event in enumerate(order, 1)}
+    # Per environment, its covering step (the rank of its last event) and
+    # its worst sporadic CVSS: it is covered under a ceiling at or above that.
+    environments = []
+    for syscalls, capabilities in store._counts.values():
+        events = [*((KIND_SYSCALL, name) for name in syscalls),
+                  *((KIND_CAPABILITY, name) for name in capabilities)]
+        environments.append((max((rank.get(event, 0) for event in events), default=0),
+                             max((cvss[event] for event in events if event in rank), default=0.0)))
+
+    def cut(targets: ScoreTargets) -> Union[Policy, Infeasible]:
+        if not store:
+            raise StoreError("cannot synthesize from an empty store")
+        ceiling, fraction = targets.cvss_ceiling, targets.functionality_min
+        steps = sorted(step for step, worst in environments if worst <= ceiling)
+        needed = next(n for n in range(len(store) + 1) if n / len(store) >= fraction)
+        blocking = [event for event in classes.always.events() if cvss[event] > ceiling]
+        if blocking:
+            reason = f"always-required events exceed the CVSS ceiling {ceiling:g}"
+        elif needed > len(steps):
+            blocking = sorted(event for event in order if cvss[event] > ceiling)
+            reason = (f"functionality target {fraction:g} unreachable: "
+                      f"required events sit above the CVSS ceiling {ceiling:g}")
+        else:
+            stop = steps[needed - 1] if needed else 0
+            included = EventSet.from_events(e for e in order[:stop] if cvss[e] <= ceiling)
+            allowed = classes.always | included
+            achieved_security = security_score(allowed, database)
+            # ceiling admission implies the security target holds up to rounding
+            if achieved_security + _SCORE_EPS < targets.security_min:
+                raise DecisionError(
+                    f"synthesized policy scores security {achieved_security}, "
+                    f"below the target {targets.security_min}"
+                )
+            return Policy(
+                container=store.container,
+                allowed=allowed,
+                achieved_security=achieved_security,
+                achieved_functionality=sum(step <= stop for step in steps) / len(store),
+                always=classes.always,
+                sporadic_included=included,
+                # excluded covers both over-ceiling events and admissible
+                # ones the functionality target never required
+                sporadic_excluded=classes.sporadic - included,
+                targets=targets,
+            )
+        names = ", ".join(_event_label(event) for event in blocking)
+        # the best pair is that of the maximal admissible candidate
+        candidate = classes.always | EventSet.from_events(e for e in order if cvss[e] <= ceiling)
+        return Infeasible(f"{reason}: {names}", tuple(blocking),
+                          security_score(candidate, database), len(steps) / len(store))
+
+    return cut
 
 
 # -- mitigation report -------------------------------------------------------

@@ -93,6 +93,9 @@ class MutationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.v_min > self.v_max:
             raise ConfigError(f"v_min {self.v_min} > v_max {self.v_max}")
         if not self.r > 1:

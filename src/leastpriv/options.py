@@ -552,7 +552,7 @@ class OptionCatalog:
 
 def parse_catalog(text: str, source: str = "<memory>") -> OptionCatalog:
     specs: list[OptionSpec] = []
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    for lineno, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue

@@ -350,6 +350,15 @@ class TestErrorReporting:
         assert code == 1
         assert "error: CliError:" in capsys.readouterr().err
 
+    def test_empty_container_name_is_rejected(self, tmp_path, capsys):
+        trace = tmp_path / "t.trace"
+        trace.write_text(emit_trace(load_fixture("redis"), baseline_environment()))
+        store = tmp_path / "s.obs"
+        assert main(["ingest", str(trace), "--env-id", "a", "--store", str(store),
+                     "--container", ""]) == 1
+        assert capsys.readouterr().err == "error: StoreError: bad container name ''\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["t.trace"]
+
     def test_multi_namespace_trace_needs_namespace_flag(self, tmp_path, capsys):
         model = load_fixture("redis")
         text_a = emit_trace(model, baseline_environment(), namespace_id=1)

@@ -364,31 +364,37 @@ _POOL = ["a", "b", "c", "d", "e", "risky", "CAP_NET_RAW", "CAP_CHOWN"]
     envs=st.lists(st.sets(st.sampled_from(_POOL), max_size=6), min_size=1, max_size=7),
     cvss=st.dictionaries(st.sampled_from(_POOL), st.sampled_from([0.5, 4.9, 5.0, 7.8, 10.0]),
                          max_size=5),
-    security=st.sampled_from([0.0, 0.3, 0.5, 0.51, 0.9, 1.0]),
-    functionality=st.one_of(st.sampled_from([0.0, 1 / 3, 0.5, 2 / 3, 0.75, 1.0]),
-                            st.floats(0.0, 1.0)),
+    pairs=st.lists(
+        st.tuples(st.sampled_from([0.0, 0.3, 0.5, 0.51, 0.9, 1.0]),
+                  st.one_of(st.sampled_from([0.0, 1 / 3, 0.5, 2 / 3, 0.75, 1.0]),
+                            st.floats(0.0, 1.0))),
+        min_size=1, max_size=4,
+    ),
 )
-@example(envs=[{"a", "b"}, {"a", "c"}, {"a"}], cvss={}, security=0.0, functionality=0.0)
-@example(envs=[{"a", "b"}, {"a", "c"}, {"a"}], cvss={"c": 7.8}, security=0.5, functionality=1.0)
-@example(envs=[{"a", "b"}, {"a", "c"}, {"a", "d"}], cvss={}, security=0.0,
-         functionality=2 / 3)
-@example(envs=[set(), {"a"}, {"a", "risky"}], cvss={"risky": 10.0}, security=0.5,
-         functionality=0.5)
-@example(envs=[{"a", "risky"}, {"a", "risky", "b"}], cvss={"risky": 10.0}, security=0.5,
-         functionality=0.5)
-def test_synthesis_matches_the_step_by_step_greedy(envs, cvss, security, functionality):
+@example(envs=[{"a", "b"}, {"a", "c"}, {"a"}], cvss={}, pairs=[(0.0, 0.0)])
+@example(envs=[{"a", "b"}, {"a", "c"}, {"a"}], cvss={"c": 7.8}, pairs=[(0.5, 1.0)])
+@example(envs=[{"a", "b"}, {"a", "c"}, {"a", "d"}], cvss={}, pairs=[(0.0, 2 / 3)])
+@example(envs=[set(), {"a"}, {"a", "risky"}], cvss={"risky": 10.0}, pairs=[(0.5, 0.5)])
+@example(envs=[{"a", "risky"}, {"a", "risky", "b"}], cvss={"risky": 10.0}, pairs=[(0.5, 0.5)])
+@example(envs=[{"a", "b"}, {"a", "c", "risky"}, {"a", "risky"}], cvss={"risky": 7.8, "b": 4.9},
+         pairs=[(0.0, 1.0), (0.5, 1.0), (0.5, 1 / 3), (0.3, 2 / 3)])
+def test_synthesis_matches_the_step_by_step_greedy(envs, cvss, pairs):
+    """synthesize_policy and every row of a sweep over the same store."""
     store = ObservationStore("app")
     for i, names in enumerate(envs):
         store.record(f"env{i}", parse_event_list(sorted(names)))
     db = db_of(**cvss)
-    targets = ScoreTargets(security, functionality)
-    expected = reference_synthesis(store, db, targets)
-    result = synthesize_policy(store, db, targets)
-    if isinstance(expected, Policy):
-        assert isinstance(result, Policy)
-        assert policy_to_doc(result) == policy_to_doc(expected)
-    else:
-        assert result == expected
+    target_list = [ScoreTargets(*pair) for pair in pairs]
+    rows = sweep(store, db, target_list)
+    assert [row[0] for row in rows] == target_list
+    for targets, swept in rows:
+        expected = reference_synthesis(store, db, targets)
+        for result in (swept, synthesize_policy(store, db, targets)):
+            if isinstance(expected, Policy):
+                assert isinstance(result, Policy)
+                assert policy_to_doc(result) == policy_to_doc(expected)
+            else:
+                assert result == expected
 
 
 class TestSweep:
@@ -434,6 +440,11 @@ class TestSweep:
         monkeypatch.setattr(ObservationStore, "event_frequencies", counted)
         assert isinstance(synthesize_policy(store, db_of(c=9.0), ScoreTargets(0.5, 0.5)), Policy)
         assert len(calls) == 1
+        # a sweep ranks the store once, whatever the number of targets
+        targets = [ScoreTargets(s, f) for s in (0.0, 0.5) for f in (0.5, 0.9, 1.0)]
+        rows = sweep(store, db_of(c=9.0), targets)
+        assert [row[0] for row in rows] == targets
+        assert len(calls) == 2
 
     def test_infeasible_rows_kept_in_order(self):
         store = store_of(x1="a", x2="a,b")

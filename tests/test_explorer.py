@@ -120,6 +120,12 @@ class TestConfig:
             MutationConfig(0, 10, t_base_lower=10.0, t_base_upper=5.0)
         with pytest.raises(ConfigError):
             MutationConfig(0, 10, sigma=-0.1)
+        nan, inf = float("nan"), float("inf")
+        for field, value in [("decay", nan), ("mu", nan), ("sigma", nan), ("r", inf),
+                             ("sigma", inf), ("step_init", inf), ("p", nan), ("mu", -inf),
+                             ("t_base_lower", -inf), ("t_base_upper", inf)]:
+            with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+                MutationConfig(0, 10, **{field: value})
 
 
 class TestMutationLoop:

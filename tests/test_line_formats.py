@@ -1,8 +1,9 @@
 """The line-oriented formats reject bad lines with their own error class.
 
 Traces, CVE databases, observation stores and mutation logs share one
-reader.  Whatever lines follow a valid header, a read either succeeds or
-raises the format's error class with a `source:` prefix, never a bare
+reader; option catalogs have no header but split lines the same way, at
+"\n" only.  Whatever lines follow a valid header, a read either succeeds
+or raises the format's error class with a `source:` prefix, never a bare
 ValueError from deeper down.  A valid store survives save and load with
 its counts, and its events are exactly the names it counts.  Ingesting
 into any store either fails with load_store's error and leaves the file
@@ -38,6 +39,7 @@ from leastpriv.explorer import (
     read_log,
 )
 from leastpriv.monitor import TRACE_HEADER, TraceFormatError, parse_trace
+from leastpriv.options import CatalogError, parse_catalog
 
 # Fragments of valid and nearly valid records of every format, so that
 # generated lines reach the decoders' deeper checks and not only the
@@ -65,8 +67,9 @@ _LOG_PREFIX = [LOG_HEADER, _format_config(MutationConfig(0, 100))]
 
 
 def parses_or_rejects(read, error, source):
+    """What read() returns, or None when it raised `error` with one `source:` prefix."""
     try:
-        read()
+        return read()
     except error as exc:
         assert str(exc).startswith(f"{source}:"), str(exc)
         assert str(exc).count(f"{source}:") == 1, str(exc)
@@ -118,8 +121,24 @@ def test_store_lines(body):
 @example(body=["# config v_min=abc"])
 @example(body=[_LOG_PREFIX[1].replace("v_min=0", "v_min=None")])
 @example(body=[_LOG_PREFIX[1].replace("v_max=100", "v_max=" + "9" * 400)])
+@example(body=[_LOG_PREFIX[1].replace("decay=0.03", "decay=nan")])
 def test_mutation_log_lines(body):
     parses_or_rejects_file([*_LOG_PREFIX, *body], read_log, ExplorerError)
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=lines)
+@example(body=["# note\x1cevil\tbool\t<Bool>"])
+@example(body=["# note\u2028evil\tbool\t<Bool>"])
+@example(body=["# note\x0cevil\tbool\t<Bool>"])
+@example(body=["a\tbool\t<Bool>", "# note", "", "b\tint\t<U8>"])
+def test_catalog_lines(body):
+    """Each "\n"-separated line that is not blank or a comment defines one option."""
+    text = "\n".join(body) + "\n"
+    catalog = parses_or_rejects(lambda: parse_catalog(text, "c.catalog"), CatalogError, "c.catalog")
+    if catalog is not None:
+        rows = [line for line in text.split("\n") if line.strip() and line.strip()[0] != "#"]
+        assert catalog.names() == tuple(line.split("\t")[0].strip() for line in rows)
 
 
 # Valid store blocks: (environment id, [(tag, name, count)]).  Ids come
