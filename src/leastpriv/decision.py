@@ -284,15 +284,11 @@ def _store_text(container: str, body: str) -> str:
     return f"{OBSERVATIONS_HEADER}\nCONTAINER {container}\n{body}"
 
 
-def _body_text(store: ObservationStore) -> str:
-    """Every environment's block, in id order."""
-    return "".join(_block_text(e, *store._counts[e]) for e in store.environments())
-
-
 def save_store(store: ObservationStore, path) -> None:
     """Write the canonical form: one block per environment, in id order."""
+    body = "".join(_block_text(e, *store._counts[e]) for e in store.environments())
     with replacing(path) as handle:
-        handle.write(_store_text(store.container, _body_text(store)))
+        handle.write(_store_text(store.container, body))
 
 
 # The form the writers here produce, which append_observation copies
@@ -342,25 +338,25 @@ def append_observation(path, observation: Observation, container: Optional[str] 
     A missing store is created for `container` (default "container"); an
     existing one must be for `container` when it is given.  A store in the
     form this module writes is checked in one pass and copied unparsed,
-    and the new ENV block goes after its blocks: blocks stay in ingest
-    order and an id seen before gets a second block, which load_store
-    merges.  Any other store, such as a hand-written one, is read by
-    load_store, so it fails with the same error, and is rewritten in
-    canonical form before the block is appended.  Comments are dropped.
+    comments dropped, and the new ENV block goes after its blocks: blocks
+    stay in ingest order and an id seen before gets a second block, which
+    load_store merges.  Any other store, such as a hand-written one, is
+    read by load_store, so it fails with the same error, and is written
+    by save_store with the observation merged in, like a new store.
     """
-    if os.path.exists(path):
-        found = _read_written(path)
-        if found is None:
-            store = load_store(path)
-            found = store.container, _body_text(store)
-        name, body = found
-        if container is not None and container != name:
-            raise ContainerMismatchError(
-                f"store {path} is for container {name!r}, not {container!r}"
-            )
-    else:
-        name, body = "container" if container is None else container, ""
-        ObservationStore(name)  # rejects a bad container name
+    found = None
+    if not os.path.exists(path):
+        store = ObservationStore("container" if container is None else container)
+    elif (found := _read_written(path)) is None:
+        store = load_store(path)
+    name = store.container if found is None else found[0]
+    if container is not None and container != name:
+        raise ContainerMismatchError(f"store {path} is for container {name!r}, not {container!r}")
+    if found is None:
+        store.record_observation(observation)
+        save_store(store, path)
+        return len(store)
+    body = found[1]
     environment_id = observation.environment_id
     _check_environment_id(environment_id)
     block = _block_text(

@@ -12,6 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+__all__ = [
+    "KIND_SYSCALL",
+    "KIND_CAPABILITY",
+    "CANONICAL_CAPABILITIES",
+    "EventNameError",
+    "EventSet",
+    "canonical_syscall",
+    "canonical_capability",
+]
+
 KIND_SYSCALL = "SYS"
 KIND_CAPABILITY = "CAP"
 

@@ -112,16 +112,21 @@ LIST_MAX = 4
 
 CATEGORIES = frozenset({"bool", "int", "string", "bytes", "list"})
 
+# Brackets in a syntax expression nest at most this deep, the bound
+# _files.MAX_DEPTH puts on YAML documents; the parser recurses per level.
+MAX_NESTING = 32
+
 
 class ValueSyntax:
     """Base class for syntax nodes.
 
-    match() is a backtracking generator yielding one
-    ``(text, number, bound, end)`` tuple per parse of ``text`` starting
-    at ``pos``: the canonical text of the parsed span, its integer for
-    the shapes integer_bounds() gives a window for (else None), whether
-    it bound a non-literal leaf, and the end position.  Validation takes
-    the first parse that consumes the whole candidate.
+    match() is a generator yielding one ``(text, number, bound, end)``
+    tuple per parse of ``text`` starting at ``pos``: the canonical text
+    of the parsed span, its integer for the shapes integer_bounds()
+    gives a window for (else None), whether it bound a non-literal leaf,
+    and the end position.  A Compound yields only the first parse to
+    each end.  Validation takes the first parse that consumes the whole
+    candidate.
     """
 
     def match(self, text: str, pos: int) -> Iterator[tuple[str, Optional[int], bool, int]]:
@@ -248,22 +253,23 @@ class Compound(ValueSyntax):
                 raise CatalogError("lists cannot nest inside compounds")
 
     def match(self, text: str, pos: int):
-        parts = self.parts
-
-        def advance(index: int, at: int, pieces: tuple[str, ...], bound: bool):
-            if index == len(parts):
-                yield "".join(pieces), None, bound, at
-                return
-            part = parts[index]
-            for piece, _, binds, nxt in part.node.match(text, at):
-                if part.optional and not binds:
-                    yield from advance(index + 1, nxt, pieces, bound)
-                else:
-                    yield from advance(index + 1, nxt, pieces + (piece,), bound or binds)
-            if part.optional:
-                yield from advance(index + 1, at, pieces, bound)
-
-        yield from advance(0, pos, (), False)
+        # One forward pass.  After each part, keep the first parse a
+        # left-to-right backtracking search would meet to each end
+        # position: what the later parts match depends only on that
+        # position, so a later parse to it can never come first.
+        reached = {pos: ("", False)}
+        for part in self.parts:
+            after: dict[int, tuple[str, bool]] = {}
+            for at, (done, bound) in reached.items():
+                for piece, _, binds, nxt in part.node.match(text, at):
+                    if nxt not in after:
+                        dropped = part.optional and not binds
+                        after[nxt] = (done, bound) if dropped else (done + piece, bound or binds)
+                if part.optional:
+                    after.setdefault(at, (done, bound))
+            reached = after
+        for end, (done, bound) in reached.items():
+            yield done, None, bound, end
 
 
 @dataclass(frozen=True)
@@ -343,6 +349,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.expression = expression
+        self.depth = 0
 
     def peek(self, offset: int = 0) -> Optional[_Token]:
         index = self.pos + offset
@@ -366,6 +373,16 @@ class _Parser:
                 f"trailing tokens after syntax: {self.peek().text!r} in {self.expression!r}"
             )
         return node
+
+    def group(self, close: str) -> ValueSyntax:
+        """The alternation inside brackets whose opener was just taken."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise CatalogError(f"brackets nest deeper than {MAX_NESTING} levels")
+        inner = self.alternation()
+        self.take(close)
+        self.depth -= 1
+        return inner
 
     def alternation(self) -> ValueSyntax:
         branches = [self.sequence()]
@@ -395,9 +412,7 @@ class _Parser:
         token = self.peek()
         if token.kind == "[":
             self.take("[")
-            inner = self.alternation()
-            self.take("]")
-            return CompoundPart(inner, True)
+            return CompoundPart(self.group("]"), True)
         return CompoundPart(self.base(), False)
 
     def base(self) -> ValueSyntax:
@@ -411,9 +426,7 @@ class _Parser:
             if self._range_ahead():
                 return self.range_parens()
             self.take("(")
-            inner = self.alternation()
-            self.take(")")
-            return inner
+            return self.group(")")
         raise CatalogError(f"unexpected token {token.text!r} in {self.expression!r}")
 
     def angle(self) -> ValueSyntax:
@@ -429,9 +442,7 @@ class _Parser:
         if name == "List":
             self.take(":")
             self.take("(")
-            inner = self.alternation()
-            self.take(")")
-            return ListOf(inner)
+            return ListOf(self.group(")"))
         if name == "Continuous_range":
             self.take(":")
             return self.range_parens()
@@ -551,7 +562,7 @@ class OptionCatalog:
 
 
 def parse_catalog(text: str, source: str = "<memory>") -> OptionCatalog:
-    specs: list[OptionSpec] = []
+    specs: dict[str, OptionSpec] = {}
     for lineno, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -564,14 +575,16 @@ def parse_catalog(text: str, source: str = "<memory>") -> OptionCatalog:
         name, category, expression = (f.strip() for f in fields)
         if not name:
             raise CatalogError(f"{source}:{lineno}: empty option name")
+        if name in specs:
+            raise DuplicateOptionError(f"{source}:{lineno}: option {name!r} declared twice")
         if category not in CATEGORIES:
             raise CatalogError(f"{source}:{lineno}: unknown category {category!r}")
         try:
             syntax = parse_syntax(expression, category)
         except CatalogError as exc:
             raise CatalogError(f"{source}:{lineno}: option {name!r}: {exc}") from None
-        specs.append(OptionSpec(name, category, syntax, expression))
-    return OptionCatalog(specs)
+        specs[name] = OptionSpec(name, category, syntax, expression)
+    return OptionCatalog(list(specs.values()))
 
 
 def load_catalog(path) -> OptionCatalog:

@@ -238,6 +238,15 @@ class TestPlanAndInference:
         factor = yaml.safe_load(plan_path.read_text())["factors"][0]
         assert factor["options"] == [{"name": "tag", "value": "5:6"}]
 
+    def test_duplicate_option_error_names_the_line(self, tmp_path, capsys):
+        catalog = tmp_path / "d.catalog"
+        catalog.write_text("a\tbool\t<Bool>\na\tbool\t<Bool>\n")
+        code = main(["plan", str(catalog), "a", "--out", str(tmp_path / "p.yaml")])
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: DuplicateOptionError: {catalog}:2: option 'a' declared twice\n"
+        )
+        assert not (tmp_path / "p.yaml").exists()
+
     def test_bare_factor_must_be_boolean(self, tmp_path, capsys):
         code = main(["plan", "default", "cpu-shares", "--out", str(tmp_path / "p.yaml")])
         assert code == 1

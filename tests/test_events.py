@@ -1,9 +1,13 @@
 """Event name canonicalization."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import leastpriv
 from leastpriv.events import EventNameError, canonical_capability, canonical_syscall
 
 SPACES = [chr(code) for code in range(sys.maxunicode + 1) if chr(code).isspace()]
@@ -22,3 +26,17 @@ def test_whitespace_inside_a_name_is_rejected(canonical):
 @pytest.mark.parametrize("name", ["net\u200braw", "net\ufeffraw", "net\u180eraw", "net\x00raw"])
 def test_characters_that_are_not_whitespace_stay_in_the_name(canonical, name):
     assert canonical(name).lower().endswith(name.lower())
+
+
+def test_importing_events_loads_no_other_module_and_no_yaml():
+    """The package re-exports nothing, so a module loads only what it imports."""
+    snippet = (
+        "import sys\n"
+        "import leastpriv.events\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('leastpriv', 'yaml')))\n"
+    )
+    src = str(Path(leastpriv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", snippet], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "['leastpriv', 'leastpriv.events']\n"

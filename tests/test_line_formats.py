@@ -26,6 +26,7 @@ from leastpriv.decision import (
     OBSERVATIONS_HEADER,
     DbFormatError,
     StoreFormatError,
+    _read_written,
     load_store,
     parse_cvedb,
     save_store,
@@ -132,6 +133,8 @@ def test_mutation_log_lines(body):
 @example(body=["# note\u2028evil\tbool\t<Bool>"])
 @example(body=["# note\x0cevil\tbool\t<Bool>"])
 @example(body=["a\tbool\t<Bool>", "# note", "", "b\tint\t<U8>"])
+@example(body=["a\tbool\t<Bool>", "a\tbool\t<Bool>"])
+@example(body=[f'a\tstring\t{"(" * 400}"x"{")" * 400}'])
 def test_catalog_lines(body):
     """Each "\n"-separated line that is not blank or a comment defines one option."""
     text = "\n".join(body) + "\n"
@@ -288,7 +291,8 @@ _H = OBSERVATIONS_HEADER
 @example(text=f"{_H}\nCONTAINER á\x1cpp\nENV x1\n", environment_id="x1")
 def test_ingest_appends_or_fails_like_load_store(text, environment_id):
     """ingest into any store: load_store's error line with the file untouched,
-    or a store that loads to the old counts plus the trace's."""
+    or a store that loads to the old counts plus the trace's.  A store not
+    in the written form ends as save_store writes those counts."""
     with tempfile.TemporaryDirectory() as directory:
         store, trace = os.path.join(directory, "s.obs"), os.path.join(directory, "t.trace")
         with open(store, "w", encoding="utf-8", newline="") as handle:
@@ -299,7 +303,7 @@ def test_ingest_appends_or_fails_like_load_store(text, environment_id):
             expected, error = _counts(load_store(store)), None
         except ValueError as exc:
             expected, error = None, f"error: {type(exc).__name__}: {exc}\n"
-        before = Path(store).read_bytes()
+        before, written = Path(store).read_bytes(), _read_written(store) is not None
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(["ingest", trace, "--env-id", environment_id, "--store", store])
@@ -317,3 +321,6 @@ def test_ingest_appends_or_fails_like_load_store(text, environment_id):
         # ASCII letters are left in canonical case, whichever path ran
         assert not re.search(r"^(SYS \S*[A-Z]|CAP \S*[a-z])", Path(store).read_text("utf-8"), re.M)
         assert out.getvalue().endswith(f"({len(result)} environments)\n")
+        if not written:
+            save_store(result, os.path.join(directory, "canonical.obs"))
+            assert Path(store).read_bytes() == Path(directory, "canonical.obs").read_bytes()

@@ -127,8 +127,20 @@ class TestCatalog:
 
     def test_duplicate_name_rejected(self):
         text = "tty\tbool\t<Bool>\ntty\tbool\t<Bool>\n"
-        with pytest.raises(DuplicateOptionError):
-            parse_catalog(text)
+        message = r"^d\.catalog:2: option 'tty' declared twice$"
+        with pytest.raises(DuplicateOptionError, match=message):
+            parse_catalog(text, "d.catalog")
+
+    @pytest.mark.parametrize("depth", [33, 400, 3000])
+    def test_deep_nesting_rejected(self, depth):
+        text = f'a\tstring\t{"(" * depth}"x"{")" * depth}\n'
+        message = r"^d\.catalog:1: option 'a': brackets nest deeper than 32 levels$"
+        with pytest.raises(CatalogError, match=message):
+            parse_catalog(text, "d.catalog")
+
+    def test_nesting_to_the_bound_parses(self):
+        assert parse_syntax("[" * 16 + '"x"' + "]" * 16 + "(" * 16 + '"y"' + ")" * 16)
+        assert parse_syntax("(" * 32 + '"x"' + ")" * 32) == Literal("x")
 
     def test_bad_category_rejected(self):
         with pytest.raises(CatalogError):
@@ -201,6 +213,28 @@ class TestValidation:
         assert validate_value(spec, "host").text == "host"
         with pytest.raises(ValueParseError):
             validate_value(spec, "overlay")
+
+    def test_optional_parts_match_in_one_pass(self, monkeypatch):
+        """Each part is tried once per position it can start at, not once per parse."""
+        calls = []
+        match = Literal.match
+        monkeypatch.setattr(Literal, "match", lambda *args: calls.append(1) or match(*args))
+        parts, raw = 16, "x" * 8 + "y"
+        spec = spec_for('["x"] ' * parts, "string")
+        with pytest.raises(ValueParseError):
+            validate_value(spec, raw)
+        assert 0 < len(calls) <= parts * (len(raw) + 1)
+
+    def test_optional_parts_keep_the_first_parse(self):
+        spec = spec_for('["x" <U8>] ["x"] ["x" <U8>]', "string")
+        assert validate_value(spec, "x1x").text == "x1"
+        assert validate_value(spec, "x1xx2").text == "x1x2"
+
+    def test_long_compound_does_not_recurse(self):
+        spec = spec_for('"x" ' * 3000, "string")
+        assert validate_value(spec, "x" * 3000).text == "x" * 3000
+        with pytest.raises(ValueParseError):
+            validate_value(spec, "x" * 2999)
 
     def test_oneof_takes_either_branch(self):
         spec = spec_for('"-1" | <U22>', "int")
