@@ -38,6 +38,7 @@ from .events import (
     EventSet,
     canonical_capability,
     canonical_syscall,
+    remember,
 )
 from .monitor import Observation
 
@@ -373,6 +374,7 @@ def load_store(path) -> ObservationStore:
     store: Optional[ObservationStore] = None
     environment_id: Optional[str] = None
     block: dict[str, dict[str, int]] = {}
+    memos: dict[str, dict[str, str]] = {"SYS": {}, "CAP": {}}  # name -> canonical, this read
 
     def flush():
         if environment_id is not None:
@@ -403,8 +405,10 @@ def load_store(path) -> ObservationStore:
                 raise StoreFormatError(f"bad count {parts[2]!r}") from None
             if count < 0:
                 raise StoreFormatError(f"negative count {count}")
-            canonical = canonical_syscall if tag == "SYS" else canonical_capability
-            name, counts = canonical(parts[1]), block[tag]
+            memo, name, counts = memos[tag], parts[1], block[tag]
+            name = memo.get(name) or remember(
+                memo, canonical_syscall if tag == "SYS" else canonical_capability, name
+            )
             counts[name] = counts.get(name, 0) + count
         else:
             raise StoreFormatError(f"unknown tag {tag!r}")

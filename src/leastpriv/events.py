@@ -4,13 +4,15 @@ Two kinds of security-relevant events exist: system calls and capability
 exercises.  Syscall names are lower-case; capability names are upper-case
 and carry the CAP_ prefix.  Every module canonicalizes names through the
 helpers here so that set algebra downstream never has to worry about case
-or prefix variants.
+or prefix variants.  A reader of a trace or a store canonicalises each
+distinct name once per read: it keeps one memo per kind, looks each name
+up there first and calls `remember` only for a name it has not seen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "KIND_SYSCALL",
@@ -20,6 +22,8 @@ __all__ = [
     "EventSet",
     "canonical_syscall",
     "canonical_capability",
+    "MEMO_NAMES",
+    "remember",
 ]
 
 KIND_SYSCALL = "SYS"
@@ -100,6 +104,22 @@ def canonical_capability(name: str) -> str:
     if cleaned == CAP_PREFIX:
         raise EventNameError(f"invalid capability name {name!r}")
     return cleaned
+
+
+# Names one memo keeps.  Names are untrusted, so a memo stops growing here
+# and a read with more distinct names canonicalises the rest on each use.
+MEMO_NAMES = 4096
+
+
+def remember(memo: dict[str, str], canonical: Callable[[str], str], name: str) -> str:
+    """canonical(name), kept in memo while it holds fewer than MEMO_NAMES names.
+
+    A name that does not canonicalise raises and is not kept.
+    """
+    value = canonical(name)
+    if len(memo) < MEMO_NAMES:
+        memo[name] = value
+    return value
 
 
 @dataclass(frozen=True)

@@ -18,16 +18,24 @@ later occurrence of a marker is an ordinary event like any other.
 Records for namespaces that never saw an unshare are dropped.  A second
 unshare inside a tracked namespace does not reset the entry.  An entry
 keeps one occurrence count per recorded event; its event sets are the
-names it counted.  `replay_trace(read_trace(path))` replays a trace as
-it is read, never holding it whole, so the first fault in file order,
-a bad line or a backwards timestamp, is the one raised.
+names it counted.
+
+`read_trace` decodes each line into a plain (timestamp, namespace, kind,
+name) row as it is read, canonicalising each distinct name once per read
+through a bounded memo (`events.remember`).  `replay_trace` runs the
+state machine inline over such rows or over TraceRecords, which are the
+same tuples with field names.  So `replay_trace(read_trace(path))`
+replays a trace as it is read, never holding it whole, and the first
+fault in file order, a bad line or a backwards timestamp, is the one
+raised.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from functools import partial
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from ._files import decode_lines
 from .events import (
@@ -36,6 +44,7 @@ from .events import (
     EventSet,
     canonical_capability,
     canonical_syscall,
+    remember,
 )
 
 __all__ = [
@@ -46,7 +55,6 @@ __all__ = [
     "MonitorError",
     "UnknownNamespaceError",
     "NamespaceState",
-    "TraceReplayer",
     "parse_trace",
     "read_trace",
     "format_trace",
@@ -82,15 +90,18 @@ class UnknownNamespaceError(MonitorError):
     pass
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     timestamp_ns: int
     namespace_id: int
     kind: str
     name: str
 
 
-def _decode_record(line: str) -> TraceRecord:
+_Row = tuple[int, int, str, str]  # a TraceRecord's fields, as read_trace yields them
+
+
+def _decode_record(syscalls: dict[str, str], capabilities: dict[str, str], line: str) -> _Row:
+    """One line's row; its name is looked up in the read's memo of its kind first."""
     parts = line.split()
     if len(parts) != 4:
         raise TraceFormatError(f"expected 4 fields, got {len(parts)}")
@@ -105,22 +116,28 @@ def _decode_record(line: str) -> TraceRecord:
     if namespace < 0:
         raise TraceFormatError(f"negative namespace id {namespace}")
     if kind == KIND_SYSCALL:
-        name = canonical_syscall(name)
+        name = syscalls.get(name) or remember(syscalls, canonical_syscall, name)
     elif kind == KIND_CAPABILITY:
-        name = canonical_capability(name)
+        name = capabilities.get(name) or remember(capabilities, canonical_capability, name)
     else:
         raise TraceFormatError(f"unknown kind {kind!r}")
-    return TraceRecord(timestamp, namespace, kind, name)
+    return timestamp, namespace, kind, name
+
+
+def _rows(lines: Iterable[str], source: str) -> Iterator[_Row]:
+    """The rows of lines, decoded lazily, with a fresh name memo per kind for this read."""
+    decode = partial(_decode_record, {}, {})
+    return decode_lines(lines, TRACE_HEADER, source, TraceFormatError, decode)
 
 
 def parse_trace(lines: Iterable[str], source: str = "<memory>") -> list[TraceRecord]:
-    return list(decode_lines(lines, TRACE_HEADER, source, TraceFormatError, _decode_record))
+    return list(map(TraceRecord._make, _rows(lines, source)))
 
 
-def read_trace(path) -> Iterator[TraceRecord]:
-    """The file's records, decoded lazily as each line is read; parse_trace is the list form."""
+def read_trace(path) -> Iterator[_Row]:
+    """The file's rows, decoded lazily as each line is read; parse_trace is the list form."""
     with open(path, "r", encoding="utf-8") as handle:
-        yield from decode_lines(handle, TRACE_HEADER, str(path), TraceFormatError, _decode_record)
+        yield from _rows(handle, str(path))
 
 
 def format_trace(records: Iterable[TraceRecord]) -> str:
@@ -148,50 +165,35 @@ class NamespaceState:
         return frozenset(self.capability_counts)
 
 
-class TraceReplayer:
-    """Incremental replay; feed records one at a time with step()."""
+def replay_trace(records: Iterable[_Row]) -> dict[int, NamespaceState]:
+    """Replay TraceRecords or read_trace rows, in order, into namespace_id -> state.
 
-    def __init__(self):
-        self.states: dict[int, NamespaceState] = {}
-        self._last_timestamp: dict[int, int] = {}
-        self._index = 0
-
-    def step(self, record: TraceRecord) -> None:
-        index = self._index
-        self._index += 1
-        last = self._last_timestamp.get(record.namespace_id)
-        if last is not None and record.timestamp_ns < last:
+    A record whose timestamp is below its namespace's last one raises
+    TraceOrderError with its index among the records.
+    """
+    states: dict[int, NamespaceState] = {}
+    last_timestamp: dict[int, int] = {}
+    for index, (timestamp, namespace, kind, name) in enumerate(records):
+        if timestamp < last_timestamp.get(namespace, timestamp):
             raise TraceOrderError(
-                f"record {index}: timestamp {record.timestamp_ns} goes backwards "
-                f"in namespace {record.namespace_id}",
+                f"record {index}: timestamp {timestamp} goes backwards in namespace {namespace}",
                 record_index=index,
             )
-        self._last_timestamp[record.namespace_id] = record.timestamp_ns
-
-        state = self.states.get(record.namespace_id)
+        last_timestamp[namespace] = timestamp
+        state = states.get(namespace)
         if state is None:
-            if record.kind == KIND_SYSCALL and record.name == _NAMESPACE_MARKER:
-                self.states[record.namespace_id] = NamespaceState()
-            return
-
-        if record.kind == KIND_SYSCALL:
+            if kind == KIND_SYSCALL and name == _NAMESPACE_MARKER:
+                states[namespace] = NamespaceState()
+        elif kind == KIND_SYSCALL:
             if state.seccomp_flag:
-                state.syscall_counts[record.name] += 1
-            if record.name in _SECCOMP_MARKERS:
+                state.syscall_counts[name] += 1
+            if name in _SECCOMP_MARKERS:
                 state.seccomp_flag = True
-            elif record.name == _CAPABILITY_MARKER:
+            elif name == _CAPABILITY_MARKER:
                 state.capability_flag = True
         elif state.capability_flag:
-            state.capability_counts[record.name] += 1
-
-    def run(self, records: Iterable[TraceRecord]) -> "TraceReplayer":
-        for record in records:
-            self.step(record)
-        return self
-
-
-def replay_trace(records: Iterable[TraceRecord]) -> dict[int, NamespaceState]:
-    return TraceReplayer().run(records).states
+            state.capability_counts[name] += 1
+    return states
 
 
 def ingest_trace(records: Iterable[TraceRecord]) -> dict[int, EventSet]:

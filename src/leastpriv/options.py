@@ -4,9 +4,9 @@ A catalog file is line-oriented: ``name<TAB>category<TAB>syntax-expression``
 with ``#`` comment lines.  The syntax-expression notation:
 
     <Bool>                     boolean flag
-    <U18>, <I11>               unsigned / signed integer of that bit width
+    <U18>, <I11>               unsigned / signed integer of that bit width (U1..U64, I2..I64)
     (1000, 1000000)            integer range, inclusive low, exclusive high
-    <Continuous_range>:(0, U16)  same, U16 denoting 2**16 as the high bound
+    <Continuous_range>:(0, U16)  same, U16 denoting 2**16 as the high bound (U1..U64)
     "tcp"                      literal text
     a | b | c                  alternation (all-literal alternation is an enum)
     [ x ]                      optional part
@@ -448,11 +448,9 @@ class _Parser:
             return self.range_parens()
         m = re.fullmatch(r"([UI])(\d+)", name)
         if m:
-            width = int(m.group(2))
+            width = _integer(m.group(2))
             if m.group(1) == "U":
-                if not 1 <= width <= 64:
-                    raise CatalogError(f"unsigned bit width out of range: {width}")
-                return IntRange(0, 1 << width, signed=False)
+                return IntRange(0, 1 << _unsigned_width(width), signed=False)
             if not 2 <= width <= 64:
                 raise CatalogError(f"signed bit width out of range: {width}")
             return IntRange(-(1 << (width - 1)), 1 << (width - 1))
@@ -472,17 +470,31 @@ class _Parser:
 
     def range_parens(self) -> IntRange:
         self.take("(")
-        lo = int(self.take("int").text)
+        lo = _integer(self.take("int").text)
         self.take(",")
         hi_token = self.take()
         if hi_token.kind == "utoken":
-            hi = 1 << int(hi_token.text[1:])
+            hi = 1 << _unsigned_width(_integer(hi_token.text[1:]))
         elif hi_token.kind == "int":
-            hi = int(hi_token.text)
+            hi = _integer(hi_token.text)
         else:
             raise CatalogError(f"bad range bound {hi_token.text!r} in {self.expression!r}")
         self.take(")")
         return IntRange(lo, hi)
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise CatalogError(f"integer of {len(text)} digits is too long") from None
+
+
+def _unsigned_width(width: int) -> int:
+    """The width of <Uw> or of a (lo, Uw) bound, held to 1..64."""
+    if not 1 <= width <= 64:
+        raise CatalogError(f"unsigned bit width out of range: {width}")
+    return width
 
 
 def parse_syntax(expression: str, category: str = "string") -> ValueSyntax:

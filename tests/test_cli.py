@@ -1,5 +1,6 @@
 """Command line behaviors, end to end through main(argv)."""
 
+import contextlib
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -244,6 +245,15 @@ class TestPlanAndInference:
         code = main(["plan", str(catalog), "a", "--out", str(tmp_path / "p.yaml")])
         assert (code, capsys.readouterr().err) == (
             1, f"error: DuplicateOptionError: {catalog}:2: option 'a' declared twice\n"
+        )
+        assert not (tmp_path / "p.yaml").exists()
+
+    def test_an_integer_too_long_for_int_is_a_catalog_error(self, tmp_path, capsys):
+        catalog = tmp_path / "d.catalog"
+        catalog.write_text(f"a\tint\t({'9' * 5000}, 10)\n")
+        code = main(["plan", str(catalog), "a=1", "--out", str(tmp_path / "p.yaml")])
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: CatalogError: {catalog}:1: option 'a': integer of 5000 digits is too long\n"
         )
         assert not (tmp_path / "p.yaml").exists()
 
@@ -596,9 +606,24 @@ class TestIngestAppends:
             for module in (events, monitor, decision):
                 monkeypatch.setattr(module, name, counted)
 
+        @contextlib.contextmanager
+        def counted_open(path, *args, **kwargs):
+            calls["opens"] += 1
+            with open(path, *args, **kwargs) as handle:
+                def lines():
+                    for line in handle:
+                        calls["lines"] += 1
+                        yield line
+                yield lines()
+
+        monkeypatch.setattr(monitor, "open", counted_open, raising=False)
         assert main(["ingest", str(trace), "--env-id", "zz-new", "--store", str(store),
                      "--container", "app"]) == 0
-        assert calls["canonical"] == 1000
+        trace_lines = trace.read_text().splitlines()
+        # each line is read once, and each distinct name canonicalised once
+        assert (calls["opens"], calls["lines"]) == (1, len(trace_lines)) == (1, 1001)
+        names = {tuple(line.split()[2:]) for line in trace_lines[1:]}
+        assert calls["canonical"] == len(names) == 49
         assert capsys.readouterr().out.endswith("(501 environments)\n")
         after = store.read_bytes()
         assert after.startswith(before)

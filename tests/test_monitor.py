@@ -1,17 +1,26 @@
 """Trace replay state machine and trace wire format."""
 
 import tracemalloc
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from leastpriv.events import KIND_CAPABILITY, KIND_SYSCALL
+from leastpriv import monitor
+from leastpriv._files import decode_lines
+from leastpriv.events import (
+    KIND_CAPABILITY,
+    KIND_SYSCALL,
+    MEMO_NAMES,
+    canonical_capability,
+    canonical_syscall,
+)
 from leastpriv.monitor import (
     TRACE_HEADER,
+    NamespaceState,
     TraceFormatError,
     TraceOrderError,
     TraceRecord,
-    TraceReplayer,
     UnknownNamespaceError,
     event_set_for,
     format_trace,
@@ -20,6 +29,7 @@ from leastpriv.monitor import (
     read_trace,
     replay_trace,
 )
+from test_line_formats import _TOKENS
 
 
 def sys(ts, ns, name):
@@ -292,10 +302,155 @@ def test_namespace_interleaving_does_not_change_replay(first, second, choices):
         assert combined[ns] == alone[ns]
 
 
-@settings(max_examples=100, deadline=None)
-@given(records=namespace_trace(ns=1))
-def test_stepwise_and_batch_replay_agree(records):
-    replayer = TraceReplayer()
-    for record in records:
-        replayer.step(record)
-    assert replayer.states == replay_trace(records)
+# --- the row decoder and inline replay against the record-at-a-time reference
+
+def _reference_decode(line):
+    """The decoder as it was before rows and name memos: one TraceRecord per line."""
+    parts = line.split()
+    if len(parts) != 4:
+        raise TraceFormatError(f"expected 4 fields, got {len(parts)}")
+    ts_text, ns_text, kind, name = parts
+    try:
+        timestamp = int(ts_text)
+        namespace = int(ns_text)
+    except ValueError:
+        raise TraceFormatError("timestamp and namespace must be integers") from None
+    if timestamp < 0:
+        raise TraceFormatError(f"negative timestamp {timestamp}")
+    if namespace < 0:
+        raise TraceFormatError(f"negative namespace id {namespace}")
+    if kind == KIND_SYSCALL:
+        name = canonical_syscall(name)
+    elif kind == KIND_CAPABILITY:
+        name = canonical_capability(name)
+    else:
+        raise TraceFormatError(f"unknown kind {kind!r}")
+    return TraceRecord(timestamp, namespace, kind, name)
+
+
+class _ReferenceReplayer:
+    """Replay as it was before the state machine was inlined: one step() per record."""
+
+    def __init__(self):
+        self.states = {}
+        self._last_timestamp = {}
+        self._index = 0
+
+    def step(self, record):
+        index = self._index
+        self._index += 1
+        last = self._last_timestamp.get(record.namespace_id)
+        if last is not None and record.timestamp_ns < last:
+            raise TraceOrderError(
+                f"record {index}: timestamp {record.timestamp_ns} goes backwards "
+                f"in namespace {record.namespace_id}",
+                record_index=index,
+            )
+        self._last_timestamp[record.namespace_id] = record.timestamp_ns
+
+        state = self.states.get(record.namespace_id)
+        if state is None:
+            if record.kind == KIND_SYSCALL and record.name == "unshare":
+                self.states[record.namespace_id] = NamespaceState()
+            return
+
+        if record.kind == KIND_SYSCALL:
+            if state.seccomp_flag:
+                state.syscall_counts[record.name] += 1
+            if record.name in ("prctl", "seccomp"):
+                state.seccomp_flag = True
+            elif record.name == "capset":
+                state.capability_flag = True
+        elif state.capability_flag:
+            state.capability_counts[record.name] += 1
+
+
+def _reference_replay(path):
+    replayer = _ReferenceReplayer()
+    with open(path, "r", encoding="utf-8") as handle:
+        for record in decode_lines(handle, TRACE_HEADER, str(path), TraceFormatError,
+                                   _reference_decode):
+            replayer.step(record)
+    return replayer.states
+
+
+def _outcome(replay, path):
+    """The states replay(path) returns, or the class, message and index of its error."""
+    try:
+        return replay(path)
+    except TraceFormatError as exc:
+        return type(exc), str(exc), getattr(exc, "record_index", None)
+
+
+def _ingest_replay(path):
+    return replay_trace(read_trace(path))
+
+
+_HUGE = "9" * 4301  # one digit more than int() converts
+_SYS_NAMES = ("unshare", "UNSHARE", "Unshare", "prctl", "PRCTL", "seccomp", "SecComp",
+              "capset", "CapSet", "read", "READ", "ReAd", "openat")
+_CAP_NAMES = ("net_raw", "NET_RAW", "Cap_Net_Raw", "CAP_NET_RAW", "chown", "cap_chown",
+              "sys_admin", "cap_", "CAP_")
+_record_lines = st.builds(
+    lambda ts, ns, event, sep: sep.join((ts, ns, *event)),
+    st.one_of(st.integers(0, 12).map(str), st.sampled_from(("-1", _HUGE, "x"))),
+    st.one_of(st.integers(0, 2).map(str), st.sampled_from(("-2", _HUGE))),
+    st.one_of(
+        st.tuples(st.just("SYS"), st.sampled_from(_SYS_NAMES)),
+        st.tuples(st.just("CAP"), st.sampled_from(_CAP_NAMES)),
+    ),
+    st.sampled_from((" ", "\t", "  ")),
+)
+_trace_lines = st.lists(
+    st.one_of(
+        _record_lines,
+        _record_lines,
+        st.sampled_from(("", " ", "\t", " \t ")),
+        st.builds(
+            lambda parts, sep: sep.join(parts),
+            st.lists(st.sampled_from(_TOKENS), max_size=5),
+            st.sampled_from((" ", "\t")),
+        ),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=20),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=_trace_lines)
+@example(body=["1 1 SYS unshare", "2 1 SYS prctl", "1 1 SYS read"])
+@example(body=["1 1 SYS unshare", "0 1 SYS read", "x 1 SYS read"])
+@example(body=["1 1 SYS unshare", f"{_HUGE} 1 SYS read"])
+@example(body=["1 1 SYS unshare", "2 1 SYS capset", "3 1 CAP net_raw", "4 1 CAP Net_Raw"])
+def test_row_replay_matches_the_record_at_a_time_reference(tmp_path_factory, body):
+    path = tmp_path_factory.mktemp("trace") / "t.trace"
+    path.write_text("\n".join([TRACE_HEADER, *body]) + "\n", encoding="utf-8")
+    assert _outcome(_ingest_replay, path) == _outcome(_reference_replay, path)
+
+
+def test_a_trace_with_more_names_than_the_memo_holds(tmp_path, monkeypatch):
+    names = MEMO_NAMES + 500
+    lines = [TRACE_HEADER, "0 1 SYS unshare", "0 1 SYS capset", "0 1 SYS prctl"]
+    for round_ in range(2):  # the second round meets names the memo had no room for
+        lines += [f"{round_} 1 SYS Call{i}" for i in range(names)]
+        lines += [f"{round_} 1 CAP cap{i}" for i in range(names)]
+    path = tmp_path / "many.trace"
+    path.write_text("\n".join(lines) + "\n")
+    memos, real_decode = [], monitor._decode_record
+
+    def watched(syscalls, capabilities, line):
+        if not any(memo is syscalls for memo, _ in memos):
+            memos.append((syscalls, capabilities))
+        return real_decode(syscalls, capabilities, line)
+
+    monkeypatch.setattr(monitor, "_decode_record", watched)
+    for _ in range(2):
+        states = _ingest_replay(path)
+        assert states == _reference_replay(path)
+    state = states[1]
+    assert state.syscall_counts == Counter({f"call{i}": 2 for i in range(names)})
+    assert state.capability_counts == Counter({f"CAP_CAP{i}": 2 for i in range(names)})
+    assert len(memos) == 2  # one memo per kind for each read, none shared
+    for syscalls, capabilities in memos:
+        assert len(syscalls) == len(capabilities) == MEMO_NAMES

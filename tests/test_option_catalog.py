@@ -71,6 +71,13 @@ class TestSyntaxParsing:
         ("<I1>", "signed bit width out of range: 1"),
         ("<I65>", "signed bit width out of range: 65"),
         ("(5, 5)", "empty range (5, 5)"),
+        ("(0, U0)", "unsigned bit width out of range: 0"),
+        ("<Continuous_range>:(0, U65)", "unsigned bit width out of range: 65"),
+        ("<Continuous_range>:(0, U30000000)", "unsigned bit width out of range: 30000000"),
+        (f"({'9' * 5000}, 10)", "integer of 5000 digits is too long"),
+        (f"(0, {'9' * 4301})", "integer of 4301 digits is too long"),
+        (f"(0, U{'1' * 4301})", "integer of 4301 digits is too long"),
+        (f"<U{'1' * 4301}>", "integer of 4301 digits is too long"),
     ])
     def test_integer_syntax_errors(self, expression, message):
         with pytest.raises(CatalogError) as excinfo:
@@ -137,6 +144,15 @@ class TestCatalog:
         message = r"^d\.catalog:1: option 'a': brackets nest deeper than 32 levels$"
         with pytest.raises(CatalogError, match=message):
             parse_catalog(text, "d.catalog")
+
+    @pytest.mark.parametrize("syntax,message", [
+        ("<Continuous_range>:(0, U30000000)", "unsigned bit width out of range: 30000000"),
+        (f"({'9' * 5000}, 10)", "integer of 5000 digits is too long"),
+    ])
+    def test_range_bound_errors_name_the_line(self, syntax, message):
+        with pytest.raises(CatalogError) as excinfo:
+            parse_catalog(f"a\tint\t{syntax}\n", "d.catalog")
+        assert str(excinfo.value) == f"d.catalog:1: option 'a': {message}"
 
     def test_nesting_to_the_bound_parses(self):
         assert parse_syntax("[" * 16 + '"x"' + "]" * 16 + "(" * 16 + '"y"' + ")" * 16)
