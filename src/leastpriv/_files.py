@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 import secrets
 import shutil
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
@@ -27,6 +28,12 @@ _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 # of aliases from expanding to any size.
 MAX_DEPTH = 32
 MAX_ALIAS_NODES = 10_000
+
+# An integer written with more digits than this, in any input, is refused
+# before int() meets it, so no interpreter's own limit on int() decides.
+MAX_DIGITS = 4300
+# An unquoted YAML number that long, which PyYAML would give to int().
+_LONG_NUMBER = re.compile(rf"[-+]?[0-9][0-9_:]{{{MAX_DIGITS},}}")
 
 
 def decode_lines(
@@ -90,6 +97,8 @@ def _excess(events) -> Optional[str]:
             anchor, tallest, size = open_nodes.pop()
             height, size = named[anchor] = (tallest + 1, size)
         elif isinstance(event, yaml.ScalarEvent):
+            if event.implicit[0] and _LONG_NUMBER.fullmatch(event.value):
+                return f"integer of {len(event.value)} digits is too long"
             height, size = named[event.anchor] = (0, 1)
         elif isinstance(event, yaml.AliasEvent):
             height, size = named.get(event.anchor, (0, 1))

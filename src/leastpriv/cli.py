@@ -167,20 +167,18 @@ def _cmd_explore(args) -> int:
     result = mutate_option_values(baseline_environment(), config, probe)
     if args.log:
         write_log(config, result, args.log)
-    if args.format == "tsv":
-        for row in _event_rows(result.events):
-            print(row)
-    else:
+    human = args.format == "human"
+    if human:
         print(
             f"explored {args.option} in [{config.v_min}, {config.v_max}]: "
             f"{len(result.log)} probes, {len(result.events)} events"
         )
         for warning in result.warnings:
             print(f"warning: {warning}")
-        for row in _event_rows(result.events):
-            print(row)
-        if args.log:
-            print(f"log -> {args.log}")
+    for row in _event_rows(result.events):
+        print(row)
+    if human and args.log:
+        print(f"log -> {args.log}")
     return 0
 
 
@@ -221,12 +219,9 @@ def _cmd_score(args) -> int:
     )
     security = security_score(allowed, db)
     functionality = functionality_score(allowed, store)
-    if args.format == "tsv":
-        print(f"security\t{security!r}")
-        print(f"functionality\t{functionality!r}")
-    else:
-        print(f"security {security!r}")
-        print(f"functionality {functionality!r}")
+    separator = "\t" if args.format == "tsv" else " "
+    print(f"security{separator}{security!r}")
+    print(f"functionality{separator}{functionality!r}")
     return 0
 
 

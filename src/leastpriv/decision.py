@@ -204,13 +204,14 @@ def default_cvedb() -> CveDatabase:
 # -- observation store -------------------------------------------------------
 
 
-def _check_environment_id(environment_id: str) -> None:
-    if not environment_id or any(ch.isspace() for ch in environment_id):
-        raise StoreError(f"bad environment id {environment_id!r}")
+def _check_name(label: str, name: str) -> None:
+    """A container name or environment id: non-empty, no whitespace."""
+    if not name or any(ch.isspace() for ch in name):
+        raise StoreError(f"bad {label} {name!r}")
 
 
 class ObservationStore:
-    """Per-environment syscall and capability Counters for one container.
+    """Per-environment syscall and capability count maps for one container.
 
     The count maps are the only copy: events are their names, zero counts
     included, and recording an id again adds to them.  The environments
@@ -218,28 +219,27 @@ class ObservationStore:
     """
 
     def __init__(self, container: str = "container"):
-        if not container or any(ch.isspace() for ch in container):
-            raise StoreError(f"bad container name {container!r}")
+        _check_name("container name", container)
         self.container = container
-        self._counts: dict[str, tuple[Counter, Counter]] = {}
+        self._counts: dict[str, tuple[dict[str, int], dict[str, int]]] = {}
 
-    def _add(self, environment_id: str, syscall_counts, capability_counts) -> None:
-        """Add a Counter.update argument per kind to one environment's counts."""
-        _check_environment_id(environment_id)
-        syscalls, capabilities = self._counts.setdefault(environment_id, (Counter(), Counter()))
-        syscalls.update(syscall_counts)
-        capabilities.update(capability_counts)
+    def _add(self, environment_id: str, syscall_counts=(), capability_counts=()):
+        """Add (name, count) pairs per kind to one environment's counts; return its two maps."""
+        _check_name("environment id", environment_id)
+        maps = self._counts.setdefault(environment_id, ({}, {}))
+        for counts, pairs in zip(maps, (syscall_counts, capability_counts)):
+            for name, count in pairs:
+                counts[name] = counts.get(name, 0) + count
+        return maps
 
     def record(self, environment_id: str, events: EventSet) -> None:
         """Count one occurrence of each event."""
-        self._add(environment_id, events.syscalls, events.capabilities)
+        self._add(environment_id, ((name, 1) for name in events.syscalls),
+                  ((name, 1) for name in events.capabilities))
 
     def record_observation(self, observation: Observation) -> None:
-        self._add(
-            observation.environment_id,
-            dict(observation.syscall_counts),
-            dict(observation.capability_counts),
-        )
+        self._add(observation.environment_id, observation.syscall_counts,
+                  observation.capability_counts)
 
     def environments(self) -> tuple[str, ...]:
         return tuple(sorted(self._counts))
@@ -268,9 +268,6 @@ class ObservationStore:
 
     def __len__(self) -> int:
         return len(self._counts)
-
-    def __bool__(self) -> bool:
-        return bool(self._counts)
 
 
 def _block_text(environment_id: str, syscall_counts, capability_counts) -> str:
@@ -359,7 +356,7 @@ def append_observation(path, observation: Observation, container: Optional[str] 
         return len(store)
     body = found[1]
     environment_id = observation.environment_id
-    _check_environment_id(environment_id)
+    _check_name("environment id", environment_id)
     block = _block_text(
         environment_id, dict(observation.syscall_counts), dict(observation.capability_counts)
     )
@@ -372,16 +369,11 @@ def append_observation(path, observation: Observation, container: Optional[str] 
 def load_store(path) -> ObservationStore:
     """Read a store, merging its ENV blocks: any order, an id repeated adds its counts."""
     store: Optional[ObservationStore] = None
-    environment_id: Optional[str] = None
-    block: dict[str, dict[str, int]] = {}
+    current: dict[str, dict[str, int]] = {}  # tag -> the store's counts for the ENV being read
     memos: dict[str, dict[str, str]] = {"SYS": {}, "CAP": {}}  # name -> canonical, this read
 
-    def flush():
-        if environment_id is not None:
-            store._add(environment_id, block["SYS"], block["CAP"])
-
     def decode(line: str) -> None:
-        nonlocal store, environment_id, block
+        nonlocal store
         if line.startswith("#"):
             return
         parts = line.split()
@@ -393,11 +385,9 @@ def load_store(path) -> ObservationStore:
         elif tag == "ENV":
             if store is None or len(parts) != 2:
                 raise StoreFormatError("bad ENV line")
-            flush()
-            environment_id = parts[1]
-            block = {"SYS": {}, "CAP": {}}
+            current.update(zip(("SYS", "CAP"), store._add(parts[1])))
         elif tag in ("SYS", "CAP"):
-            if environment_id is None or len(parts) != 3:
+            if not current or len(parts) != 3:
                 raise StoreFormatError(f"stray or malformed {tag} line")
             try:
                 count = int(parts[2])
@@ -405,7 +395,7 @@ def load_store(path) -> ObservationStore:
                 raise StoreFormatError(f"bad count {parts[2]!r}") from None
             if count < 0:
                 raise StoreFormatError(f"negative count {count}")
-            memo, name, counts = memos[tag], parts[1], block[tag]
+            memo, name, counts = memos[tag], parts[1], current[tag]
             name = memo.get(name) or remember(
                 memo, canonical_syscall if tag == "SYS" else canonical_capability, name
             )
@@ -418,7 +408,6 @@ def load_store(path) -> ObservationStore:
             pass
     if store is None:
         raise StoreFormatError(f"{path}: missing CONTAINER line")
-    flush()
     return store
 
 
@@ -693,7 +682,7 @@ def policy_from_doc(doc) -> Policy:
         EventSet.from_doc(classes.get(key))
         for key in ("always", "sporadic_included", "sporadic_excluded")
     )
-    stray = allowed.symmetric_difference(always | included)
+    stray = allowed ^ (always | included)
     if stray:
         raise DecisionError(
             "allowed must equal always + sporadic_included; they differ in "

@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ._files import dump_yaml, load_yaml
 from .options import (
@@ -202,11 +202,7 @@ def compose_pair(first: Environment, second: Environment) -> Environment:
 
 
 def _is_single_factor(env: Environment) -> bool:
-    if len(env.options) == 1 and env.workload is None:
-        return True
-    if not env.options and env.workload is not None:
-        return True
-    return False
+    return len(env.options) + (env.workload is not None) == 1
 
 
 @dataclass(frozen=True)
@@ -215,25 +211,23 @@ class EnvironmentPlan:
 
     baseline: Environment
     factors: tuple[Environment, ...]
-    pairs: tuple[tuple[str, str], ...]
 
     def executed_environments(self) -> tuple[Environment, ...]:
         return (self.baseline,) + self.factors
 
-    def factor_by_id(self, factor_id: str) -> Environment:
-        for factor in self.factors:
-            if factor.id == factor_id:
-                return factor
-        raise PlanError(f"no factor with id {factor_id}")
+    @property
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        """The ids of every planned pair, smaller id first."""
+        return tuple((a.id, b.id) for a, b in self._factor_pairs())
 
     def pair_environments(self) -> tuple[tuple[Environment, Environment, Environment], ...]:
         """(factor_a, factor_b, composed) triples for every planned pair."""
-        out = []
-        for id_a, id_b in self.pairs:
-            a = self.factor_by_id(id_a)
-            b = self.factor_by_id(id_b)
-            out.append((a, b, compose_pair(a, b)))
-        return tuple(out)
+        return tuple((a, b, compose_pair(a, b)) for a, b in self._factor_pairs())
+
+    def _factor_pairs(self) -> Iterator[tuple[Environment, Environment]]:
+        """Every unordered factor pair, in factor order, the smaller id first."""
+        for a, b in combinations(self.factors, 2):
+            yield (a, b) if a.id < b.id else (b, a)
 
 
 def plan_environments(
@@ -263,10 +257,7 @@ def plan_environments(
             if name in seen_options:
                 raise PlanError(f"two factors vary the same option {name!r}")
             seen_options.add(name)
-    pairs = tuple(
-        tuple(sorted((a.id, b.id))) for a, b in combinations(factors, 2)
-    )
-    return EnvironmentPlan(base, tuple(factors), pairs)
+    return EnvironmentPlan(base, tuple(factors))
 
 
 # --- plan file -------------------------------------------------------------

@@ -190,41 +190,20 @@ class EventSet:
             doc["capabilities"] = sorted(self.capabilities)
         return doc
 
-    def union(self, other: "EventSet") -> "EventSet":
-        return EventSet(
-            self.syscalls | other.syscalls,
-            self.capabilities | other.capabilities,
-        )
+    def __or__(self, other: "EventSet") -> "EventSet":
+        return EventSet(self.syscalls | other.syscalls, self.capabilities | other.capabilities)
 
-    __or__ = union
+    def __sub__(self, other: "EventSet") -> "EventSet":
+        return EventSet(self.syscalls - other.syscalls, self.capabilities - other.capabilities)
 
-    def difference(self, other: "EventSet") -> "EventSet":
-        return EventSet(
-            self.syscalls - other.syscalls,
-            self.capabilities - other.capabilities,
-        )
+    def __and__(self, other: "EventSet") -> "EventSet":
+        return EventSet(self.syscalls & other.syscalls, self.capabilities & other.capabilities)
 
-    __sub__ = difference
-
-    def intersection(self, other: "EventSet") -> "EventSet":
-        return EventSet(
-            self.syscalls & other.syscalls,
-            self.capabilities & other.capabilities,
-        )
-
-    __and__ = intersection
-
-    def symmetric_difference(self, other: "EventSet") -> "EventSet":
-        return EventSet(
-            self.syscalls ^ other.syscalls,
-            self.capabilities ^ other.capabilities,
-        )
-
-    def issubset(self, other: "EventSet") -> bool:
-        return self.syscalls <= other.syscalls and self.capabilities <= other.capabilities
+    def __xor__(self, other: "EventSet") -> "EventSet":
+        return EventSet(self.syscalls ^ other.syscalls, self.capabilities ^ other.capabilities)
 
     def __le__(self, other: "EventSet") -> bool:
-        return self.issubset(other)
+        return self.syscalls <= other.syscalls and self.capabilities <= other.capabilities
 
     def __len__(self) -> int:
         return len(self.syscalls) + len(self.capabilities)

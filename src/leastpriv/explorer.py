@@ -419,7 +419,7 @@ def validate_inference(
     combined = probe.evaluate(combined_env)
     return InferenceReport(
         exact=combined == union,
-        delta=len(combined.symmetric_difference(union)),
+        delta=len(combined ^ union),
         size_delta=len(combined) - len(union),
         combined=combined,
         union=union,

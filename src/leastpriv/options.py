@@ -35,6 +35,8 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterator, Optional
 
+from ._files import MAX_DIGITS
+
 __all__ = [
     "OptionError",
     "CatalogError",
@@ -133,8 +135,11 @@ class ValueSyntax:
         raise NotImplementedError
 
 
-_DIGITS = re.compile(r"\d+")
-_SIGNED = re.compile(r"-?\d+")
+# An integer written with more digits than MAX_DIGITS matches neither, so
+# int() never meets one; _diagnose names it.
+_DIGITS = re.compile(rf"\d{{1,{MAX_DIGITS}}}(?!\d)")
+_SIGNED = re.compile(rf"-?\d{{1,{MAX_DIGITS}}}(?!\d)")
+_TOO_LONG = re.compile(rf"\d{{{MAX_DIGITS + 1},}}")
 
 
 @dataclass(frozen=True)
@@ -283,9 +288,6 @@ class ListOf(ValueSyntax):
         if isinstance(self.element, (ListOf, BoolFlag)):
             raise CatalogError("unsupported list element syntax")
 
-    def match(self, text: str, pos: int):
-        raise TypeError("lists do not participate in positional matching")
-
 
 @dataclass(frozen=True)
 class OneOf(ValueSyntax):
@@ -351,9 +353,8 @@ class _Parser:
         self.expression = expression
         self.depth = 0
 
-    def peek(self, offset: int = 0) -> Optional[_Token]:
-        index = self.pos + offset
-        return self.tokens[index] if index < len(self.tokens) else None
+    def peek(self) -> Optional[_Token]:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def take(self, kind: Optional[str] = None) -> _Token:
         token = self.peek()
@@ -423,9 +424,10 @@ class _Parser:
             self.take("string")
             return Literal(token.text[1:-1])
         if token.kind == "(":
-            if self._range_ahead():
-                return self.range_parens()
             self.take("(")
+            # an integer never starts a group, so it starts a range
+            if self.peek() is not None and self.peek().kind == "int":
+                return self.range_body()
             return self.group(")")
         raise CatalogError(f"unexpected token {token.text!r} in {self.expression!r}")
 
@@ -445,7 +447,8 @@ class _Parser:
             return ListOf(self.group(")"))
         if name == "Continuous_range":
             self.take(":")
-            return self.range_parens()
+            self.take("(")
+            return self.range_body()
         m = re.fullmatch(r"([UI])(\d+)", name)
         if m:
             width = _integer(m.group(2))
@@ -456,20 +459,8 @@ class _Parser:
             return IntRange(-(1 << (width - 1)), 1 << (width - 1))
         raise CatalogError(f"unknown syntax token <{name}> in {self.expression!r}")
 
-    def _range_ahead(self) -> bool:
-        shape = [self.peek(i) for i in range(5)]
-        if any(t is None for t in shape):
-            return False
-        return (
-            shape[0].kind == "("
-            and shape[1].kind == "int"
-            and shape[2].kind == ","
-            and shape[3].kind in ("int", "utoken")
-            and shape[4].kind == ")"
-        )
-
-    def range_parens(self) -> IntRange:
-        self.take("(")
+    def range_body(self) -> IntRange:
+        """``lo, hi)`` or ``lo, Uw)``, after the opening bracket."""
         lo = _integer(self.take("int").text)
         self.take(",")
         hi_token = self.take()
@@ -484,10 +475,14 @@ class _Parser:
 
 
 def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:  # more digits than int() converts
-        raise CatalogError(f"integer of {len(text)} digits is too long") from None
+    digits = text.lstrip("-")
+    if len(digits) > MAX_DIGITS:
+        raise CatalogError(_too_long(digits))
+    return int(text)
+
+
+def _too_long(digits: str) -> str:
+    return f"integer of {len(digits)} digits is too long"
 
 
 def _unsigned_width(width: int) -> int:
@@ -640,6 +635,8 @@ def _validate_scalar(spec: OptionSpec, node: ValueSyntax, raw: str) -> tuple[str
 
 def _diagnose(spec: OptionSpec, node: ValueSyntax, raw: str) -> OptionError:
     prefix = f"option {spec.name!r}:"
+    if digits := _TOO_LONG.search(raw):
+        return ValueRangeError(f"{prefix} {_too_long(digits.group())}")
     for value, (lo, high) in _windowed_integers(node, raw):
         if not lo <= value <= high:
             return ValueRangeError(f"{prefix} {value} outside [{lo}, {high + 1})")
@@ -689,9 +686,6 @@ def integer_bounds(node: ValueSyntax) -> Optional[tuple[int, int]]:
     if isinstance(node, IntRange):
         return node.lo, node.hi - 1
     if isinstance(node, OneOf):
-        windows = [integer_bounds(b) for b in node.branches]
-        windows = [w for w in windows if w is not None]
-        if not windows:
-            return None
-        return max(windows, key=lambda w: w[1] - w[0])
+        windows = [w for w in map(integer_bounds, node.branches) if w is not None]
+        return max(windows, key=lambda w: w[1] - w[0], default=None)
     return None

@@ -179,6 +179,80 @@ class TestPipeline:
         assert len(lines) == 1 + len(load_cvedb(CVEDB))
 
 
+REDIS_CPU_SHARES_EVENTS = (
+    "SYS\tbrk\nSYS\tclose\nSYS\tepoll_create1\nSYS\tepoll_wait\nSYS\texit_group\n"
+    "SYS\tfcntl\nSYS\tfutex\nSYS\tgetpid\nSYS\tgetrandom\nSYS\tmmap\nSYS\tnanosleep\n"
+    "SYS\topenat\nSYS\tread\nSYS\trt_sigaction\nCAP\tCAP_SETGID\nCAP\tCAP_SETUID\n"
+)
+
+
+class TestOutputBytes:
+    """The exact stdout of each output branch, in both formats."""
+
+    def run(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return code, captured.out
+
+    def test_synthesize_tsv_feasible(self, redis_store_path, capsys):
+        assert self.run(capsys, [
+            "synthesize", str(redis_store_path), CVEDB,
+            "--security-min", "0.5", "--functionality-min", "0.5", "--format", "tsv",
+        ]) == (0, "status\tok\ncontainer\tredis\nsize\t24\nsyscalls\t22\ncapabilities\t2\n"
+                  "achieved_security\t1.0\nachieved_functionality\t0.6\n")
+
+    @pytest.mark.parametrize("fmt,expected", [
+        ("tsv", "status\tinfeasible\n"
+                "reason\tfunctionality target 1 unreachable: required events sit above the"
+                " CVSS ceiling 1: epoll_ctl, setsockopt, socket\n"
+                "blocking\tepoll_ctl, setsockopt, socket\n"
+                "best_security\t1.0\nbest_functionality\t0.8\n"),
+        ("human", "infeasible: functionality target 1 unreachable: required events sit above the"
+                  " CVSS ceiling 1: epoll_ctl, setsockopt, socket\n"
+                  "blocking events: epoll_ctl, setsockopt, socket\n"
+                  "best achievable: security 1.0 functionality 0.8\n"),
+    ])
+    def test_synthesize_infeasible(self, redis_store_path, capsys, fmt, expected):
+        assert self.run(capsys, [
+            "synthesize", str(redis_store_path), CVEDB,
+            "--security-min", "0.9", "--functionality-min", "1", "--format", fmt,
+        ]) == (2, expected)
+
+    @pytest.mark.parametrize("fmt,expected", [
+        ("tsv", "security\t0.19999999999999996\nfunctionality\t0.0\n"),
+        ("human", "security 0.19999999999999996\nfunctionality 0.0\n"),
+    ])
+    def test_score(self, redis_store_path, capsys, fmt, expected):
+        assert self.run(capsys, [
+            "score", str(redis_store_path), CVEDB, "--policy", "read,close,waitid", "--format", fmt,
+        ]) == (0, expected)
+
+    def test_sweep_with_an_infeasible_row(self, redis_store_path, capsys):
+        assert self.run(capsys, [
+            "sweep", str(redis_store_path), CVEDB, "--targets", "0:1,0.9:1",
+        ]) == (0, "security_min\tfunctionality_min\tstatus\tsize\tsyscalls\tcapabilities"
+                  "\tachieved_security\tachieved_functionality\n"
+                  "0\t1\tok\t30\t28\t2\t0.21999999999999997\t1.0\n"
+                  "0.9\t1\tinfeasible\t-\t-\t-\t1.0\t0.8\n")
+
+    @pytest.mark.parametrize("fmt,log,head,tail", [
+        ("tsv", False, "", ""),
+        ("tsv", True, "", ""),
+        ("human", False, "explored cpu-shares in [0, 262143]: 7 probes, 16 events\n", ""),
+        ("human", True, "explored cpu-shares in [0, 262143]: 7 probes, 16 events\n",
+         "log -> {log}\n"),
+    ])
+    def test_explore(self, tmp_path, capsys, fmt, log, head, tail):
+        log_path = tmp_path / "explore.log"
+        argv = ["explore", "redis", "cpu-shares", "--seed", "5", "--config", "it_max=40",
+                "--format", fmt] + (["--log", str(log_path)] if log else [])
+        assert self.run(capsys, argv) == (
+            0, head + REDIS_CPU_SHARES_EVENTS + tail.format(log=log_path)
+        )
+        assert log_path.exists() == log
+
+
 class TestInfeasibleExit:
     def test_exit_code_2_with_reason(self, tmp_path, capsys):
         store = ObservationStore("app")
@@ -256,6 +330,43 @@ class TestPlanAndInference:
             1, f"error: CatalogError: {catalog}:1: option 'a': integer of 5000 digits is too long\n"
         )
         assert not (tmp_path / "p.yaml").exists()
+
+    @pytest.mark.parametrize("factor,error", [
+        ("cpu-shares={n}", "ValueRangeError: option 'cpu-shares'"),
+        ("publish={n}:80", "ValueRangeError: option 'publish'"),
+        ("memory={n}k", "ValueRangeError: option 'memory'"),
+    ])
+    def test_an_option_value_too_long_for_int_is_one_error_line(self, tmp_path, capsys,
+                                                                 factor, error):
+        factor = factor.format(n="9" * 5000)
+        assert main(["plan", "default", factor, "--out", str(tmp_path / "p.yaml")]) == 1
+        assert capsys.readouterr().err == f"error: {error}: integer of 5000 digits is too long\n"
+        assert not (tmp_path / "p.yaml").exists()
+
+    @pytest.mark.parametrize("quoted", [True, False])
+    def test_a_plan_value_too_long_for_int_is_a_plan_error(self, tmp_path, capsys, quoted):
+        # write_plan quotes values; an unquoted one is a YAML integer
+        plan = tmp_path / "p.yaml"
+        assert main(["plan", "default", "cpu-shares=1", "--out", str(plan)]) == 0
+        value = f"'{'9' * 5000}'" if quoted else "9" * 5000
+        plan.write_text(plan.read_text().replace("'1'", value))
+        capsys.readouterr()
+        assert main(["validate-inference", "redis", str(plan)]) == 1
+        where = "option 'cpu-shares'" if quoted else str(plan)
+        assert capsys.readouterr().err == (
+            f"error: PlanFormatError: {where}: integer of 5000 digits is too long\n"
+        )
+
+    def test_the_digit_limit_counts_leading_zeros(self, tmp_path, capsys):
+        plan = tmp_path / "p.yaml"
+        assert main(["plan", "default", "cpu-shares=" + "0" * 4299 + "7", "--out", str(plan)]) == 0
+        assert yaml.safe_load(plan.read_text())["factors"][0]["options"] == [
+            {"name": "cpu-shares", "value": "7"}
+        ]
+        assert main(["plan", "default", "cpu-shares=" + "0" * 4300 + "7", "--out", str(plan)]) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: ValueRangeError: option 'cpu-shares': integer of 4301 digits is too long\n"
+        )
 
     def test_bare_factor_must_be_boolean(self, tmp_path, capsys):
         code = main(["plan", "default", "cpu-shares", "--out", str(tmp_path / "p.yaml")])

@@ -1,5 +1,7 @@
 """Environment composition, hashing, and plan round trips."""
 
+from itertools import combinations
+
 import pytest
 import yaml
 
@@ -124,6 +126,13 @@ class TestPlans:
         composed = {c.id for _, _, c in plan.pair_environments()}
         assert len(composed) == 3
         assert composed.isdisjoint(ids)
+
+    def test_pairs_follow_factor_order_with_the_smaller_id_first(self):
+        factors = self.factors()
+        plan = plan_environments(factors)
+        expected = [tuple(sorted((a.id, b.id))) for a, b in combinations(factors, 2)]
+        assert list(plan.pairs) == expected
+        assert [(a.id, b.id) for a, b, _ in plan.pair_environments()] == expected
 
     def test_plan_rejects_multi_factor_environment(self):
         bad = compose_environment([opt("tty"), opt("init")])

@@ -1,4 +1,4 @@
-"""Event name canonicalization."""
+"""Event name canonicalization and event-set algebra."""
 
 import os
 import subprocess
@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import leastpriv
-from leastpriv.events import EventNameError, canonical_capability, canonical_syscall
+from leastpriv.events import EventNameError, EventSet, canonical_capability, canonical_syscall
 
 SPACES = [chr(code) for code in range(sys.maxunicode + 1) if chr(code).isspace()]
 
@@ -26,6 +26,17 @@ def test_whitespace_inside_a_name_is_rejected(canonical):
 @pytest.mark.parametrize("name", ["net\u200braw", "net\ufeffraw", "net\u180eraw", "net\x00raw"])
 def test_characters_that_are_not_whitespace_stay_in_the_name(canonical, name):
     assert canonical(name).lower().endswith(name.lower())
+
+
+def test_set_operators_work_per_kind():
+    a = EventSet.of(["read", "openat"], ["chown"])
+    b = EventSet.of(["read"], ["net_raw"])
+    assert a | b == EventSet.of(["read", "openat"], ["chown", "net_raw"])
+    assert a - b == EventSet.of(["openat"], ["chown"])
+    assert a & b == EventSet.of(["read"])
+    assert a ^ b == EventSet.of(["openat"], ["chown", "net_raw"])
+    assert a & b <= a and a <= a | b
+    assert not a <= b and not EventSet.of([], ["chown"]) <= EventSet.of(["chown"])
 
 
 def test_importing_events_loads_no_other_module_and_no_yaml():

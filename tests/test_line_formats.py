@@ -18,6 +18,7 @@ from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from leastpriv.cli import main
@@ -142,6 +143,32 @@ def test_catalog_lines(body):
     if catalog is not None:
         rows = [line for line in text.split("\n") if line.strip() and line.strip()[0] != "#"]
         assert catalog.names() == tuple(line.split("\t")[0].strip() for line in rows)
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["ingest", "empty", "--env-id", "e1", "--store", "new.obs"],
+     f"TraceFormatError: empty: empty input, expected {TRACE_HEADER!r}"),
+    (["synthesize", "empty", "cvedb", "--security-min", "0", "--functionality-min", "1"],
+     f"StoreFormatError: empty: empty input, expected {OBSERVATIONS_HEADER!r}"),
+    (["synthesize", "store", "empty", "--security-min", "0", "--functionality-min", "1"],
+     f"DbFormatError: empty: empty input, expected {CVEDB_HEADER!r}"),
+])
+def test_an_empty_file_is_one_error_line(tmp_path, monkeypatch, capsys, argv, error):
+    monkeypatch.chdir(tmp_path)
+    files = {"empty": "", "store": f"{OBSERVATIONS_HEADER}\nCONTAINER app\nENV e1\nSYS read 1\n",
+             "cvedb": f"{CVEDB_HEADER}\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert (main(argv), capsys.readouterr().err) == (1, f"error: {error}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+def test_an_empty_mutation_log_is_rejected(tmp_path):
+    empty = tmp_path / "empty.log"
+    empty.write_text("")
+    with pytest.raises(ExplorerError) as raised:
+        read_log(empty)
+    assert str(raised.value) == f"{empty}: empty input, expected {LOG_HEADER!r}"
 
 
 # Valid store blocks: (environment id, [(tag, name, count)]).  Ids come

@@ -78,6 +78,14 @@ class TestSyntaxParsing:
         (f"(0, {'9' * 4301})", "integer of 4301 digits is too long"),
         (f"(0, U{'1' * 4301})", "integer of 4301 digits is too long"),
         (f"<U{'1' * 4301}>", "integer of 4301 digits is too long"),
+        (f"(-{'9' * 5000}, 10)", "integer of 5000 digits is too long"),
+        # after "(" an integer starts a range body: "lo, hi)" or "lo, Uw)"
+        ("(5)", "expected ',' but found ')' in '(5)'"),
+        ("((5))", "expected ',' but found ')' in '((5))'"),
+        ('(5, "a")', """bad range bound '"a"' in '(5, "a")'"""),
+        ("(5, 6, 7)", "expected ')' but found ',' in '(5, 6, 7)'"),
+        ("(1, 4", "unexpected end of syntax in '(1, 4'"),
+        ("<Continuous_range>:(5)", "expected ',' but found ')' in '<Continuous_range>:(5)'"),
     ])
     def test_integer_syntax_errors(self, expression, message):
         with pytest.raises(CatalogError) as excinfo:
