@@ -36,6 +36,11 @@ MAX_DIGITS = 4300
 _LONG_NUMBER = re.compile(rf"[-+]?[0-9][0-9_:]{{{MAX_DIGITS},}}")
 
 
+def too_long(digits: str) -> str:
+    """The error for an integer of more than MAX_DIGITS digits: its length, not its digits."""
+    return f"integer of {len(digits)} digits is too long"
+
+
 def decode_lines(
     lines: Iterable[str],
     header: str,
@@ -98,7 +103,7 @@ def _excess(events) -> Optional[str]:
             height, size = named[anchor] = (tallest + 1, size)
         elif isinstance(event, yaml.ScalarEvent):
             if event.implicit[0] and _LONG_NUMBER.fullmatch(event.value):
-                return f"integer of {len(event.value)} digits is too long"
+                return too_long(event.value)
             height, size = named[event.anchor] = (0, 1)
         elif isinstance(event, yaml.AliasEvent):
             height, size = named.get(event.anchor, (0, 1))

@@ -300,15 +300,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_emit(args) -> int:
-    policy = load_policy(args.policy)
+    allowed = load_policy(args.policy).allowed
     if not args.seccomp and not args.caps:
         raise CliError("nothing to emit: pass --seccomp and/or --caps")
     # both artifacts are built before either is written
     outputs = []
     if args.seccomp:
-        outputs.append(("seccomp profile", args.seccomp, emit_seccomp_profile(policy)))
+        outputs.append(("seccomp profile", args.seccomp, emit_seccomp_profile(allowed)))
     if args.caps:
-        flags = emit_capability_flags(policy)
+        flags = emit_capability_flags(allowed)
         outputs.append(("capability flags", args.caps, "\n".join(flags) + "\n"))
     for label, path, text in outputs:
         with replacing(path) as handle:
@@ -318,9 +318,8 @@ def _cmd_emit(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    policy = load_policy(args.policy)
-    db = load_cvedb(args.cvedb)
-    rows = check_mitigation(policy, db)
+    allowed = load_policy(args.policy).allowed
+    rows = check_mitigation(allowed, load_cvedb(args.cvedb))
     print("cve_id\tcvss\tblocked\tmissing")
     for row in rows:
         missing = ",".join(name for _, name in row.missing)

@@ -31,16 +31,16 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Optional, Union
 
-from ._files import decode_lines, dump_yaml, load_yaml, replacing
+from ._files import MAX_DIGITS, decode_lines, dump_yaml, load_yaml, replacing, too_long
 from .events import (
     KIND_CAPABILITY,
     KIND_SYSCALL,
     EventSet,
+    Observation,
     canonical_capability,
     canonical_syscall,
     remember,
 )
-from .monitor import Observation
 
 __all__ = [
     "CVEDB_HEADER",
@@ -389,6 +389,8 @@ def load_store(path) -> ObservationStore:
         elif tag in ("SYS", "CAP"):
             if not current or len(parts) != 3:
                 raise StoreFormatError(f"stray or malformed {tag} line")
+            if len(parts[2]) > MAX_DIGITS:
+                raise StoreFormatError(f"bad count: {too_long(parts[2])}")
             try:
                 count = int(parts[2])
             except ValueError:
@@ -620,16 +622,12 @@ class MitigationRow:
     missing: tuple[tuple[str, str], ...]
 
 
-def check_mitigation(
-    policy: Union[Policy, EventSet],
-    database: CveDatabase,
-) -> tuple[MitigationRow, ...]:
+def check_mitigation(allowed: EventSet, database: CveDatabase) -> tuple[MitigationRow, ...]:
     """Per database entry: is at least one attack-vector event denied?
 
     A single missing event breaks the exploit chain, so a dropped
     capability blocks a CVE even when all its syscalls stay allowed.
     """
-    allowed = policy.allowed if isinstance(policy, Policy) else policy
     rows = []
     for entry in database.entries:
         missing = tuple(

@@ -4,15 +4,13 @@ The seccomp document follows the Docker/OCI profile shape with an
 errno-returning default action, so a denied syscall fails with
 "Operation not permitted" instead of killing the container.  Output is
 canonical (fixed key order, sorted names, two-space indent, LF, trailing
-newline): the same policy always renders to the same bytes.
+newline): the same allowed set always renders to the same bytes.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, Union
 
-from .decision import Policy
 from .events import CANONICAL_CAPABILITIES, EventSet
 
 __all__ = [
@@ -30,18 +28,10 @@ class EmitError(ValueError):
     pass
 
 
-def _allowed(policy: Union[Policy, EventSet]) -> EventSet:
-    return policy.allowed if isinstance(policy, Policy) else policy
-
-
-def emit_seccomp_profile(
-    policy: Union[Policy, EventSet],
-    architectures: Iterable[str] = DEFAULT_ARCHITECTURES,
-) -> str:
-    allowed = _allowed(policy)
+def emit_seccomp_profile(allowed: EventSet) -> str:
     doc = {
         "defaultAction": "SCMP_ACT_ERRNO",
-        "architectures": list(architectures),
+        "architectures": list(DEFAULT_ARCHITECTURES),
         "syscalls": [],
     }
     if allowed.syscalls:
@@ -79,9 +69,8 @@ def parse_seccomp_profile(text: str) -> frozenset[str]:
     return frozenset(names)
 
 
-def emit_capability_flags(policy: Union[Policy, EventSet]) -> list[str]:
+def emit_capability_flags(allowed: EventSet) -> list[str]:
     """--cap-drop=ALL plus one --cap-add per allowed capability, sorted."""
-    allowed = _allowed(policy)
     unknown = sorted(allowed.capabilities - CANONICAL_CAPABILITIES)
     if unknown:
         raise EmitError(

@@ -1,4 +1,4 @@
-"""Event identities shared by every stage of the pipeline.
+"""Event identities and observations, the only data the pipeline's stages share.
 
 Two kinds of security-relevant events exist: system calls and capability
 exercises.  Syscall names are lower-case; capability names are upper-case
@@ -20,6 +20,7 @@ __all__ = [
     "CANONICAL_CAPABILITIES",
     "EventNameError",
     "EventSet",
+    "Observation",
     "canonical_syscall",
     "canonical_capability",
     "MEMO_NAMES",
@@ -224,3 +225,23 @@ class EventSet:
         if kind == KIND_CAPABILITY:
             return name in self.capabilities
         raise EventNameError(f"unknown event kind {kind!r}")
+
+
+@dataclass(frozen=True)
+class Observation:
+    """One environment's recorded behavior: sorted (name, count) pairs per kind.
+
+    Trace replay labels one namespace's counts with it, and the
+    observation store adds its counts to that environment's.
+    """
+
+    environment_id: str
+    syscall_counts: tuple[tuple[str, int], ...] = ()
+    capability_counts: tuple[tuple[str, int], ...] = ()
+
+    @property
+    def events(self) -> EventSet:
+        return EventSet(
+            frozenset(name for name, _ in self.syscall_counts),
+            frozenset(name for name, _ in self.capability_counts),
+        )

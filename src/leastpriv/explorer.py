@@ -22,11 +22,12 @@ import subprocess
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
-from ._files import decode_lines, replacing
+from ._files import MAX_DIGITS, decode_lines, replacing, too_long
 from .environment import Environment, compose_environment, compose_pair
 from .events import EventSet
 from .monitor import ingest_trace, parse_trace
 from .options import OptionSpec, validate_value
+from .simharness import evaluate as evaluate_model
 
 __all__ = [
     "ExplorerError",
@@ -45,7 +46,6 @@ __all__ = [
     "LOG_HEADER",
     "write_log",
     "read_log",
-    "infer_combined_events",
     "InferenceReport",
     "validate_inference",
 ]
@@ -139,6 +139,8 @@ def parse_config_field(token: str) -> tuple[str, object]:
     if not sep or name not in _CONFIG_FIELDS:
         known = ", ".join(sorted(_CONFIG_FIELDS))
         raise ConfigError(f"bad config entry {token!r} (fields: {known})")
+    if name in _INTEGER_FIELDS and len(text) > MAX_DIGITS:
+        raise ConfigError(f"bad config value for {name}: {too_long(text)}")
     try:
         return name, int(text) if name in _INTEGER_FIELDS else float(text)
     except ValueError:
@@ -189,7 +191,6 @@ def model_probe(model, option_spec: Optional[OptionSpec] = None) -> EventProbe:
     environment as that option; without one, only value-free evaluation
     is allowed.
     """
-    from .simharness import evaluate as evaluate_model
 
     def evaluator(env: Environment, value: Optional[int]) -> EventSet:
         target = env
@@ -385,11 +386,6 @@ def read_log(path) -> tuple[MutationConfig, tuple[ProbeLogEntry, ...], tuple[str
 # -- pair inference ----------------------------------------------------------
 
 
-def infer_combined_events(first: EventSet, second: EventSet) -> EventSet:
-    """Estimate of a combined environment's events: the factor union."""
-    return first | second
-
-
 @dataclass(frozen=True)
 class InferenceReport:
     """Union heuristic vs. a real combined probe.
@@ -415,7 +411,7 @@ def validate_inference(
     env_1 = compose_pair(baseline, factor_1)
     env_2 = compose_pair(baseline, factor_2)
     combined_env = compose_pair(env_1, factor_2)
-    union = infer_combined_events(probe.evaluate(env_1), probe.evaluate(env_2))
+    union = probe.evaluate(env_1) | probe.evaluate(env_2)
     combined = probe.evaluate(combined_env)
     return InferenceReport(
         exact=combined == union,

@@ -37,11 +37,12 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from ._files import decode_lines
+from ._files import MAX_DIGITS, decode_lines, too_long
 from .events import (
     KIND_CAPABILITY,
     KIND_SYSCALL,
     EventSet,
+    Observation,
     canonical_capability,
     canonical_syscall,
     remember,
@@ -60,7 +61,6 @@ __all__ = [
     "format_trace",
     "replay_trace",
     "ingest_trace",
-    "Observation",
     "event_set_for",
 ]
 
@@ -106,6 +106,10 @@ def _decode_record(syscalls: dict[str, str], capabilities: dict[str, str], line:
     if len(parts) != 4:
         raise TraceFormatError(f"expected 4 fields, got {len(parts)}")
     ts_text, ns_text, kind, name = parts
+    if len(line) > MAX_DIGITS:  # no shorter line holds a too-long integer
+        for text in (ts_text, ns_text):
+            if len(text) > MAX_DIGITS:
+                raise TraceFormatError(too_long(text))
     try:
         timestamp = int(ts_text)
         namespace = int(ns_text)
@@ -202,22 +206,6 @@ def ingest_trace(records: Iterable[TraceRecord]) -> dict[int, EventSet]:
         ns: EventSet(state.syscalls, state.capabilities)
         for ns, state in replay_trace(records).items()
     }
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One environment's recorded behavior: sorted (name, count) pairs per kind."""
-
-    environment_id: str
-    syscall_counts: tuple[tuple[str, int], ...] = ()
-    capability_counts: tuple[tuple[str, int], ...] = ()
-
-    @property
-    def events(self) -> EventSet:
-        return EventSet(
-            frozenset(name for name, _ in self.syscall_counts),
-            frozenset(name for name, _ in self.capability_counts),
-        )
 
 
 def event_set_for(

@@ -35,7 +35,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterator, Optional
 
-from ._files import MAX_DIGITS
+from ._files import MAX_DIGITS, too_long
 
 __all__ = [
     "OptionError",
@@ -477,12 +477,8 @@ class _Parser:
 def _integer(text: str) -> int:
     digits = text.lstrip("-")
     if len(digits) > MAX_DIGITS:
-        raise CatalogError(_too_long(digits))
+        raise CatalogError(too_long(digits))
     return int(text)
-
-
-def _too_long(digits: str) -> str:
-    return f"integer of {len(digits)} digits is too long"
 
 
 def _unsigned_width(width: int) -> int:
@@ -542,12 +538,9 @@ class OptionValue:
 
 
 class OptionCatalog:
-    def __init__(self, specs: list[OptionSpec]):
-        self._specs: dict[str, OptionSpec] = {}
-        for spec in specs:
-            if spec.name in self._specs:
-                raise DuplicateOptionError(f"option {spec.name!r} declared twice")
-            self._specs[spec.name] = spec
+    def __init__(self, specs: dict[str, OptionSpec]):
+        """specs: name -> spec, as parse_catalog reads them, names unique."""
+        self._specs = specs
 
     def __getitem__(self, name: str) -> OptionSpec:
         try:
@@ -591,7 +584,7 @@ def parse_catalog(text: str, source: str = "<memory>") -> OptionCatalog:
         except CatalogError as exc:
             raise CatalogError(f"{source}:{lineno}: option {name!r}: {exc}") from None
         specs[name] = OptionSpec(name, category, syntax, expression)
-    return OptionCatalog(list(specs.values()))
+    return OptionCatalog(specs)
 
 
 def load_catalog(path) -> OptionCatalog:
@@ -636,7 +629,7 @@ def _validate_scalar(spec: OptionSpec, node: ValueSyntax, raw: str) -> tuple[str
 def _diagnose(spec: OptionSpec, node: ValueSyntax, raw: str) -> OptionError:
     prefix = f"option {spec.name!r}:"
     if digits := _TOO_LONG.search(raw):
-        return ValueRangeError(f"{prefix} {_too_long(digits.group())}")
+        return ValueRangeError(f"{prefix} {too_long(digits.group())}")
     for value, (lo, high) in _windowed_integers(node, raw):
         if not lo <= value <= high:
             return ValueRangeError(f"{prefix} {value} outside [{lo}, {high + 1})")

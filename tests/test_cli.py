@@ -673,6 +673,33 @@ class TestErrorReporting:
         assert err.startswith("error: ConfigError: ")
         assert err.count("\n") == 1
 
+    def test_a_config_integer_too_long_for_int_is_named_by_its_length(self, capsys):
+        assert main(["explore", "redis", "cpu-shares", "--config", "v_max=" + "9" * 5000]) == 1
+        assert capsys.readouterr().err == (
+            "error: ConfigError: bad config value for v_max: integer of 5000 digits is too long\n"
+        )
+
+    def test_a_store_count_too_long_for_int_is_named_by_its_length(self, tmp_path, capsys):
+        store = tmp_path / "s.obs"
+        store.write_text(f"beacon-observations v1\nCONTAINER app\nENV a\nSYS read {'9' * 5000}\n")
+        assert main(["synthesize", str(store), CVEDB, "--security-min", "0",
+                     "--functionality-min", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: StoreFormatError: {store}:4: bad count: integer of 5000 digits is too long\n"
+        )
+
+    @pytest.mark.parametrize("record", ["{n} 1 SYS read", "5 {n} SYS read"])
+    def test_a_trace_integer_too_long_for_int_is_named_by_its_length(self, tmp_path, capsys,
+                                                                     record):
+        trace, store = tmp_path / "t.trace", tmp_path / "s.obs"
+        record = record.format(n="9" * 5000)
+        trace.write_text(f"beacon-trace v1\n1 1 SYS unshare\n{record}\n")
+        assert main(["ingest", str(trace), "--env-id", "a", "--store", str(store)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: TraceFormatError: {trace}:3: integer of 5000 digits is too long\n"
+        )
+        assert not store.exists()
+
     def test_bad_targets_string(self, redis_store_path, capsys):
         code = main(["sweep", str(redis_store_path), CVEDB, "--targets", "nonsense"])
         assert code == 1

@@ -44,8 +44,7 @@ from leastpriv.decision import (
     sweep,
     synthesize_policy,
 )
-from leastpriv.events import EventSet
-from leastpriv.monitor import Observation
+from leastpriv.events import EventSet, Observation
 
 
 def store_of(container="app", **envs):
@@ -467,13 +466,6 @@ class TestMitigation:
         assert rows["CVE-1"].missing == (("CAP", "CAP_NET_RAW"),)
         assert not rows["CVE-2"].blocked
         assert rows["CVE-2"].missing == ()
-
-    def test_policy_object_accepted(self):
-        store = store_of(x1="read", x2="read,socket")
-        db = CveDatabase([CveEntry("CVE-1", 9.0, parse_event_list(["socket"]))])
-        policy = synthesize_policy(store, db, ScoreTargets(0.5, 0.5))
-        rows = check_mitigation(policy, db)
-        assert rows[0].blocked
 
     def test_rows_follow_database_order(self):
         db = CveDatabase([

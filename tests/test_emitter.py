@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from leastpriv.decision import CveDatabase, ScoreTargets, synthesize_policy
-from leastpriv.decision import ObservationStore, parse_event_list
+from leastpriv.decision import parse_event_list
 from leastpriv.emitter import (
     DEFAULT_ARCHITECTURES,
     EmitError,
@@ -46,10 +45,6 @@ class TestSeccompProfile:
         second = emit_seccomp_profile(events_of("read", "write"))
         assert first == second
 
-    def test_custom_architectures(self):
-        text = emit_seccomp_profile(events_of("read"), architectures=("SCMP_ARCH_AARCH64",))
-        assert json.loads(text)["architectures"] == ["SCMP_ARCH_AARCH64"]
-
     def test_round_trip(self):
         events = events_of("read", "close", "mmap")
         assert parse_seccomp_profile(emit_seccomp_profile(events)) == frozenset(events.syscalls)
@@ -85,12 +80,3 @@ class TestCapabilityFlags:
     def test_unknown_capability_rejected(self):
         with pytest.raises(EmitError):
             emit_capability_flags(events_of("CAP_FUTURE_THING"))
-
-    def test_policy_object_accepted(self):
-        store = ObservationStore("app")
-        store.record("x1", events_of("read", "CAP_NET_BIND_SERVICE"))
-        policy = synthesize_policy(store, CveDatabase([]), ScoreTargets(0.0, 1.0))
-        flags = emit_capability_flags(policy)
-        assert "--cap-add=NET_BIND_SERVICE" in flags
-        profile = parse_seccomp_profile(emit_seccomp_profile(policy))
-        assert profile == frozenset({"read"})

@@ -41,13 +41,22 @@ def test_set_operators_work_per_kind():
 
 def test_importing_events_loads_no_other_module_and_no_yaml():
     """The package re-exports nothing, so a module loads only what it imports."""
-    snippet = (
-        "import sys\n"
-        "import leastpriv.events\n"
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('leastpriv', 'yaml')))\n"
-    )
     src = str(Path(leastpriv.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", snippet], env={**os.environ, "PYTHONPATH": path},
-                         capture_output=True, text=True, check=True)
-    assert run.stdout == "['leastpriv', 'leastpriv.events']\n"
+
+    def loaded(module):
+        snippet = (
+            f"import sys\nimport {module}\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('leastpriv', 'yaml')))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": path}
+        run = subprocess.run([sys.executable, "-c", snippet], env=env,
+                             capture_output=True, text=True, check=True)
+        return run.stdout
+
+    assert loaded("leastpriv.events") == "['leastpriv', 'leastpriv.events']\n"
+    # stages meet only at the event model
+    assert loaded("leastpriv.emitter") == "['leastpriv', 'leastpriv.emitter', 'leastpriv.events']\n"
+    decision = loaded("leastpriv.decision")
+    assert "'leastpriv.decision'" in decision
+    assert "'leastpriv.monitor'" not in decision and "'leastpriv.emitter'" not in decision

@@ -10,6 +10,7 @@ from leastpriv.explorer import (
     ConfigError,
     EventProbe,
     ExplorationError,
+    ExplorerError,
     LOG_HEADER,
     MutationConfig,
     ProbeError,
@@ -302,6 +303,17 @@ class TestLogFiles:
         path.write_text(LOG_HEADER + "\n0 1 2.0 3\n")
         with pytest.raises(Exception, match="config"):
             read_log(path)
+
+    def test_a_config_integer_too_long_for_int_is_named_by_its_length(self, tmp_path):
+        config = MutationConfig(0, 100)
+        path = tmp_path / "run.log"
+        write_log(config, mutate_option_values(BASE, config, piecewise_probe()), path)
+        path.write_text(path.read_text().replace("v_max=100", "v_max=" + "9" * 5000))
+        with pytest.raises(ExplorerError) as raised:
+            read_log(path)
+        assert str(raised.value) == (
+            f"{path}:2: bad config value for v_max: integer of 5000 digits is too long"
+        )
 
     def test_malformed_record_rejected(self, tmp_path):
         config = MutationConfig(0, 100)

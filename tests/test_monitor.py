@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from leastpriv import monitor
-from leastpriv._files import decode_lines
+from leastpriv._files import MAX_DIGITS, decode_lines
 from leastpriv.events import (
     KIND_CAPABILITY,
     KIND_SYSCALL,
@@ -310,6 +310,9 @@ def _reference_decode(line):
     if len(parts) != 4:
         raise TraceFormatError(f"expected 4 fields, got {len(parts)}")
     ts_text, ns_text, kind, name = parts
+    for text in (ts_text, ns_text):
+        if len(text) > MAX_DIGITS:
+            raise TraceFormatError(f"integer of {len(text)} digits is too long")
     try:
         timestamp = int(ts_text)
         namespace = int(ns_text)
