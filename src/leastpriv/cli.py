@@ -333,85 +333,104 @@ def _cmd_check(args) -> int:
 # -- argument wiring ---------------------------------------------------------
 
 
-def _build_parser() -> _Parser:
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    return flags, options
+
+
+_STORE = _arg("store", help="observation store file")
+_CVEDB = _arg("cvedb", help="CVE database file")
+_POLICY = _arg("policy", help="policy file")
+_CATALOG = _arg("--catalog", help="option catalog file (default: shipped)")
+_FORMAT = _arg("--format", choices=("human", "tsv"), default="human")
+
+# name -> (help, handler, arguments), in the order top-level help lists them
+_COMMANDS = {
+    "ingest": ("replay a trace into an observation store", _cmd_ingest, (
+        _arg("trace", help="beacon-trace v1 file"),
+        _arg("--env-id", required=True, help="environment id to record under"),
+        _arg("--store", required=True, help="observation store file (created or appended)"),
+        _arg("--namespace", type=int, help="namespace id (default: the only tracked one)"),
+        _arg("--container", help="container name for a new store"),
+    )),
+    "plan": ("plan single-factor environments and inferred pairs", _cmd_plan, (
+        _arg("catalog", help="option catalog file, or `default`"),
+        _arg("factors", nargs="*", help="factor specs: name, name=value, or W1..W8"),
+        _arg("--out", required=True, help="plan file to write"),
+    )),
+    "explore": ("mutate one integer option and collect events", _cmd_explore, (
+        _arg("model", help="fixture name, model file, or `cmd:<probe command>`"),
+        _arg("option", help="catalog option to mutate"),
+        _CATALOG,
+        _arg("--seed", type=int, default=0),
+        _arg("--config", action="append", default=[], metavar="K=V",
+             help="mutation config override, repeatable"),
+        _arg("--log", help="write the exploration log here"),
+        _FORMAT,
+    )),
+    "validate-inference": (
+        "check pair union inference against a model", _cmd_validate_inference, (
+            _arg("model", help="fixture name or model file"),
+            _arg("plan", help="plan file"),
+            _CATALOG,
+            _FORMAT,
+        )),
+    "score": ("score an event list against a store and database", _cmd_score, (
+        _STORE,
+        _CVEDB,
+        _arg("--policy", required=True, help="comma-separated allowed events"),
+        _FORMAT,
+    )),
+    "synthesize": ("synthesize a policy meeting both targets", _cmd_synthesize, (
+        _STORE,
+        _CVEDB,
+        _arg("--security-min", type=float, required=True),
+        _arg("--functionality-min", type=float, required=True),
+        _arg("--out", help="policy file to write"),
+        _FORMAT,
+    )),
+    "sweep": ("synthesize across several target pairs", _cmd_sweep, (
+        _STORE,
+        _CVEDB,
+        _arg("--targets", required=True, help="comma-separated security:functionality pairs"),
+    )),
+    "emit": ("render a policy into deployable artifacts", _cmd_emit, (
+        _POLICY,
+        _arg("--seccomp", help="seccomp profile JSON output path"),
+        _arg("--caps", help="capability flag list output path"),
+    )),
+    "check": ("report which database CVEs a policy blocks", _cmd_check, (
+        _POLICY,
+        _CVEDB,
+        _FORMAT,
+    )),
+}
+
+
+def _build_parser(argv: list[str]) -> _Parser:
+    """The parser for argv: only its subcommand when argv[0] names one.
+
+    argparse builds a help formatter for each argument it registers, so
+    registering all nine subcommands cost a third of a small ingest.
+    Any other argv (none, -h, an unknown word, a leading option) gets
+    every subcommand, so top-level help and errors list them all.
+    """
     parser = _Parser(
         prog="leastpriv",
         description="Generate least-privilege container policies from event traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="replay a trace into an observation store")
-    p.add_argument("trace", help="beacon-trace v1 file")
-    p.add_argument("--env-id", required=True, help="environment id to record under")
-    p.add_argument("--store", required=True, help="observation store file (created or appended)")
-    p.add_argument("--namespace", type=int, help="namespace id (default: the only tracked one)")
-    p.add_argument("--container", help="container name for a new store")
-    p.set_defaults(func=_cmd_ingest)
-
-    p = sub.add_parser("plan", help="plan single-factor environments and inferred pairs")
-    p.add_argument("catalog", help="option catalog file, or `default`")
-    p.add_argument("factors", nargs="*", help="factor specs: name, name=value, or W1..W8")
-    p.add_argument("--out", required=True, help="plan file to write")
-    p.set_defaults(func=_cmd_plan)
-
-    p = sub.add_parser("explore", help="mutate one integer option and collect events")
-    p.add_argument("model", help="fixture name, model file, or `cmd:<probe command>`")
-    p.add_argument("option", help="catalog option to mutate")
-    p.add_argument("--catalog", help="option catalog file (default: shipped)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", action="append", default=[], metavar="K=V",
-                   help="mutation config override, repeatable")
-    p.add_argument("--log", help="write the exploration log here")
-    p.add_argument("--format", choices=("human", "tsv"), default="human")
-    p.set_defaults(func=_cmd_explore)
-
-    p = sub.add_parser("validate-inference", help="check pair union inference against a model")
-    p.add_argument("model", help="fixture name or model file")
-    p.add_argument("plan", help="plan file")
-    p.add_argument("--catalog", help="option catalog file (default: shipped)")
-    p.add_argument("--format", choices=("human", "tsv"), default="human")
-    p.set_defaults(func=_cmd_validate_inference)
-
-    p = sub.add_parser("score", help="score an event list against a store and database")
-    p.add_argument("store", help="observation store file")
-    p.add_argument("cvedb", help="CVE database file")
-    p.add_argument("--policy", required=True, help="comma-separated allowed events")
-    p.add_argument("--format", choices=("human", "tsv"), default="human")
-    p.set_defaults(func=_cmd_score)
-
-    p = sub.add_parser("synthesize", help="synthesize a policy meeting both targets")
-    p.add_argument("store", help="observation store file")
-    p.add_argument("cvedb", help="CVE database file")
-    p.add_argument("--security-min", type=float, required=True)
-    p.add_argument("--functionality-min", type=float, required=True)
-    p.add_argument("--out", help="policy file to write")
-    p.add_argument("--format", choices=("human", "tsv"), default="human")
-    p.set_defaults(func=_cmd_synthesize)
-
-    p = sub.add_parser("sweep", help="synthesize across several target pairs")
-    p.add_argument("store", help="observation store file")
-    p.add_argument("cvedb", help="CVE database file")
-    p.add_argument("--targets", required=True,
-                   help="comma-separated security:functionality pairs")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("emit", help="render a policy into deployable artifacts")
-    p.add_argument("policy", help="policy file")
-    p.add_argument("--seccomp", help="seccomp profile JSON output path")
-    p.add_argument("--caps", help="capability flag list output path")
-    p.set_defaults(func=_cmd_emit)
-
-    p = sub.add_parser("check", help="report which database CVEs a policy blocks")
-    p.add_argument("policy", help="policy file")
-    p.add_argument("cvedb", help="CVE database file")
-    p.add_argument("--format", choices=("human", "tsv"), default="human")
-    p.set_defaults(func=_cmd_check)
-
+    for name in argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS:
+        help_text, handler, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

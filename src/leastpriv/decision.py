@@ -297,20 +297,24 @@ def save_store(store: ObservationStore, path) -> None:
 # load_store splits on; other characters are canonicalised when loaded.
 # Each _OFF_ pattern finds the first line outside the form.  A flat
 # lookahead keeps sre's stack constant; a repeat over the whole store
-# would grow it by every line it matched.
+# would grow it by every line it matched.  The body patterns start with
+# the newline before each line, not ^ under re.M: sre then jumps from
+# newline to newline instead of trying every character of the store.
 _COUNT = r"(?:0|[1-9][0-9]{0,17})"
 _OFF_PREAMBLE = re.compile(r"^(?!(?:#[^\r\n]*|[ \t]*)\n|\Z)", re.M)
 _OFF_BODY = re.compile(
-    rf"^(?!ENV \S+\n|SYS [^\sA-Z]+ {_COUNT}\n|CAP CAP_[^\sa-z]+ {_COUNT}\n|\Z)", re.M
+    rf"\n(?!ENV \S+\n|SYS [^\sA-Z]+ {_COUNT}\n|CAP CAP_[^\sa-z]+ {_COUNT}\n|\Z)"
 )
 _CONTAINER_LINE = re.compile(r"CONTAINER (\S+)\n")
-_ENV_ID = re.compile(r"^ENV (\S+)", re.M)
+_ENV_ID = re.compile(r"\nENV (\S+)")
 
 
-def _read_written(path) -> Optional[tuple[str, str]]:
-    """(container, ENV blocks) of a store in the written form, else None.
+def _read_written(path) -> Optional[tuple[str, str, int]]:
+    """(container, text, end) of a store in the written form, else None.
 
-    load_store reads such a store to exactly the counts of its blocks.
+    text[end:] is its ENV blocks, and text[end - 1] the newline that ends
+    its CONTAINER line.  load_store reads such a store to exactly the
+    counts of its blocks.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -324,10 +328,10 @@ def _read_written(path) -> Optional[tuple[str, str]]:
     line = _CONTAINER_LINE.match(text, at)
     if line is None or _OFF_PREAMBLE.search(text, start, at):
         return None
-    body = text[line.end():]
-    if not body.startswith("ENV ") or _OFF_BODY.search(body):
+    end = line.end()
+    if not text.startswith("ENV ", end) or _OFF_BODY.search(text, end - 1):
         return None
-    return line[1], body
+    return line[1], text, end
 
 
 def append_observation(path, observation: Observation, container: Optional[str] = None) -> int:
@@ -354,16 +358,16 @@ def append_observation(path, observation: Observation, container: Optional[str] 
         store.record_observation(observation)
         save_store(store, path)
         return len(store)
-    body = found[1]
+    _, text, end = found
     environment_id = observation.environment_id
     _check_name("environment id", environment_id)
     block = _block_text(
         environment_id, dict(observation.syscall_counts), dict(observation.capability_counts)
     )
     with replacing(path) as handle:
-        handle.write(_store_text(name, body))
+        handle.write(_store_text(name, text[end:]))
         handle.write(block)
-    return len(set(_ENV_ID.findall(body)) | {environment_id})
+    return len(set(_ENV_ID.findall(text, end - 1)) | {environment_id})
 
 
 def load_store(path) -> ObservationStore:

@@ -371,10 +371,17 @@ def read_log(path) -> tuple[MutationConfig, tuple[ProbeLogEntry, ...], tuple[str
         parts = line.split()
         if len(parts) != 4:
             raise ExplorerError("expected `it v step new_events`")
+        for text in (parts[0], parts[1], parts[3]):
+            if len(text) > MAX_DIGITS:
+                raise ExplorerError(f"bad record: {too_long(text)}")
         try:
-            return ProbeLogEntry(int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3]))
+            entry = ProbeLogEntry(int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3]))
         except ValueError:
-            raise ExplorerError(f"malformed record {line!r}") from None
+            raise ExplorerError("bad record: it, v and new_events must be integers, "
+                                "step a number") from None
+        if not math.isfinite(entry.step):
+            raise ExplorerError(f"bad record: step {entry.step!r} is not finite")
+        return entry
 
     with open(path, "r", encoding="utf-8") as handle:
         entries = tuple(decode_lines(handle, LOG_HEADER, str(path), ExplorerError, decode))

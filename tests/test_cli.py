@@ -1,6 +1,8 @@
 """Command line behaviors, end to end through main(argv)."""
 
 import contextlib
+import io
+import sys
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -791,3 +793,52 @@ class TestIngestAppends:
         assert loaded.environments() == ("café", *sorted(f"ünï-{i}" for i in range(20)))
         assert loaded.counts_for("ünï-3") == (Counter({"réad": 3, "write": 3}),
                                               Counter({"CAP_ÇHOWN": 3}))
+
+
+class TestParserPerSubcommand:
+    """A call builds only its own subcommand's parser, with the full parser's bytes."""
+
+    COMMANDS = ("ingest", "plan", "explore", "validate-inference", "score", "synthesize",
+                "sweep", "emit", "check")
+    ARGVS = [
+        *([command, "-h"] for command in COMMANDS),
+        *([command] for command in COMMANDS),
+        [], ["-h"], ["--help"], ["bogus"], ["-x", "ingest"], ["--", "ingest"],
+        ["Ingest", "t.trace"], ["ingest", "--bogus"], ["ingest", "t.trace", "--env-id"],
+        ["explore", "redis", "cpu-shares", "--seed", "x"], ["check", "p.policy", "c", "--format", "x"],
+    ]
+
+    @staticmethod
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = ("SystemExit", exc.code)
+        return status, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_output_matches_the_full_parser(self, argv, monkeypatch):
+        got = self.run(list(argv))
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda _argv: build([]))
+        assert got == self.run(list(argv))
+
+    def test_main_reads_sys_argv_when_given_none(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["leastpriv", "check", "-h"])
+        assert self.run(None) == self.run(["check", "-h"])
+        monkeypatch.setattr(sys, "argv", ["leastpriv", "check", "missing.policy", "c"])
+        status, out, err = self.run(None)
+        assert (status, out) == (1, "")
+        assert err.startswith("error: FileNotFoundError: ")
+
+    def test_a_named_subcommand_gets_only_its_own_parser(self):
+        for command in self.COMMANDS:
+            usage = cli._build_parser([command, "x"]).format_usage()
+            assert usage == f"usage: leastpriv [-h] {{{command}}} ...\n"
+
+    def test_top_level_help_lists_every_command(self):
+        status, out, _ = self.run(["-h"])
+        assert status == ("SystemExit", 0)
+        assert "{" + ",".join(self.COMMANDS) + "}" in out

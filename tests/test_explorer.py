@@ -10,6 +10,7 @@ from leastpriv.explorer import (
     ConfigError,
     EventProbe,
     ExplorationError,
+    ExplorationResult,
     ExplorerError,
     LOG_HEADER,
     MutationConfig,
@@ -314,6 +315,24 @@ class TestLogFiles:
         assert str(raised.value) == (
             f"{path}:2: bad config value for v_max: integer of 5000 digits is too long"
         )
+
+    @pytest.mark.parametrize("record,error", [
+        (f"0 {'9' * 5000} 1.0 3", "integer of 5000 digits is too long"),
+        (f"{'9' * 5000} 0 1.0 -{'9' * 4301}", "integer of 5000 digits is too long"),
+        ("0 x5 1.0 3", "it, v and new_events must be integers, step a number"),
+        ("0 5 1.0x 3", "it, v and new_events must be integers, step a number"),
+        ("0 5 nan 3", "step nan is not finite"),
+        ("0 5 -Infinity 3", "step -inf is not finite"),
+        (f"0 5 1{'0' * 400} 3", "step inf is not finite"),
+    ], ids=["long v", "long it and new_events", "bad v", "bad step", "nan", "-inf", "overflow"])
+    def test_a_bad_record_is_named_without_echoing_it(self, tmp_path, record, error):
+        path = tmp_path / "run.log"
+        write_log(MutationConfig(0, 100), ExplorationResult(EventSet(), (), (), 0), path)
+        with path.open("a") as handle:
+            handle.write(record + "\n")
+        with pytest.raises(ExplorerError) as raised:
+            read_log(path)
+        assert str(raised.value) == f"{path}:3: bad record: {error}"
 
     def test_malformed_record_rejected(self, tmp_path):
         config = MutationConfig(0, 100)

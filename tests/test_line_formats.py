@@ -8,6 +8,8 @@ ValueError from deeper down.  A valid store survives save and load with
 its counts, and its events are exactly the names it counts.  Ingesting
 into any store either fails with load_store's error and leaves the file
 alone, or leaves a store that loads to the old counts plus the trace's.
+Its check of a store's form, and its count of the store's ids, agree with
+the ^-anchored scans they replaced.
 """
 
 import io
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from leastpriv import decision
 from leastpriv.cli import main
 from leastpriv.decision import (
     CVEDB_HEADER,
@@ -291,31 +294,85 @@ def _counts(store):
 _H = OBSERVATIONS_HEADER
 
 
+# Stores in and just outside the written form, each with the id ingested into it.
+_STORE_EXAMPLES = [
+    (f"{_H}\n# salt 1\nCONTAINER app\nENV x1\nSYS read 1\n", "x1"),
+    (f"{_H}\nCONTAINER app\n# note\nENV x1\nSYS read 1\n", "new"),
+    (f"{_H}\r\nCONTAINER app\r\nENV x1\r\nSYS read 1\r\n", "x1"),
+    (f"{_H}\nCONTAINER app\nENV é\nSYS read 1\n", "é"),
+    (f"{_H}\nCONTAINER app\nENV x1\nSYS read 1", "new"),
+    (f"{_H}\nCONTAINER app\nENV x1\nSYS read 1\nENV x2\nENV x1\nCAP CAP_CHOWN 2\n", "x1"),
+    (f"{_H}\nCONTAINER app\n", "x1"),
+    (f"{_H}\nCONTAINER app\nENV x1\nSYS read 007\n", "x1"),
+    (f"{_H}\nCONTAINER app\nENV x1\nSYS read {'9' * 5000}\n", "x1"),
+    (f"{_H}\nCONTAINER app\nENV x1\nCAP cap_ 1\n", "x1"),
+    (f"{_H}\nCONTAINER app\nENV x1\nSYS read -1\n", "x1"),
+    (f"{_H}\n# a\rENV x\nCONTAINER app\nENV x1\n", "x1"),
+    (f"{_H}\nCONTAINER app\nCONTAINER app\nENV x1\n", "x1"),
+    (f"{_H}\nSYS read 1\nCONTAINER app\nENV x1\n", "x1"),
+    (f"{_H}\nCONTAINER app\nENV café\nSYS rÉad 1\nCAP CAP_çHOWN 2\n", "café"),
+    (f"{_H}\nCONTAINER app\nENV x1\nSYS READ 1\n", "x1"),
+    (f"{_H}\nCONTAINER app\nENV x1\nCAP CAP_Chown 1\n", "x1"),
+    (f"{_H}\nCONTAINER app\nENV caf\u00a0é\nSYS read 1\n", "x1"),
+    (f"{_H}\nCONTAINER app\nENV x1\nSYS ré\u2028ad 1\n", "x1"),
+    (f"{_H}\nCONTAINER app\nENV x1\nCAP CAP_Ç\x1cHOWN 1\n", "x1"),
+    (f"{_H}\nCONTAINER á\x1cpp\nENV x1\n", "x1"),
+    (f"{_H}\nCONTAINER app\nENV fooENV\nCAP CAP_FOOENV 1\nENV x1ENV\nENV fooENV\n", "x1"),
+]
+
+
+def store_examples(test):
+    for text, environment_id in _STORE_EXAMPLES:
+        test = example(text=text, environment_id=environment_id)(test)
+    return test
+
+
+# The ^-anchored body scans that ingest ran before they jumped from newline
+# to newline, and the check around them: the reference for which stores
+# count as written, and for how many distinct ids such a store holds.
+_COUNT = r"(?:0|[1-9][0-9]{0,17})"
+_REFERENCE_OFF_BODY = re.compile(
+    rf"^(?!ENV \S+\n|SYS [^\sA-Z]+ {_COUNT}\n|CAP CAP_[^\sa-z]+ {_COUNT}\n|\Z)", re.M
+)
+_REFERENCE_ENV_ID = re.compile(r"^ENV (\S+)", re.M)
+
+
+def _reference_read_written(text):
+    start = len(OBSERVATIONS_HEADER) + 1
+    at = text.find("\nCONTAINER ", start - 1) + 1
+    if not text.startswith(OBSERVATIONS_HEADER + "\n") or not at:
+        return None
+    line = decision._CONTAINER_LINE.match(text, at)
+    if line is None or decision._OFF_PREAMBLE.search(text, start, at):
+        return None
+    body = text[line.end():]
+    if not body.startswith("ENV ") or _REFERENCE_OFF_BODY.search(body):
+        return None
+    return line[1], body
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=store_texts, environment_id=st.sampled_from(("x1", "new", "é")))
-@example(text=f"{_H}\n# salt 1\nCONTAINER app\nENV x1\nSYS read 1\n", environment_id="x1")
-@example(text=f"{_H}\nCONTAINER app\n# note\nENV x1\nSYS read 1\n", environment_id="new")
-@example(text=f"{_H}\r\nCONTAINER app\r\nENV x1\r\nSYS read 1\r\n", environment_id="x1")
-@example(text=f"{_H}\nCONTAINER app\nENV é\nSYS read 1\n", environment_id="é")
-@example(text=f"{_H}\nCONTAINER app\nENV x1\nSYS read 1", environment_id="new")
-@example(text=f"{_H}\nCONTAINER app\nENV x1\nSYS read 1\nENV x2\nENV x1\nCAP CAP_CHOWN 2\n",
-         environment_id="x1")
-@example(text=f"{_H}\nCONTAINER app\n", environment_id="x1")
-@example(text=f"{_H}\nCONTAINER app\nENV x1\nSYS read 007\n", environment_id="x1")
-@example(text=f"{_H}\nCONTAINER app\nENV x1\nSYS read {'9' * 5000}\n", environment_id="x1")
-@example(text=f"{_H}\nCONTAINER app\nENV x1\nCAP cap_ 1\n", environment_id="x1")
-@example(text=f"{_H}\nCONTAINER app\nENV x1\nSYS read -1\n", environment_id="x1")
-@example(text=f"{_H}\n# a\rENV x\nCONTAINER app\nENV x1\n", environment_id="x1")
-@example(text=f"{_H}\nCONTAINER app\nCONTAINER app\nENV x1\n", environment_id="x1")
-@example(text=f"{_H}\nSYS read 1\nCONTAINER app\nENV x1\n", environment_id="x1")
-@example(text=f"{_H}\nCONTAINER app\nENV café\nSYS rÉad 1\nCAP CAP_çHOWN 2\n",
-         environment_id="café")
-@example(text=f"{_H}\nCONTAINER app\nENV x1\nSYS READ 1\n", environment_id="x1")
-@example(text=f"{_H}\nCONTAINER app\nENV x1\nCAP CAP_Chown 1\n", environment_id="x1")
-@example(text=f"{_H}\nCONTAINER app\nENV caf\u00a0é\nSYS read 1\n", environment_id="x1")
-@example(text=f"{_H}\nCONTAINER app\nENV x1\nSYS ré\u2028ad 1\n", environment_id="x1")
-@example(text=f"{_H}\nCONTAINER app\nENV x1\nCAP CAP_Ç\x1cHOWN 1\n", environment_id="x1")
-@example(text=f"{_H}\nCONTAINER á\x1cpp\nENV x1\n", environment_id="x1")
+@store_examples
+def test_store_scans_match_the_anchored_scans(text, environment_id):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "s.obs")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        found = _read_written(path)
+    expected = _reference_read_written(text)
+    assert (found is None) == (expected is None)
+    if found is None:
+        return
+    container, found_text, end = found
+    assert (container, found_text[end:]) == expected
+    ids = set(decision._ENV_ID.findall(found_text, end - 1)) | {environment_id}
+    assert len(ids) == len(set(_REFERENCE_ENV_ID.findall(expected[1])) | {environment_id})
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=store_texts, environment_id=st.sampled_from(("x1", "new", "é")))
+@store_examples
 def test_ingest_appends_or_fails_like_load_store(text, environment_id):
     """ingest into any store: load_store's error line with the file untouched,
     or a store that loads to the old counts plus the trace's.  A store not
