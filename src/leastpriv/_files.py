@@ -1,9 +1,12 @@
 """Every file the tool reads or writes goes through this module.
 
 The line formats (traces, CVE databases, observation stores, mutation logs)
-share the lazy `decode_lines`; plans, models and policies are YAML read by
-`load_yaml` and written by `dump_yaml`; every output file is written
-through `replacing`, so a failed write leaves the old file as it was.
+share the lazy `decode_lines`, or only its header check `read_header`
+where a trace file is replayed in one loop, and their errors quote input
+values through `quoted`, which names a long one by its length.  Plans,
+models and policies are YAML read by `load_yaml` and written by
+`dump_yaml`; every output file is written through `replacing`, so a
+failed write leaves the old file as it was.
 """
 
 from __future__ import annotations
@@ -41,6 +44,28 @@ def too_long(digits: str) -> str:
     return f"integer of {len(digits)} digits is too long"
 
 
+# A value an error message quotes is shown by its length past this many
+# characters, so an error stays one short line whatever the input holds.
+MAX_QUOTED = 40
+
+
+def quoted(value: str) -> str:
+    """repr(value) for an error message, or its length when it is longer than MAX_QUOTED."""
+    if len(value) > MAX_QUOTED:
+        return f"of {len(value)} characters"
+    return repr(value)
+
+
+def read_header(lines: Iterator[str], header: str, source: str, error: type[ValueError]) -> None:
+    """Take the first of lines and check it: a missing or wrong header raises `error`."""
+    first = next(lines, None)
+    if first is None:
+        raise error(f"{source}: empty input, expected {header!r}")
+    first = first.rstrip("\n")
+    if first != header:
+        raise error(f"{source}: bad header {quoted(first)}, expected {header!r}")
+
+
 def decode_lines(
     lines: Iterable[str],
     header: str,
@@ -58,12 +83,7 @@ def decode_lines(
     or `source:lineno:` prefix.
     """
     iterator = iter(lines)
-    first = next(iterator, None)
-    if first is None:
-        raise error(f"{source}: empty input, expected {header!r}")
-    first = first.rstrip("\n")
-    if first != header:
-        raise error(f"{source}: bad header {first!r}, expected {header!r}")
+    read_header(iterator, header, source, error)
     for lineno, raw in enumerate(iterator, start=2):
         line = raw.rstrip("\n")
         if not line or line.isspace():

@@ -51,7 +51,7 @@ from .explorer import (
     validate_inference,
     write_log,
 )
-from .monitor import event_set_for, read_trace, replay_trace
+from .monitor import event_set_for, replay_file
 from .options import default_catalog, integer_bounds, load_catalog, validate_value
 from .simharness import FIXTURE_NAMES, load_fixture, load_model
 
@@ -119,7 +119,7 @@ def _event_rows(events: EventSet) -> list[str]:
 
 def _cmd_ingest(args) -> int:
     """Replay a trace and append its environment's block to the store."""
-    states = replay_trace(read_trace(args.trace))
+    states = replay_file(args.trace)
     observation = event_set_for(args.env_id, states, args.namespace)
     namespace = args.namespace if args.namespace is not None else next(iter(states))
     try:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Optional, Union
 
-from ._files import MAX_DIGITS, decode_lines, dump_yaml, load_yaml, replacing, too_long
+from ._files import MAX_DIGITS, decode_lines, dump_yaml, load_yaml, quoted, replacing, too_long
 from .events import (
     KIND_CAPABILITY,
     KIND_SYSCALL,
@@ -170,9 +170,9 @@ def _decode_cve(line: str) -> Optional[CveEntry]:
     try:
         cvss = float(cvss_text)
     except ValueError:
-        raise DbFormatError(f"bad CVSS value {cvss_text!r}") from None
+        raise DbFormatError(f"bad CVSS value {quoted(cvss_text)}") from None
     if not math.isfinite(cvss):
-        raise DbFormatError(f"bad CVSS value {cvss_text!r}")
+        raise DbFormatError(f"bad CVSS value {quoted(cvss_text)}")
     names = [piece.strip() for piece in events_text.split(",") if piece.strip()]
     if not names:
         raise DbFormatError(f"{cve_id}: empty attack vector")
@@ -407,7 +407,7 @@ def load_store(path) -> ObservationStore:
             )
             counts[name] = counts.get(name, 0) + count
         else:
-            raise StoreFormatError(f"unknown tag {tag!r}")
+            raise StoreFormatError(f"unknown tag {quoted(tag)}")
 
     with open(path, "r", encoding="utf-8") as handle:
         for _ in decode_lines(handle, OBSERVATIONS_HEADER, str(path), StoreFormatError, decode):

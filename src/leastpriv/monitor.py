@@ -20,14 +20,15 @@ unshare inside a tracked namespace does not reset the entry.  An entry
 keeps one occurrence count per recorded event; its event sets are the
 names it counted.
 
-`read_trace` decodes each line into a plain (timestamp, namespace, kind,
-name) row as it is read, canonicalising each distinct name once per read
-through a bounded memo (`events.remember`).  `replay_trace` runs the
-state machine inline over such rows or over TraceRecords, which are the
-same tuples with field names.  So `replay_trace(read_trace(path))`
-replays a trace as it is read, never holding it whole, and the first
-fault in file order, a bad line or a backwards timestamp, is the one
-raised.
+`replay_file` replays a trace file in one loop as it reads it: each line
+is checked and decoded, each distinct name canonicalised once per read
+through a bounded memo per kind (`events.remember`), and the state
+machine stepped, so the trace is never held whole and the first fault in
+file order, a bad line or a backwards timestamp, is the one raised.
+`parse_trace` decodes lines into TraceRecords with the same checks, and
+`replay_trace` runs the same state machine over records, so
+`replay_trace(parse_trace(lines))` gives what `replay_file` gives for a
+file of those lines.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from ._files import MAX_DIGITS, decode_lines, too_long
+from ._files import MAX_DIGITS, decode_lines, quoted, read_header, too_long
 from .events import (
     KIND_CAPABILITY,
     KIND_SYSCALL,
@@ -57,9 +58,9 @@ __all__ = [
     "UnknownNamespaceError",
     "NamespaceState",
     "parse_trace",
-    "read_trace",
     "format_trace",
     "replay_trace",
+    "replay_file",
     "ingest_trace",
     "event_set_for",
 ]
@@ -97,7 +98,7 @@ class TraceRecord(NamedTuple):
     name: str
 
 
-_Row = tuple[int, int, str, str]  # a TraceRecord's fields, as read_trace yields them
+_Row = tuple[int, int, str, str]  # a TraceRecord's fields as a plain tuple
 
 
 def _decode_record(syscalls: dict[str, str], capabilities: dict[str, str], line: str) -> _Row:
@@ -124,24 +125,14 @@ def _decode_record(syscalls: dict[str, str], capabilities: dict[str, str], line:
     elif kind == KIND_CAPABILITY:
         name = capabilities.get(name) or remember(capabilities, canonical_capability, name)
     else:
-        raise TraceFormatError(f"unknown kind {kind!r}")
+        raise TraceFormatError(f"unknown kind {quoted(kind)}")
     return timestamp, namespace, kind, name
 
 
-def _rows(lines: Iterable[str], source: str) -> Iterator[_Row]:
-    """The rows of lines, decoded lazily, with a fresh name memo per kind for this read."""
-    decode = partial(_decode_record, {}, {})
-    return decode_lines(lines, TRACE_HEADER, source, TraceFormatError, decode)
-
-
 def parse_trace(lines: Iterable[str], source: str = "<memory>") -> list[TraceRecord]:
-    return list(map(TraceRecord._make, _rows(lines, source)))
-
-
-def read_trace(path) -> Iterator[_Row]:
-    """The file's rows, decoded lazily as each line is read; parse_trace is the list form."""
-    with open(path, "r", encoding="utf-8") as handle:
-        yield from _rows(handle, str(path))
+    decode = partial(_decode_record, {}, {})  # a fresh name memo per kind for this read
+    rows = decode_lines(lines, TRACE_HEADER, source, TraceFormatError, decode)
+    return list(map(TraceRecord._make, rows))
 
 
 def format_trace(records: Iterable[TraceRecord]) -> str:
@@ -170,7 +161,7 @@ class NamespaceState:
 
 
 def replay_trace(records: Iterable[_Row]) -> dict[int, NamespaceState]:
-    """Replay TraceRecords or read_trace rows, in order, into namespace_id -> state.
+    """Replay TraceRecords, or plain tuples of their fields, in order, into namespace_id -> state.
 
     A record whose timestamp is below its namespace's last one raises
     TraceOrderError with its index among the records.
@@ -198,6 +189,75 @@ def replay_trace(records: Iterable[_Row]) -> dict[int, NamespaceState]:
         elif state.capability_flag:
             state.capability_counts[name] += 1
     return states
+
+
+def replay_file(path) -> dict[int, NamespaceState]:
+    """Replay the trace file at path as each line is read, as replay_trace(parse_trace(...)).
+
+    A record whose name its kind's memo already holds is decoded inline;
+    any other line, blank, new name or fault, goes to `_decode_record`,
+    which checks it in full.  A TraceOrderError's index counts records,
+    not lines.  Counts go into plain dicts, and each NamespaceState is
+    built once at the end.
+    """
+    source = str(path)
+    syscalls: dict[str, str] = {}
+    capabilities: dict[str, str] = {}
+    memos = {KIND_SYSCALL: syscalls, KIND_CAPABILITY: capabilities}
+    last_timestamp: dict[int, int] = {}
+    # namespace -> [seccomp flag, capability flag, syscall counts, capability counts]
+    entries: dict[int, list] = {}
+    blanks = 0  # blank lines read, so that a record's index is its line's less these
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = iter(handle)
+        read_header(lines, TRACE_HEADER, source, TraceFormatError)
+        for lineno, line in enumerate(lines, start=2):
+            try:  # the common record; any other line raises to the full check below
+                if len(line) > MAX_DIGITS:
+                    raise ValueError  # it may hold a too-long integer
+                ts_text, ns_text, kind, name = line.split()
+                timestamp = int(ts_text)
+                namespace = int(ns_text)
+                name = memos[kind][name]
+                if timestamp < 0 or namespace < 0:
+                    raise ValueError
+            except (ValueError, KeyError):
+                if line.isspace():
+                    blanks += 1
+                    continue
+                try:
+                    row = _decode_record(syscalls, capabilities, line)
+                except ValueError as exc:
+                    raise TraceFormatError(f"{source}:{lineno}: {exc}") from None
+                timestamp, namespace, kind, name = row
+            if timestamp < last_timestamp.get(namespace, timestamp):
+                index = lineno - 2 - blanks
+                raise TraceOrderError(
+                    f"record {index}: timestamp {timestamp} goes backwards in namespace {namespace}",
+                    record_index=index,
+                )
+            last_timestamp[namespace] = timestamp
+            entry = entries.get(namespace)
+            if entry is None:
+                if kind == KIND_SYSCALL and name == _NAMESPACE_MARKER:
+                    entries[namespace] = [False, False, {}, {}]
+            elif kind == KIND_SYSCALL:
+                if entry[0]:
+                    counts = entry[2]
+                    counts[name] = counts.get(name, 0) + 1
+                if name in _SECCOMP_MARKERS:
+                    entry[0] = True
+                elif name == _CAPABILITY_MARKER:
+                    entry[1] = True
+            elif entry[1]:
+                counts = entry[3]
+                counts[name] = counts.get(name, 0) + 1
+    return {
+        namespace: NamespaceState(
+            seccomp, capability, Counter(syscall_counts), Counter(capability_counts)
+        )
+        for namespace, (seccomp, capability, syscall_counts, capability_counts) in entries.items()
+    }
 
 
 def ingest_trace(records: Iterable[TraceRecord]) -> dict[int, EventSet]:

@@ -702,6 +702,30 @@ class TestErrorReporting:
         )
         assert not store.exists()
 
+    LONG = "K" * 5000
+    GOOD_STORE = "beacon-observations v1\nCONTAINER app\nENV a\nSYS read 1\n"
+    SYNTHESIZE = ["synthesize", "s.obs", "c.cvedb", "--security-min", "0",
+                  "--functionality-min", "1"]
+
+    @pytest.mark.parametrize("files,argv", [
+        ({"t.trace": f"{LONG}\n"}, ["ingest", "t.trace", "--env-id", "a", "--store", "s.obs"]),
+        ({"t.trace": f"beacon-trace v1\n1 1 {LONG} read\n"},
+         ["ingest", "t.trace", "--env-id", "a", "--store", "s.obs"]),
+        ({"s.obs": f"{LONG}\n", "c.cvedb": "beacon-cvedb v1\n"}, SYNTHESIZE),
+        ({"s.obs": f"{GOOD_STORE}{LONG} read 1\n", "c.cvedb": "beacon-cvedb v1\n"}, SYNTHESIZE),
+        ({"s.obs": GOOD_STORE, "c.cvedb": f"beacon-cvedb v1\nCVE-1\t{LONG}\tread\n"}, SYNTHESIZE),
+    ], ids=["trace-header", "trace-kind", "store-header", "store-tag", "cvss-value"])
+    def test_an_over_long_value_is_named_by_its_length(self, tmp_path, monkeypatch, capsys,
+                                                        files, argv):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "of 5000 characters" in err
+        assert len(err.encode()) < 200
+
     def test_bad_targets_string(self, redis_store_path, capsys):
         code = main(["sweep", str(redis_store_path), CVEDB, "--targets", "nonsense"])
         assert code == 1

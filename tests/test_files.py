@@ -110,6 +110,12 @@ def test_decode_lines_yields_each_value_before_reading_the_next_line():
         next(unchecked)
 
 
+def test_a_quoted_value_past_the_limit_is_shown_by_its_length():
+    short = "x" * _files.MAX_QUOTED
+    assert _files.quoted(short) == repr(short)
+    assert _files.quoted(short + "x") == f"of {_files.MAX_QUOTED + 1} characters"
+
+
 # -- atomic output files -----------------------------------------------------
 
 def _policy(syscalls, capabilities):

@@ -26,7 +26,7 @@ from leastpriv.monitor import (
     format_trace,
     ingest_trace,
     parse_trace,
-    read_trace,
+    replay_file,
     replay_trace,
 )
 from test_line_formats import _TOKENS
@@ -206,7 +206,7 @@ def test_replaying_a_trace_file_never_holds_its_records(tmp_path):
     del lines
     tracemalloc.start()
     try:
-        states = replay_trace(read_trace(path))
+        states = replay_file(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -302,7 +302,7 @@ def test_namespace_interleaving_does_not_change_replay(first, second, choices):
         assert combined[ns] == alone[ns]
 
 
-# --- the row decoder and inline replay against the record-at-a-time reference
+# --- the one-loop file replay against the record-at-a-time reference
 
 def _reference_decode(line):
     """The decoder as it was before rows and name memos: one TraceRecord per line."""
@@ -385,10 +385,6 @@ def _outcome(replay, path):
         return type(exc), str(exc), getattr(exc, "record_index", None)
 
 
-def _ingest_replay(path):
-    return replay_trace(read_trace(path))
-
-
 _HUGE = "9" * 4301  # one digit more than int() converts
 _SYS_NAMES = ("unshare", "UNSHARE", "Unshare", "prctl", "PRCTL", "seccomp", "SecComp",
               "capset", "CapSet", "read", "READ", "ReAd", "openat")
@@ -426,10 +422,11 @@ _trace_lines = st.lists(
 @example(body=["1 1 SYS unshare", "0 1 SYS read", "x 1 SYS read"])
 @example(body=["1 1 SYS unshare", f"{_HUGE} 1 SYS read"])
 @example(body=["1 1 SYS unshare", "2 1 SYS capset", "3 1 CAP net_raw", "4 1 CAP Net_Raw"])
-def test_row_replay_matches_the_record_at_a_time_reference(tmp_path_factory, body):
+@example(body=["1 1 SYS unshare", "", "  ", "\t", "2 1 SYS read", " \t ", "0 1 SYS read"])
+def test_file_replay_matches_the_record_at_a_time_reference(tmp_path_factory, body):
     path = tmp_path_factory.mktemp("trace") / "t.trace"
     path.write_text("\n".join([TRACE_HEADER, *body]) + "\n", encoding="utf-8")
-    assert _outcome(_ingest_replay, path) == _outcome(_reference_replay, path)
+    assert _outcome(replay_file, path) == _outcome(_reference_replay, path)
 
 
 def test_a_trace_with_more_names_than_the_memo_holds(tmp_path, monkeypatch):
@@ -440,20 +437,21 @@ def test_a_trace_with_more_names_than_the_memo_holds(tmp_path, monkeypatch):
         lines += [f"{round_} 1 CAP cap{i}" for i in range(names)]
     path = tmp_path / "many.trace"
     path.write_text("\n".join(lines) + "\n")
-    memos, real_decode = [], monitor._decode_record
+    memos, real_remember = [], monitor.remember  # (memo, canonical) in order of first use
 
-    def watched(syscalls, capabilities, line):
-        if not any(memo is syscalls for memo, _ in memos):
-            memos.append((syscalls, capabilities))
-        return real_decode(syscalls, capabilities, line)
+    def watched(memo, canonical, name):
+        if not any(seen is memo for seen, _ in memos):
+            memos.append((memo, canonical))
+        return real_remember(memo, canonical, name)
 
-    monkeypatch.setattr(monitor, "_decode_record", watched)
+    monkeypatch.setattr(monitor, "remember", watched)
     for _ in range(2):
-        states = _ingest_replay(path)
+        states = replay_file(path)
         assert states == _reference_replay(path)
     state = states[1]
     assert state.syscall_counts == Counter({f"call{i}": 2 for i in range(names)})
     assert state.capability_counts == Counter({f"CAP_CAP{i}": 2 for i in range(names)})
-    assert len(memos) == 2  # one memo per kind for each read, none shared
-    for syscalls, capabilities in memos:
-        assert len(syscalls) == len(capabilities) == MEMO_NAMES
+    # one memo per kind for each read, none shared
+    assert [canonical for _, canonical in memos] == [canonical_syscall, canonical_capability] * 2
+    for memo, _ in memos:
+        assert len(memo) == MEMO_NAMES
