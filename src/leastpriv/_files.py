@@ -1,9 +1,11 @@
 """Every file the tool reads or writes goes through this module.
 
-The line formats (traces, CVE databases, observation stores, mutation logs)
-share the lazy `decode_lines`, or only its header check `read_header`
-where a trace file is replayed in one loop, and their errors quote input
-values through `quoted`, which names a long one by its length.  Plans,
+The line formats read (traces, CVE databases, observation stores) share
+the lazy `decode_lines`, or only its header check `read_header` where a
+trace is replayed in one loop, and their errors quote input values
+through `quoted`, which names a value by its length when its repr is
+long.  `quoted` lives in `events`, which imports no other module, so
+event names are quoted the same way.  Plans,
 models and policies are YAML read by `load_yaml` and written by
 `dump_yaml`; every output file is written through `replacing`, so a
 failed write leaves the old file as it was.
@@ -19,6 +21,8 @@ import shutil
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 import yaml
+
+from .events import MAX_QUOTED, quoted  # noqa: F401  (re-exported for the line-format readers)
 
 T = TypeVar("T")
 
@@ -42,18 +46,6 @@ _LONG_NUMBER = re.compile(rf"[-+]?[0-9][0-9_:]{{{MAX_DIGITS},}}")
 def too_long(digits: str) -> str:
     """The error for an integer of more than MAX_DIGITS digits: its length, not its digits."""
     return f"integer of {len(digits)} digits is too long"
-
-
-# A value an error message quotes is shown by its length past this many
-# characters, so an error stays one short line whatever the input holds.
-MAX_QUOTED = 40
-
-
-def quoted(value: str) -> str:
-    """repr(value) for an error message, or its length when it is longer than MAX_QUOTED."""
-    if len(value) > MAX_QUOTED:
-        return f"of {len(value)} characters"
-    return repr(value)
 
 
 def read_header(lines: Iterator[str], header: str, source: str, error: type[ValueError]) -> None:

@@ -82,11 +82,26 @@ class EventNameError(ValueError):
     """Raised for event names or event blocks that cannot be read."""
 
 
+# An error message shows a value by its length once its repr would be
+# longer than this many characters plus its quotes, so an error stays one
+# short line whatever the input holds.
+MAX_QUOTED = 40
+
+
+def quoted(value: str) -> str:
+    """repr(value) for an error message, or its length when that repr is over-long."""
+    if len(value) <= MAX_QUOTED:
+        text = repr(value)
+        if len(text) <= MAX_QUOTED + 2:
+            return text
+    return f"of {len(value)} characters"
+
+
 def canonical_syscall(name: str) -> str:
     """Return the canonical (lower-case) form of a syscall name."""
     cleaned = name.strip().lower()
     if cleaned.split() != [cleaned]:  # empty, or whitespace inside
-        raise EventNameError(f"invalid syscall name {name!r}")
+        raise EventNameError(f"invalid syscall name {quoted(name)}")
     return cleaned
 
 
@@ -99,11 +114,11 @@ def canonical_capability(name: str) -> str:
     """
     cleaned = name.strip().upper()
     if cleaned.split() != [cleaned]:
-        raise EventNameError(f"invalid capability name {name!r}")
+        raise EventNameError(f"invalid capability name {quoted(name)}")
     if not cleaned.startswith(CAP_PREFIX):
         cleaned = CAP_PREFIX + cleaned
     if cleaned == CAP_PREFIX:
-        raise EventNameError(f"invalid capability name {name!r}")
+        raise EventNameError(f"invalid capability name {quoted(name)}")
     return cleaned
 
 

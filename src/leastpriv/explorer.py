@@ -22,10 +22,10 @@ import subprocess
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
-from ._files import MAX_DIGITS, decode_lines, replacing, too_long
+from ._files import MAX_DIGITS, replacing, too_long
 from .environment import Environment, compose_environment, compose_pair
 from .events import EventSet
-from .monitor import ingest_trace, parse_trace
+from .monitor import _replay_lines
 from .options import OptionSpec, validate_value
 from .simharness import evaluate as evaluate_model
 
@@ -45,7 +45,6 @@ __all__ = [
     "mutate_option_values",
     "LOG_HEADER",
     "write_log",
-    "read_log",
     "InferenceReport",
     "validate_inference",
 ]
@@ -133,8 +132,7 @@ _INTEGER_FIELDS = frozenset({"v_min", "v_max", "it_max", "seed"})
 
 
 def parse_config_field(token: str) -> tuple[str, object]:
-    """Decode one `name=value` MutationConfig field, as both
-    `explore --config` and the `# config` line of a mutation log spell it."""
+    """Decode one `name=value` MutationConfig field of `explore --config`."""
     name, sep, text = token.partition("=")
     if not sep or name not in _CONFIG_FIELDS:
         known = ", ".join(sorted(_CONFIG_FIELDS))
@@ -227,10 +225,9 @@ def command_probe(command: list[str]) -> EventProbe:
             raise ProbeError(
                 f"probe command {argv[0]!r} exited {proc.returncode}: {proc.stderr.strip()}"
             )
-        states = ingest_trace(parse_trace(io.StringIO(proc.stdout), source=argv[0]))
         combined = EventSet.empty()
-        for events in states.values():
-            combined = combined | events
+        for state in _replay_lines(io.StringIO(proc.stdout), argv[0]).values():
+            combined = combined | EventSet(state.syscalls, state.capabilities)
         return combined
 
     return EventProbe(evaluator, name=command[0])
@@ -332,15 +329,6 @@ def _format_config(config: MutationConfig) -> str:
     return "# config " + " ".join(parts)
 
 
-def _parse_config(line: str) -> MutationConfig:
-    tokens = line[len("# config "):].split()
-    kwargs = dict(parse_config_field(token) for token in tokens)
-    missing = set(_CONFIG_FIELDS) - set(kwargs)
-    if missing:
-        raise ExplorerError(f"log header missing config fields {sorted(missing)}")
-    return MutationConfig(**kwargs)
-
-
 def write_log(config: MutationConfig, result: ExplorationResult, path) -> None:
     """Log file: version line, config echo, warnings, then one record per probe."""
     with replacing(path) as handle:
@@ -352,42 +340,6 @@ def write_log(config: MutationConfig, result: ExplorationResult, path) -> None:
             handle.write(
                 f"{entry.iteration} {entry.value} {entry.step!r} {entry.new_events}\n"
             )
-
-
-def read_log(path) -> tuple[MutationConfig, tuple[ProbeLogEntry, ...], tuple[str, ...]]:
-    config: Optional[MutationConfig] = None
-    warnings: list[str] = []
-
-    def decode(line: str) -> Optional[ProbeLogEntry]:
-        nonlocal config
-        if line.startswith("# config "):
-            config = _parse_config(line)
-            return None
-        if line.startswith("# warning: "):
-            warnings.append(line[len("# warning: "):])
-            return None
-        if line.startswith("#"):
-            return None
-        parts = line.split()
-        if len(parts) != 4:
-            raise ExplorerError("expected `it v step new_events`")
-        for text in (parts[0], parts[1], parts[3]):
-            if len(text) > MAX_DIGITS:
-                raise ExplorerError(f"bad record: {too_long(text)}")
-        try:
-            entry = ProbeLogEntry(int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3]))
-        except ValueError:
-            raise ExplorerError("bad record: it, v and new_events must be integers, "
-                                "step a number") from None
-        if not math.isfinite(entry.step):
-            raise ExplorerError(f"bad record: step {entry.step!r} is not finite")
-        return entry
-
-    with open(path, "r", encoding="utf-8") as handle:
-        entries = tuple(decode_lines(handle, LOG_HEADER, str(path), ExplorerError, decode))
-    if config is None:
-        raise ExplorerError(f"{path}: missing config echo line")
-    return config, entries, tuple(warnings)
 
 
 # -- pair inference ----------------------------------------------------------

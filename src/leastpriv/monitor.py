@@ -20,15 +20,15 @@ unshare inside a tracked namespace does not reset the entry.  An entry
 keeps one occurrence count per recorded event; its event sets are the
 names it counted.
 
-`replay_file` replays a trace file in one loop as it reads it: each line
-is checked and decoded, each distinct name canonicalised once per read
-through a bounded memo per kind (`events.remember`), and the state
-machine stepped, so the trace is never held whole and the first fault in
-file order, a bad line or a backwards timestamp, is the one raised.
-`parse_trace` decodes lines into TraceRecords with the same checks, and
-`replay_trace` runs the same state machine over records, so
-`replay_trace(parse_trace(lines))` gives what `replay_file` gives for a
-file of those lines.
+One loop steps the state machine, over a trace's lines as they are read:
+each line is checked and decoded, each distinct name canonicalised once
+per read through a bounded memo per kind (`events.remember`), and the
+state machine stepped, so the trace is never held whole and the first
+fault in line order, a bad line or a backwards timestamp, is the one
+raised.  `replay_file` runs it over a file and `replay_trace` over the
+text of in-memory records, one trace line per record, so records are
+checked and canonicalised exactly as a file's lines are.  `parse_trace`
+decodes lines into TraceRecords with the same checks.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from ._files import MAX_DIGITS, decode_lines, quoted, read_header, too_long
 from .events import (
@@ -98,11 +98,10 @@ class TraceRecord(NamedTuple):
     name: str
 
 
-_Row = tuple[int, int, str, str]  # a TraceRecord's fields as a plain tuple
-
-
-def _decode_record(syscalls: dict[str, str], capabilities: dict[str, str], line: str) -> _Row:
-    """One line's row; its name is looked up in the read's memo of its kind first."""
+def _decode_record(
+    syscalls: dict[str, str], capabilities: dict[str, str], line: str
+) -> tuple[int, int, str, str]:
+    """One line's fields; its name is looked up in the read's memo of its kind first."""
     parts = line.split()
     if len(parts) != 4:
         raise TraceFormatError(f"expected 4 fields, got {len(parts)}")
@@ -135,13 +134,15 @@ def parse_trace(lines: Iterable[str], source: str = "<memory>") -> list[TraceRec
     return list(map(TraceRecord._make, rows))
 
 
-def format_trace(records: Iterable[TraceRecord]) -> str:
-    lines = [TRACE_HEADER]
+def _trace_lines(records: Iterable[TraceRecord]) -> Iterator[str]:
+    """The header, then one line per record, each with its newline."""
+    yield TRACE_HEADER + "\n"
     for record in records:
-        lines.append(
-            f"{record.timestamp_ns} {record.namespace_id} {record.kind} {record.name}"
-        )
-    return "\n".join(lines) + "\n"
+        yield f"{record.timestamp_ns} {record.namespace_id} {record.kind} {record.name}\n"
+
+
+def format_trace(records: Iterable[TraceRecord]) -> str:
+    return "".join(_trace_lines(records))
 
 
 @dataclass
@@ -160,39 +161,26 @@ class NamespaceState:
         return frozenset(self.capability_counts)
 
 
-def replay_trace(records: Iterable[_Row]) -> dict[int, NamespaceState]:
-    """Replay TraceRecords, or plain tuples of their fields, in order, into namespace_id -> state.
+def replay_trace(records: Iterable[TraceRecord]) -> dict[int, NamespaceState]:
+    """Replay TraceRecords in order into namespace_id -> state, as replay_file replays their lines.
 
-    A record whose timestamp is below its namespace's last one raises
-    TraceOrderError with its index among the records.
+    Each record is written as its own trace line and checked and
+    canonicalised as a file's line is, so a bad record raises
+    TraceFormatError with a `<memory>:lineno:` prefix.  A record whose
+    timestamp is below its namespace's last one raises TraceOrderError
+    with its index among the records.
     """
-    states: dict[int, NamespaceState] = {}
-    last_timestamp: dict[int, int] = {}
-    for index, (timestamp, namespace, kind, name) in enumerate(records):
-        if timestamp < last_timestamp.get(namespace, timestamp):
-            raise TraceOrderError(
-                f"record {index}: timestamp {timestamp} goes backwards in namespace {namespace}",
-                record_index=index,
-            )
-        last_timestamp[namespace] = timestamp
-        state = states.get(namespace)
-        if state is None:
-            if kind == KIND_SYSCALL and name == _NAMESPACE_MARKER:
-                states[namespace] = NamespaceState()
-        elif kind == KIND_SYSCALL:
-            if state.seccomp_flag:
-                state.syscall_counts[name] += 1
-            if name in _SECCOMP_MARKERS:
-                state.seccomp_flag = True
-            elif name == _CAPABILITY_MARKER:
-                state.capability_flag = True
-        elif state.capability_flag:
-            state.capability_counts[name] += 1
-    return states
+    return _replay_lines(_trace_lines(records), "<memory>")
 
 
 def replay_file(path) -> dict[int, NamespaceState]:
-    """Replay the trace file at path as each line is read, as replay_trace(parse_trace(...)).
+    """Replay the trace file at path as each line is read."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return _replay_lines(handle, str(path))
+
+
+def _replay_lines(lines: Iterable[str], source: str) -> dict[int, NamespaceState]:
+    """Check, decode and replay a trace's lines, each ending in its newline, as they are read.
 
     A record whose name its kind's memo already holds is decoded inline;
     any other line, blank, new name or fault, goes to `_decode_record`,
@@ -200,7 +188,6 @@ def replay_file(path) -> dict[int, NamespaceState]:
     not lines.  Counts go into plain dicts, and each NamespaceState is
     built once at the end.
     """
-    source = str(path)
     syscalls: dict[str, str] = {}
     capabilities: dict[str, str] = {}
     memos = {KIND_SYSCALL: syscalls, KIND_CAPABILITY: capabilities}
@@ -208,50 +195,48 @@ def replay_file(path) -> dict[int, NamespaceState]:
     # namespace -> [seccomp flag, capability flag, syscall counts, capability counts]
     entries: dict[int, list] = {}
     blanks = 0  # blank lines read, so that a record's index is its line's less these
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = iter(handle)
-        read_header(lines, TRACE_HEADER, source, TraceFormatError)
-        for lineno, line in enumerate(lines, start=2):
-            try:  # the common record; any other line raises to the full check below
-                if len(line) > MAX_DIGITS:
-                    raise ValueError  # it may hold a too-long integer
-                ts_text, ns_text, kind, name = line.split()
-                timestamp = int(ts_text)
-                namespace = int(ns_text)
-                name = memos[kind][name]
-                if timestamp < 0 or namespace < 0:
-                    raise ValueError
-            except (ValueError, KeyError):
-                if line.isspace():
-                    blanks += 1
-                    continue
-                try:
-                    row = _decode_record(syscalls, capabilities, line)
-                except ValueError as exc:
-                    raise TraceFormatError(f"{source}:{lineno}: {exc}") from None
-                timestamp, namespace, kind, name = row
-            if timestamp < last_timestamp.get(namespace, timestamp):
-                index = lineno - 2 - blanks
-                raise TraceOrderError(
-                    f"record {index}: timestamp {timestamp} goes backwards in namespace {namespace}",
-                    record_index=index,
-                )
-            last_timestamp[namespace] = timestamp
-            entry = entries.get(namespace)
-            if entry is None:
-                if kind == KIND_SYSCALL and name == _NAMESPACE_MARKER:
-                    entries[namespace] = [False, False, {}, {}]
-            elif kind == KIND_SYSCALL:
-                if entry[0]:
-                    counts = entry[2]
-                    counts[name] = counts.get(name, 0) + 1
-                if name in _SECCOMP_MARKERS:
-                    entry[0] = True
-                elif name == _CAPABILITY_MARKER:
-                    entry[1] = True
-            elif entry[1]:
-                counts = entry[3]
+    lines = iter(lines)
+    read_header(lines, TRACE_HEADER, source, TraceFormatError)
+    for lineno, line in enumerate(lines, start=2):
+        try:  # the common record; any other line raises to the full check below
+            if len(line) > MAX_DIGITS:
+                raise ValueError  # it may hold a too-long integer
+            ts_text, ns_text, kind, name = line.split()
+            timestamp = int(ts_text)
+            namespace = int(ns_text)
+            name = memos[kind][name]
+            if timestamp < 0 or namespace < 0:
+                raise ValueError
+        except (ValueError, KeyError):
+            if line.isspace():
+                blanks += 1
+                continue
+            try:
+                timestamp, namespace, kind, name = _decode_record(syscalls, capabilities, line)
+            except ValueError as exc:
+                raise TraceFormatError(f"{source}:{lineno}: {exc}") from None
+        if timestamp < last_timestamp.get(namespace, timestamp):
+            index = lineno - 2 - blanks
+            raise TraceOrderError(
+                f"record {index}: timestamp {timestamp} goes backwards in namespace {namespace}",
+                record_index=index,
+            )
+        last_timestamp[namespace] = timestamp
+        entry = entries.get(namespace)
+        if entry is None:
+            if kind == KIND_SYSCALL and name == _NAMESPACE_MARKER:
+                entries[namespace] = [False, False, {}, {}]
+        elif kind == KIND_SYSCALL:
+            if entry[0]:
+                counts = entry[2]
                 counts[name] = counts.get(name, 0) + 1
+            if name in _SECCOMP_MARKERS:
+                entry[0] = True
+            elif name == _CAPABILITY_MARKER:
+                entry[1] = True
+        elif entry[1]:
+            counts = entry[3]
+            counts[name] = counts.get(name, 0) + 1
     return {
         namespace: NamespaceState(
             seccomp, capability, Counter(syscall_counts), Counter(capability_counts)

@@ -707,23 +707,36 @@ class TestErrorReporting:
     SYNTHESIZE = ["synthesize", "s.obs", "c.cvedb", "--security-min", "0",
                   "--functionality-min", "1"]
 
-    @pytest.mark.parametrize("files,argv", [
-        ({"t.trace": f"{LONG}\n"}, ["ingest", "t.trace", "--env-id", "a", "--store", "s.obs"]),
-        ({"t.trace": f"beacon-trace v1\n1 1 {LONG} read\n"},
-         ["ingest", "t.trace", "--env-id", "a", "--store", "s.obs"]),
-        ({"s.obs": f"{LONG}\n", "c.cvedb": "beacon-cvedb v1\n"}, SYNTHESIZE),
-        ({"s.obs": f"{GOOD_STORE}{LONG} read 1\n", "c.cvedb": "beacon-cvedb v1\n"}, SYNTHESIZE),
-        ({"s.obs": GOOD_STORE, "c.cvedb": f"beacon-cvedb v1\nCVE-1\t{LONG}\tread\n"}, SYNTHESIZE),
-    ], ids=["trace-header", "trace-kind", "store-header", "store-tag", "cvss-value"])
+    # 40 characters, each of which repr spells as 10
+    TAGS = "\U000e0000" * 40
+    POLICY = {"policy_version": 1, "container": "web", "achieved_security": 1.0,
+              "achieved_functionality": 1.0}
+    INGEST = ["ingest", "t.trace", "--env-id", "a", "--store", "s.obs"]
+
+    @pytest.mark.parametrize("files,argv,length", [
+        ({"t.trace": f"{LONG}\n"}, INGEST, 5000),
+        ({"t.trace": f"beacon-trace v1\n1 1 {LONG} read\n"}, INGEST, 5000),
+        ({"t.trace": f"beacon-trace v1\n1 1 {TAGS} read\n"}, INGEST, 40),
+        ({"s.obs": f"{LONG}\n", "c.cvedb": "beacon-cvedb v1\n"}, SYNTHESIZE, 5000),
+        ({"s.obs": f"{GOOD_STORE}{LONG} read 1\n", "c.cvedb": "beacon-cvedb v1\n"}, SYNTHESIZE,
+         5000),
+        ({"s.obs": GOOD_STORE, "c.cvedb": f"beacon-cvedb v1\nCVE-1\t{LONG}\tread\n"}, SYNTHESIZE,
+         5000),
+        ({"p.yaml": yaml.safe_dump({**POLICY, "allowed": {"syscalls": ["a " * 2500]}})},
+         ["emit", "p.yaml"], 5000),
+        ({"p.yaml": yaml.safe_dump({**POLICY, "allowed": {"capabilities": ["a " * 2500]}})},
+         ["emit", "p.yaml"], 5000),
+    ], ids=["trace-header", "trace-kind", "trace-kind-escaped", "store-header", "store-tag",
+            "cvss-value", "policy-syscall", "policy-capability"])
     def test_an_over_long_value_is_named_by_its_length(self, tmp_path, monkeypatch, capsys,
-                                                        files, argv):
+                                                        files, argv, length):
         monkeypatch.chdir(tmp_path)
         for name, text in files.items():
-            (tmp_path / name).write_text(text)
+            (tmp_path / name).write_text(text, encoding="utf-8")
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "of 5000 characters" in err
+        assert f"of {length} characters" in err
         assert len(err.encode()) < 200
 
     def test_bad_targets_string(self, redis_store_path, capsys):

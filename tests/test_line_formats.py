@@ -1,9 +1,9 @@
 """The line-oriented formats reject bad lines with their own error class.
 
-Traces, CVE databases, observation stores and mutation logs share one
-reader; option catalogs have no header but split lines the same way, at
-"\n" only.  Whatever lines follow a valid header, a read either succeeds
-or raises the format's error class with a `source:` prefix, never a bare
+Traces, CVE databases and observation stores share one reader; option
+catalogs have no header but split lines the same way, at "\n" only.
+Whatever lines follow a valid header, a read either succeeds or raises
+the format's error class with a `source:` prefix, never a bare
 ValueError from deeper down.  A valid store survives save and load with
 its counts, and its events are exactly the names it counts.  Ingesting
 into any store either fails with load_store's error and leaves the file
@@ -36,13 +36,6 @@ from leastpriv.decision import (
     save_store,
 )
 from leastpriv.events import EventSet, canonical_capability, canonical_syscall
-from leastpriv.explorer import (
-    LOG_HEADER,
-    ExplorerError,
-    MutationConfig,
-    _format_config,
-    read_log,
-)
 from leastpriv.monitor import TRACE_HEADER, TraceFormatError, parse_trace
 from leastpriv.options import CatalogError, parse_catalog
 
@@ -67,9 +60,6 @@ lines = st.lists(
     ),
     max_size=6,
 )
-
-_LOG_PREFIX = [LOG_HEADER, _format_config(MutationConfig(0, 100))]
-
 
 def parses_or_rejects(read, error, source):
     """What read() returns, or None when it raised `error` with one `source:` prefix."""
@@ -123,16 +113,6 @@ def test_store_lines(body):
 
 @settings(max_examples=200, deadline=None)
 @given(body=lines)
-@example(body=["# config v_min=abc"])
-@example(body=[_LOG_PREFIX[1].replace("v_min=0", "v_min=None")])
-@example(body=[_LOG_PREFIX[1].replace("v_max=100", "v_max=" + "9" * 400)])
-@example(body=[_LOG_PREFIX[1].replace("decay=0.03", "decay=nan")])
-def test_mutation_log_lines(body):
-    parses_or_rejects_file([*_LOG_PREFIX, *body], read_log, ExplorerError)
-
-
-@settings(max_examples=200, deadline=None)
-@given(body=lines)
 @example(body=["# note\x1cevil\tbool\t<Bool>"])
 @example(body=["# note\u2028evil\tbool\t<Bool>"])
 @example(body=["# note\x0cevil\tbool\t<Bool>"])
@@ -164,14 +144,6 @@ def test_an_empty_file_is_one_error_line(tmp_path, monkeypatch, capsys, argv, er
         (tmp_path / name).write_text(text)
     assert (main(argv), capsys.readouterr().err) == (1, f"error: {error}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
-
-
-def test_an_empty_mutation_log_is_rejected(tmp_path):
-    empty = tmp_path / "empty.log"
-    empty.write_text("")
-    with pytest.raises(ExplorerError) as raised:
-        read_log(empty)
-    assert str(raised.value) == f"{empty}: empty input, expected {LOG_HEADER!r}"
 
 
 # Valid store blocks: (environment id, [(tag, name, count)]).  Ids come

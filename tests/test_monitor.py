@@ -134,6 +134,27 @@ class TestReplayExamples:
         assert states[1].capability_counts == {"CAP_CHOWN": 2}
 
 
+class TestInMemoryRecords:
+    """replay_trace checks and canonicalises records as replay_file does a file's lines."""
+
+    def test_an_unknown_kind_is_refused(self):
+        with pytest.raises(TraceFormatError, match="^<memory>:3: unknown kind 'NET'$"):
+            replay_trace([sys(1, 1, "unshare"), TraceRecord(2, 1, "NET", "read")])
+
+    def test_names_are_canonicalised(self):
+        states = replay_trace([
+            sys(1, 1, "unshare"), sys(2, 1, "prctl"), sys(3, 1, "capset"),
+            sys(4, 1, "Read"), cap(5, 1, "net_raw"),
+        ])
+        assert states[1].syscall_counts == {"capset": 1, "read": 1}
+        assert states[1].capability_counts == {"CAP_NET_RAW": 1}
+
+    @pytest.mark.parametrize("name", ["re ad", "read\n5 1 SYS write", "re\u2028ad"])
+    def test_a_name_holding_whitespace_is_refused(self, name):
+        with pytest.raises(TraceFormatError, match="^<memory>:3: expected 4 fields, got "):
+            replay_trace([sys(1, 1, "unshare"), sys(2, 1, name)])
+
+
 class TestOrdering:
     def test_backwards_timestamp_rejected_with_index(self):
         with pytest.raises(TraceOrderError) as err:
@@ -427,6 +448,15 @@ def test_file_replay_matches_the_record_at_a_time_reference(tmp_path_factory, bo
     path = tmp_path_factory.mktemp("trace") / "t.trace"
     path.write_text("\n".join([TRACE_HEADER, *body]) + "\n", encoding="utf-8")
     assert _outcome(replay_file, path) == _outcome(_reference_replay, path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(first=namespace_trace(ns=1), second=namespace_trace(ns=2), data=st.data())
+def test_replaying_records_matches_replaying_their_file(tmp_path_factory, first, second, data):
+    records = data.draw(st.permutations([*first, *second]))
+    path = tmp_path_factory.mktemp("trace") / "t.trace"
+    path.write_text(format_trace(records), encoding="utf-8")
+    assert _outcome(lambda _: replay_trace(records), path) == _outcome(replay_file, path)
 
 
 def test_a_trace_with_more_names_than_the_memo_holds(tmp_path, monkeypatch):
