@@ -9,11 +9,17 @@ event names are quoted the same way.  Plans,
 models and policies are YAML read by `load_yaml` and written by
 `dump_yaml`; every output file is written through `replacing`, so a
 failed write leaves the old file as it was.
+
+`load_yaml` parses a file once: one loop over its events checks each
+against the depth, alias and long-integer limits and builds the document
+in the same pass, as SafeLoader would build it, with no node tree and
+no second parse.
 """
 
 from __future__ import annotations
 
 import contextlib
+import inspect
 import os
 import re
 import secrets
@@ -21,6 +27,19 @@ import shutil
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 import yaml
+from yaml.composer import ComposerError
+from yaml.constructor import ConstructorError, SafeConstructor
+from yaml.events import (
+    AliasEvent,
+    DocumentStartEvent,
+    MappingEndEvent,
+    MappingStartEvent,
+    ScalarEvent,
+    SequenceEndEvent,
+    SequenceStartEvent,
+)
+from yaml.nodes import ScalarNode
+from yaml.resolver import Resolver
 
 from .events import MAX_QUOTED, quoted  # noqa: F401  (re-exported for the line-format readers)
 
@@ -30,17 +49,39 @@ T = TypeVar("T")
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 # No plan, model or policy nests deeper than about 6 collections or has an
-# alias. The bounds, checked on the event stream before composing, keep the
-# loaders and every `{doc!r}` error message from recursing, and a few bytes
-# of aliases from expanding to any size.
+# alias. The bounds, checked on each event before it is used, keep every
+# reader of a document from recursing, and a few bytes of aliases from
+# expanding to any size.
 MAX_DEPTH = 32
 MAX_ALIAS_NODES = 10_000
 
 # An integer written with more digits than this, in any input, is refused
 # before int() meets it, so no interpreter's own limit on int() decides.
 MAX_DIGITS = 4300
-# An unquoted YAML number that long, which PyYAML would give to int().
+# A plain or `!!int` YAML scalar that long, which PyYAML would give to int().
 _LONG_NUMBER = re.compile(rf"[-+]?[0-9][0-9_:]{{{MAX_DIGITS},}}")
+
+
+# How `_build` resolves and constructs scalars: SafeLoader's resolver and
+# its constructors for scalar tags (the collection ones are generators;
+# `_build` makes lists and dicts itself).  Both are used only through
+# methods that keep no state between calls.
+_RESOLVE = Resolver().resolve
+_CONSTRUCTOR = SafeConstructor()
+_SCALAR_CONSTRUCTORS = {
+    tag: construct
+    for tag, construct in SafeConstructor.yaml_constructors.items()
+    if tag is not None and not inspect.isgeneratorfunction(construct)
+}
+_STR_TAG, _INT_TAG, _MERGE_TAG, _VALUE_TAG = (
+    f"tag:yaml.org,2002:{name}" for name in ("str", "int", "merge", "value")
+)
+_COLLECTION_TAGS = {
+    MappingStartEvent: "tag:yaml.org,2002:map",
+    SequenceStartEvent: "tag:yaml.org,2002:seq",
+}
+# A `<<` key until its mapping ends and merges what it names.
+_MERGE = object()
 
 
 def too_long(digits: str) -> str:
@@ -92,43 +133,143 @@ def load_yaml(source, error: type[ValueError]):
     """The one YAML document in the file at source; malformed or too large raises `error`."""
     with open(source, "r", encoding="utf-8") as handle:
         try:
-            if excess := _excess(yaml.parse(handle, Loader=_LOADER)):
-                raise error(f"{source}: {excess}")
-            handle.seek(0)
-            return yaml.load(handle, Loader=_LOADER)
-        except (yaml.YAMLError, RecursionError) as exc:
+            return _build(yaml.parse(handle, Loader=_LOADER))
+        except yaml.YAMLError as exc:
             raise error(f"{source}: {exc}") from None
 
 
-def _excess(events) -> Optional[str]:
-    """Which limit the events break, if any; an alias counts as the node it names."""
-    named: dict = {}  # anchor -> (height, nodes) of the node it names
+def _build(events):
+    """The document of one YAML event stream, built as SafeLoader builds it.
+
+    Each event is checked against the limits before it is used, so no
+    limit depends on the rest of the file: an alias counts as the node it
+    names, and an integer too long for int() is refused before it is
+    resolved.  The explicit collection tags `!!set`, `!!omap` and
+    `!!pairs` are refused, as no reader takes a set or a list of pairs.
+    """
+    named: dict = {}  # anchor -> (height, nodes, value) of the node it names
     alias_nodes = 0
-    open_nodes = [[None, 0, 0]]  # the document, then [anchor, tallest child, nodes] per collection
+    resolved: dict = {}  # plain scalar -> its tag
+    # the document, then [anchor, tallest child, nodes, items, start mark] per
+    # open collection, where only a mapping has a start mark; a mapping's
+    # items alternate key and value until it ends
+    document = [None, 0, 0, [], None]
+    open_nodes = [document]
+    top = document
     for event in events:
-        if isinstance(event, yaml.CollectionStartEvent):
-            named[event.anchor] = (MAX_DEPTH, 0)  # an alias inside it is a cycle
-            open_nodes.append([event.anchor, 0, 1])
-            height = size = 0
-        elif isinstance(event, yaml.CollectionEndEvent):
-            anchor, tallest, size = open_nodes.pop()
-            height, size = named[anchor] = (tallest + 1, size)
-        elif isinstance(event, yaml.ScalarEvent):
-            if event.implicit[0] and _LONG_NUMBER.fullmatch(event.value):
-                return too_long(event.value)
-            height, size = named[event.anchor] = (0, 1)
-        elif isinstance(event, yaml.AliasEvent):
-            height, size = named.get(event.anchor, (0, 1))
+        kind = type(event)
+        if kind is ScalarEvent:
+            anchor, value, tag = event.anchor, event.value, event.tag
+            if anchor is not None and anchor in named:
+                raise _duplicate(event)
+            if (len(value) > MAX_DIGITS and (event.implicit[0] or tag == _INT_TAG)
+                    and _LONG_NUMBER.fullmatch(value)):
+                raise yaml.YAMLError(too_long(value))
+            if tag is None or tag == "!":
+                tag = resolved.get(value) if event.implicit[0] else _STR_TAG
+                if tag is None:
+                    tag = resolved[value] = _RESOLVE(ScalarNode, value, event.implicit)
+            if tag != _STR_TAG:
+                value = _scalar(tag, event, top[4] is not None and not len(top[3]) % 2)
+            height, size = 0, 1
+        elif kind is MappingStartEvent or kind is SequenceStartEvent:
+            anchor = event.anchor
+            if anchor is not None and anchor in named:
+                raise _duplicate(event)
+            if event.tag not in (None, "!", _COLLECTION_TAGS[kind]):
+                raise ConstructorError(None, None, "cannot read a collection tagged "
+                                       f"{quoted(event.tag)}", event.start_mark)
+            if anchor is not None:
+                named[anchor] = (MAX_DEPTH, 0, None)  # an alias inside it is a cycle
+            top = [anchor, 0, 1, [], event.start_mark if kind is MappingStartEvent else None]
+            open_nodes.append(top)
+            if len(open_nodes) - 1 > MAX_DEPTH:
+                raise yaml.YAMLError(f"collections nest deeper than {MAX_DEPTH} levels")
+            continue
+        elif kind is MappingEndEvent or kind is SequenceEndEvent:
+            anchor, tallest, size, items, mark = open_nodes.pop()
+            value = items if mark is None else _mapping(items, mark)
+            height = tallest + 1
+            top = open_nodes[-1]
+        elif kind is AliasEvent:
+            if event.anchor not in named:
+                raise ComposerError(None, None, f"found undefined alias {quoted(event.anchor)}",
+                                    event.start_mark)
+            height, size, value = named[event.anchor]
+            if value is _MERGE and not (top[4] is not None and not len(top[3]) % 2):
+                raise ConstructorError(None, None, "found a merge key used as a value",
+                                       event.start_mark)
             alias_nodes += size
+            if alias_nodes > MAX_ALIAS_NODES:
+                raise yaml.YAMLError(f"aliases expand to more than {MAX_ALIAS_NODES} nodes")
+            anchor = None
+        elif kind is DocumentStartEvent and document[3]:
+            raise ComposerError("expected a single document in the stream", None,
+                                "but found another document", event.start_mark)
         else:
             continue
-        if alias_nodes > MAX_ALIAS_NODES:
-            return f"aliases expand to more than {MAX_ALIAS_NODES} nodes"
         if len(open_nodes) - 1 + height > MAX_DEPTH:
-            return f"collections nest deeper than {MAX_DEPTH} levels"
-        open_nodes[-1][1] = max(open_nodes[-1][1], height)
-        open_nodes[-1][2] += size
-    return None
+            raise yaml.YAMLError(f"collections nest deeper than {MAX_DEPTH} levels")
+        if anchor is not None:
+            named[anchor] = (height, size, value)
+        if top[1] < height:
+            top[1] = height
+        top[2] += size
+        top[3].append(value)
+    return document[3][0] if document[3] else None
+
+
+def _duplicate(event) -> ComposerError:
+    return ComposerError(None, None, f"found duplicate anchor {quoted(event.anchor)}",
+                         event.start_mark)
+
+
+def _scalar(tag: str, event, is_key: bool):
+    """The value of a scalar event whose resolved tag is not str, as SafeConstructor builds it."""
+    if is_key and tag == _MERGE_TAG:
+        return _MERGE
+    if is_key and tag == _VALUE_TAG:  # flatten_mapping reads a `=` key as a string
+        return event.value
+    construct = _SCALAR_CONSTRUCTORS.get(tag)
+    if construct is None:
+        raise ConstructorError(None, None, f"cannot read a scalar tagged {quoted(tag)}",
+                               event.start_mark)
+    node = ScalarNode(tag, event.value, event.start_mark, event.end_mark, event.style)
+    try:
+        return construct(_CONSTRUCTOR, node)
+    except (ValueError, KeyError, AttributeError):  # as `!!bool maybe` or `!!timestamp x` raise
+        raise ConstructorError(None, None, f"cannot read {quoted(event.value)} as {tag}",
+                               event.start_mark) from None
+
+
+def _mapping(items: list, mark) -> dict:
+    """The dict of alternating keys and values; `<<` keys merge as SafeConstructor merges.
+
+    Merged mappings come first, in the order their keys appear and a list
+    of them last to first, so an earlier one wins; the mapping's own keys
+    win over all of them, and a later duplicate key wins.
+    """
+    keys, values = items[::2], items[1::2]
+    mapping: dict = {}
+    if _MERGE in keys:
+        own_keys, own_values = [], []
+        for key, value in zip(keys, values):
+            if key is not _MERGE:
+                own_keys.append(key)
+                own_values.append(value)
+                continue
+            merged = [value] if isinstance(value, dict) else value
+            if not isinstance(merged, list) or not all(isinstance(m, dict) for m in merged):
+                raise ConstructorError(None, None, "expected a mapping or list of mappings "
+                                       "for merging", mark)
+            for source in reversed(merged):
+                mapping.update(source)
+        keys, values = own_keys, own_values
+    try:
+        mapping.update(zip(keys, values))
+    except TypeError:
+        raise ConstructorError(None, None, "found unhashable key", mark) from None
+    return mapping
 
 
 def dump_yaml(doc, path) -> None:

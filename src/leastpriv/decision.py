@@ -671,14 +671,15 @@ def policy_from_doc(doc) -> Policy:
         raise DecisionError("policy document must be a mapping")
     if doc.get("policy_version") != POLICY_VERSION:
         raise DecisionError(
-            f"unsupported policy_version {doc.get('policy_version')!r}, expected {POLICY_VERSION}"
+            f"unsupported policy_version {quoted(doc.get('policy_version'))}, "
+            f"expected {POLICY_VERSION}"
         )
     container = doc.get("container")
     if not isinstance(container, str) or not container:
         raise DecisionError("policy needs a container name")
     classes = doc.get("classes") or {}
     if not isinstance(classes, dict):
-        raise DecisionError(f"classes must be a mapping, got {classes!r}")
+        raise DecisionError(f"classes must be a mapping, got {quoted(classes)}")
     allowed = EventSet.from_doc(doc.get("allowed"))
     always, included, excluded = (
         EventSet.from_doc(classes.get(key))
@@ -700,7 +701,7 @@ def policy_from_doc(doc) -> Policy:
     targets = None
     if targets_doc is not None:
         if not isinstance(targets_doc, dict):
-            raise DecisionError(f"bad targets block {targets_doc!r}")
+            raise DecisionError(f"bad targets block {quoted(targets_doc)}")
         targets = ScoreTargets(
             _unit_score(targets_doc, "security_min"), _unit_score(targets_doc, "functionality_min")
         )
@@ -730,7 +731,7 @@ def _unit_score(doc: dict, key: str) -> float:
     """A policy score field: a YAML number in [0, 1]; a bool is not a number."""
     value = doc.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
-        raise DecisionError(f"{key} must be a number in [0, 1], got {value!r}")
+        raise DecisionError(f"{key} must be a number in [0, 1], got {quoted(value)}")
     return float(value)
 
 

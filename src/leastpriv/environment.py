@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from ._files import dump_yaml, load_yaml
+from ._files import dump_yaml, load_yaml, quoted
 from .options import (
     OptionCatalog,
     OptionError,
@@ -267,7 +267,7 @@ def doc_list(doc: dict, key: str, error: type[ValueError]) -> list:
     """A list field of an untrusted YAML mapping; missing or empty reads as []."""
     value = doc.get(key) or []
     if not isinstance(value, list):
-        raise error(f"{key} must be a list, got {value!r}")
+        raise error(f"{key} must be a list, got {quoted(value)}")
     return value
 
 
@@ -283,29 +283,36 @@ def environment_to_doc(env: Environment) -> dict:
     return doc
 
 
+_WORKLOAD_FIELDS = frozenset(f.name for f in fields(WorkloadSpec))
+
+
 def environment_from_doc(doc: dict, catalog: OptionCatalog) -> Environment:
     if not isinstance(doc, dict):
-        raise PlanFormatError(f"environment entry must be a mapping, got {doc!r}")
+        raise PlanFormatError(f"environment entry must be a mapping, got {quoted(doc)}")
     values = []
     for entry in doc_list(doc, "options", PlanFormatError):
         try:
             spec, raw = catalog[entry["name"]], entry["value"]
             if not isinstance(raw, str):
                 raise PlanFormatError(
-                    f"option {spec.name!r}: value {raw!r} is not a string; quote it in the plan"
+                    f"option {spec.name!r}: value {quoted(raw)} is not a string; "
+                    "quote it in the plan"
                 )
             values.append(validate_value(spec, raw))
         except (KeyError, TypeError) as exc:
-            raise PlanFormatError(f"bad option entry {entry!r}") from exc
+            raise PlanFormatError(f"bad option entry {quoted(entry)}") from exc
         except OptionError as exc:
             raise PlanFormatError(str(exc)) from exc
     workload_doc = doc.get("workload")
     workload = None
     if workload_doc is not None:
+        if not isinstance(workload_doc, dict) or not set(workload_doc) <= _WORKLOAD_FIELDS:
+            raise PlanFormatError(f"bad workload entry {quoted(workload_doc)}: "
+                                  f"expected a mapping of {', '.join(sorted(_WORKLOAD_FIELDS))}")
         try:
             workload = WorkloadSpec(**workload_doc)
-        except (TypeError, EnvironmentError) as exc:
-            raise PlanFormatError(f"bad workload entry {workload_doc!r}: {exc}") from exc
+        except EnvironmentError as exc:
+            raise PlanFormatError(f"bad workload entry {quoted(workload_doc)}: {exc}") from exc
     return compose_environment(values, workload)
 
 
@@ -340,7 +347,7 @@ def load_plan(path, catalog: OptionCatalog) -> EnvironmentPlan:
     for pair in doc_list(doc, "pairs", PlanFormatError):
         is_pair = isinstance(pair, list) and len(pair) == 2
         if not is_pair or not all(isinstance(factor_id, str) for factor_id in pair):
-            raise PlanFormatError(f"{path}: pair {pair!r} is not two factor ids")
+            raise PlanFormatError(f"{path}: pair {quoted(pair)} is not two factor ids")
         declared_pairs.append(tuple(pair))
     if declared_pairs and sorted(declared_pairs) != sorted(plan.pairs):
         raise PlanFormatError(f"{path}: pair list does not match the factor set")

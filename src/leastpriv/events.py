@@ -88,13 +88,24 @@ class EventNameError(ValueError):
 MAX_QUOTED = 40
 
 
-def quoted(value: str) -> str:
-    """repr(value) for an error message, or its length when that repr is over-long."""
-    if len(value) <= MAX_QUOTED:
-        text = repr(value)
-        if len(text) <= MAX_QUOTED + 2:
-            return text
-    return f"of {len(value)} characters"
+def quoted(value: object) -> str:
+    """repr(value) for an error message, or what value is when that repr is over-long.
+
+    An over-long string is named by its length, as `of 5000 characters`;
+    any other value by its type and length, as `list of length 2000`, or
+    by the length of its repr when it has no len(), as `int of 4300 characters`.
+    """
+    if isinstance(value, str):
+        if len(value) <= MAX_QUOTED and len(repr(value)) <= MAX_QUOTED + 2:
+            return repr(value)
+        return f"of {len(value)} characters"
+    text = repr(value)
+    if len(text) <= MAX_QUOTED + 2:
+        return text
+    try:
+        return f"{type(value).__name__} of length {len(value)}"
+    except TypeError:
+        return f"{type(value).__name__} of {len(text)} characters"
 
 
 def canonical_syscall(name: str) -> str:
@@ -186,14 +197,14 @@ class EventSet:
             return cls()
         if not isinstance(doc, dict) or set(doc) - {"syscalls", "capabilities"}:
             raise EventNameError(
-                f"bad event block {doc!r}: expected a mapping with syscalls/capabilities"
+                f"bad event block {quoted(doc)}: expected a mapping with syscalls/capabilities"
             )
         syscalls = doc.get("syscalls") or []
         capabilities = doc.get("capabilities") or []
         for key, names in (("syscalls", syscalls), ("capabilities", capabilities)):
             if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
                 raise EventNameError(
-                    f"bad event block: {key} must be a list of names, got {names!r}"
+                    f"bad event block: {key} must be a list of names, got {quoted(names)}"
                 )
         return cls.of(syscalls, capabilities)
 

@@ -22,7 +22,7 @@ import subprocess
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
-from ._files import MAX_DIGITS, replacing, too_long
+from ._files import MAX_DIGITS, quoted, replacing, too_long
 from .environment import Environment, compose_environment, compose_pair
 from .events import EventSet
 from .monitor import _replay_lines
@@ -136,13 +136,13 @@ def parse_config_field(token: str) -> tuple[str, object]:
     name, sep, text = token.partition("=")
     if not sep or name not in _CONFIG_FIELDS:
         known = ", ".join(sorted(_CONFIG_FIELDS))
-        raise ConfigError(f"bad config entry {token!r} (fields: {known})")
+        raise ConfigError(f"bad config entry {quoted(token)} (fields: {known})")
     if name in _INTEGER_FIELDS and len(text) > MAX_DIGITS:
         raise ConfigError(f"bad config value for {name}: {too_long(text)}")
     try:
         return name, int(text) if name in _INTEGER_FIELDS else float(text)
     except ValueError:
-        raise ConfigError(f"bad config value {token!r}") from None
+        raise ConfigError(f"bad config value {quoted(token)}") from None
 
 
 def thresholds(config: MutationConfig, iteration: int) -> tuple[float, float]:

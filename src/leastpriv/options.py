@@ -35,7 +35,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterator, Optional
 
-from ._files import MAX_DIGITS, too_long
+from ._files import MAX_DIGITS, quoted, too_long
 
 __all__ = [
     "OptionError",
@@ -546,7 +546,7 @@ class OptionCatalog:
         try:
             return self._specs[name]
         except KeyError:
-            raise UnknownOptionError(f"unknown option {name!r}") from None
+            raise UnknownOptionError(f"unknown option {quoted(name)}") from None
 
     def __contains__(self, name: str) -> bool:
         return name in self._specs

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, fields
 from typing import Optional, Union
 
-from ._files import load_yaml
+from ._files import load_yaml, quoted
 from .environment import (
     WORKLOAD_PRESETS,
     Environment,
@@ -202,7 +202,7 @@ def emit_trace(
 
 def _predicate_from_doc(doc) -> Predicate:
     if not isinstance(doc, dict) or len(doc) != 1:
-        raise ModelError(f"bad trigger {doc!r}: expected a single-key mapping")
+        raise ModelError(f"bad trigger {quoted(doc)}: expected a single-key mapping")
     key, body = next(iter(doc.items()))
     if key == "option_present":
         if not isinstance(body, str):
@@ -212,20 +212,20 @@ def _predicate_from_doc(doc) -> Predicate:
         try:
             return OptionValueEquals(body["option"], str(body["value"]))
         except (TypeError, KeyError):
-            raise ModelError(f"bad option_value_equals body {body!r}") from None
+            raise ModelError(f"bad option_value_equals body {quoted(body)}") from None
     if key == "option_value_in_range":
         try:
             return OptionValueInRange(body["option"], int(body["lo"]), int(body["hi"]))
         except (TypeError, KeyError, ValueError):
-            raise ModelError(f"bad option_value_in_range body {body!r}") from None
+            raise ModelError(f"bad option_value_in_range body {quoted(body)}") from None
     if key == "workload_present":
         return WorkloadPresent()
     if key == "workload_field_at_least":
         try:
             return WorkloadFieldAtLeast(body["field"], int(body["threshold"]))
         except (TypeError, KeyError, ValueError):
-            raise ModelError(f"bad workload_field_at_least body {body!r}") from None
-    raise ModelError(f"unknown trigger kind {key!r}")
+            raise ModelError(f"bad workload_field_at_least body {quoted(body)}") from None
+    raise ModelError(f"unknown trigger kind {quoted(key)}")
 
 
 def model_from_doc(doc) -> SyntheticContainerModel:
@@ -233,21 +233,21 @@ def model_from_doc(doc) -> SyntheticContainerModel:
         raise ModelError("model document must be a mapping")
     version = doc.get("model_version")
     if version != MODEL_VERSION:
-        raise ModelError(f"unsupported model_version {version!r}, expected {MODEL_VERSION}")
+        raise ModelError(f"unsupported model_version {quoted(version)}, expected {MODEL_VERSION}")
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         raise ModelError("model needs a non-empty name")
     rules = []
     for entry in doc_list(doc, "rules", ModelError):
         if not isinstance(entry, dict) or "when" not in entry:
-            raise ModelError(f"bad rule entry {entry!r}")
+            raise ModelError(f"bad rule entry {quoted(entry)}")
         rules.append(
             BehaviorRule(_predicate_from_doc(entry["when"]), EventSet.from_doc(entry.get("adds")))
         )
     interactions = []
     for entry in doc_list(doc, "interaction_rules", ModelError):
         if not isinstance(entry, dict):
-            raise ModelError(f"bad interaction entry {entry!r}")
+            raise ModelError(f"bad interaction entry {quoted(entry)}")
         when = entry.get("when")
         if not isinstance(when, list) or len(when) != 2:
             raise ModelError("interaction rule needs exactly two triggers")

@@ -739,6 +739,87 @@ class TestErrorReporting:
         assert f"of {length} characters" in err
         assert len(err.encode()) < 200
 
+    MODEL = {"model_version": 1, "name": "m"}
+    PLAN = {"plan_version": 1}
+    NAMES = [f"n{i}" for i in range(1999)] + [1]
+
+    @pytest.mark.parametrize("doc,argv,shown", [
+        ({**POLICY, "allowed": LONG}, ["emit", "p.yaml"], "bad event block of 5000 characters"),
+        ({**POLICY, "allowed": {"syscalls": LONG}}, ["emit", "p.yaml"],
+         "syscalls must be a list of names, got of 5000 characters"),
+        ({**POLICY, "allowed": {"syscalls": NAMES}}, ["emit", "p.yaml"],
+         "syscalls must be a list of names, got list of length 2000"),
+        ({**POLICY, "classes": [LONG]}, ["emit", "p.yaml"],
+         "classes must be a mapping, got list of length 1"),
+        ({**POLICY, "targets": LONG}, ["emit", "p.yaml"], "bad targets block of 5000 characters"),
+        ({**POLICY, "achieved_security": NAMES}, ["emit", "p.yaml"],
+         "achieved_security must be a number in [0, 1], got list of length 2000"),
+        ({**POLICY, "policy_version": LONG}, ["emit", "p.yaml"],
+         "unsupported policy_version of 5000 characters"),
+        ({**MODEL, "rules": [LONG]}, ["explore", "p.yaml", "cpu-shares"],
+         "bad rule entry of 5000 characters"),
+        ({**MODEL, "rules": [{"when": LONG}]}, ["explore", "p.yaml", "cpu-shares"],
+         "bad trigger of 5000 characters"),
+        ({**MODEL, "rules": [{"when": {LONG: 1}}]}, ["explore", "p.yaml", "cpu-shares"],
+         "unknown trigger kind of 5000 characters"),
+        ({**MODEL, "rules": [{"when": {"option_value_equals": NAMES}}]},
+         ["explore", "p.yaml", "cpu-shares"], "bad option_value_equals body list of length 2000"),
+        ({**MODEL, "rules": [{"when": {"option_value_in_range": LONG}}]},
+         ["explore", "p.yaml", "cpu-shares"],
+         "bad option_value_in_range body of 5000 characters"),
+        ({**MODEL, "rules": [{"when": {"workload_field_at_least": {"field": LONG}}}]},
+         ["explore", "p.yaml", "cpu-shares"], "bad workload_field_at_least body dict of length 1"),
+        ({**MODEL, "interaction_rules": [LONG]}, ["explore", "p.yaml", "cpu-shares"],
+         "bad interaction entry of 5000 characters"),
+        ({**MODEL, "model_version": NAMES}, ["explore", "p.yaml", "cpu-shares"],
+         "unsupported model_version list of length 2000"),
+        ({**MODEL, "rules": LONG}, ["explore", "p.yaml", "cpu-shares"],
+         "rules must be a list, got of 5000 characters"),
+        ({**PLAN, "factors": [LONG]}, ["validate-inference", "redis", "p.yaml"],
+         "environment entry must be a mapping, got of 5000 characters"),
+        ({**PLAN, "factors": [{"options": [LONG]}]}, ["validate-inference", "redis", "p.yaml"],
+         "bad option entry of 5000 characters"),
+        ({**PLAN, "factors": [{"options": [{"name": "tty", "value": NAMES}]}]},
+         ["validate-inference", "redis", "p.yaml"], "value list of length 2000 is not a string"),
+        ({**PLAN, "factors": [{"workload": NAMES}]}, ["validate-inference", "redis", "p.yaml"],
+         "bad workload entry list of length 2000"),
+        ({**PLAN, "factors": [{"workload": {LONG: 1}}]}, ["validate-inference", "redis", "p.yaml"],
+         "bad workload entry dict of length 1: expected a mapping of "),
+        ({**PLAN, "pairs": [LONG]}, ["validate-inference", "redis", "p.yaml"],
+         "pair of 5000 characters is not two factor ids"),
+    ], ids=["event-block", "event-names", "event-name-list", "classes", "targets",
+            "score", "policy-version", "rule", "trigger", "trigger-kind", "equals-body",
+            "range-body", "workload-body", "interaction", "model-version", "rule-list",
+            "plan-entry", "option-entry", "option-value", "workload-entry", "workload-field",
+            "pair"])
+    def test_a_whole_value_echo_is_bounded(self, tmp_path, monkeypatch, capsys, doc, argv,
+                                           shown):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.yaml").write_text(yaml.safe_dump(doc), encoding="utf-8")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert shown in err
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("argv,shown", [
+        (["--config", LONG], "bad config entry of 5000 characters"),
+        (["--config", "nosuch=" + LONG], "bad config entry of 5007 characters"),
+        (["--config", "r=" + LONG], "bad config value of 5002 characters"),
+    ], ids=["entry", "unknown-field", "value"])
+    def test_a_config_token_is_bounded(self, capsys, argv, shown):
+        assert main(["explore", "redis", "cpu-shares", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+        assert shown in err
+        assert len(err.encode()) < 200
+
+    def test_an_unknown_option_name_is_bounded(self, capsys):
+        assert main(["explore", "redis", self.LONG]) == 1
+        assert capsys.readouterr().err == (
+            "error: UnknownOptionError: unknown option of 5000 characters\n"
+        )
+
     def test_bad_targets_string(self, redis_store_path, capsys):
         code = main(["sweep", str(redis_store_path), CVEDB, "--targets", "nonsense"])
         assert code == 1

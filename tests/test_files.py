@@ -4,11 +4,13 @@ writing."""
 
 import ast
 import os
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import leastpriv
 from leastpriv import _files
@@ -17,6 +19,15 @@ from leastpriv.cli import main
 
 class Malformed(ValueError):
     pass
+
+
+def safe_load_or_raise(text):
+    """SafeLoader's document, or None when it raises for this text."""
+    try:
+        return [yaml.load(text, Loader=yaml.SafeLoader)]
+    # SafeLoader lets a bad `!!bool` or `!!timestamp` value out as KeyError or AttributeError
+    except (yaml.YAMLError, ValueError, LookupError, AttributeError):
+        return None
 
 
 def load_text(tmp_path, text):
@@ -80,6 +91,96 @@ class TestLoadYaml:
         with pytest.raises(Malformed, match=r"doc\.yaml: "):
             load_text(tmp_path, text)
 
+    @pytest.mark.parametrize("text", [
+        "",
+        "base: &b {a: 1, b: 2}\nx: {<<: *b, b: 3, c: 4}\ny: {c: 0, <<: *b}\n",
+        "a: &a {x: 1, y: 1}\nb: &b {y: 2, z: 2}\nlist: {<<: [*a, *b], z: 3}\n"
+        "keys: {<<: *a, <<: *b}\nnested: {<<: {<<: *a, w: 0}}\n",
+        "{&m <<: {a: 1}, *m : {b: 2}}",
+        "{<<: &a {1: a, true: b}, true: c}",
+        "shared: &s [1, {k: v}]\nboth: [*s, *s]\n",
+        "[!!str 1, ! 1, '1', \"1.0\", ~, null, Null, '', !!null '', !!float 1, !!int 0x1f]",
+        "[2001-12-14t21:59:43.10-05:00, 2002-12-14, !!timestamp 2002-12-14 1:02:03]",
+        "[yes, no, on, off, 0o17, 0b101, 1_000, 190:20:30, .inf, -.inf, 0x_1f, +12, 1e3, 1.5e3]",
+        "{=: 1, a: 1, a: 2, 1: x, 1.0: y}",
+        "!!binary aGVsbG8=",
+        "{[1]: 2}",
+        "? [a]\n: b\n",
+        "a: !!bool maybe\n",
+        "a: !!timestamp junk\n",
+        "a: !!int x\n",
+        "a: !tag x\n",
+        "a: !tag [x]\n",
+        "a: !!str [x]\n",
+        "a: !!map [x]\n",
+        "a: !!seq x\n",
+        "a: =\n",
+        "a: <<\n",
+        "{<<: 1}",
+        "{<<: [{a: 1}, 1]}",
+        "{&m <<: {a: 1}, b: *m}",
+        "a: &x 1\nb: &x 2\n",
+    ], ids=["empty", "merge", "merge-order", "aliased-merge-key", "merge-equal-keys",
+            "shared-alias", "scalars", "timestamps", "numbers", "keys", "binary",
+            "flow-unhashable", "block-unhashable", "bad-bool", "bad-timestamp", "bad-int",
+            "unknown-scalar-tag", "unknown-collection-tag", "str-collection", "map-sequence",
+            "seq-scalar", "value-tag", "merge-value", "merge-scalar", "merge-list-of-scalar",
+            "merge-key-as-value", "duplicate-anchor"])
+    def test_same_document_as_safe_loader(self, tmp_path, text):
+        expected = safe_load_or_raise(text)
+        if expected is None:
+            with pytest.raises(Malformed, match=r"doc\.yaml: "):
+                load_text(tmp_path, text)
+        else:
+            assert repr(load_text(tmp_path, text)) == repr(expected[0])
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+        lambda children: st.lists(children, max_size=4) | st.dictionaries(
+            st.none() | st.booleans() | st.integers() | st.text(), children, max_size=4),
+        max_leaves=12,
+    ), flow=st.booleans())
+    def test_dumped_documents_read_as_safe_loader_reads_them(self, tmp_path, doc, flow):
+        text = yaml.dump(doc, Dumper=yaml.SafeDumper, default_flow_style=flow)
+        assert repr(load_text(tmp_path, text)) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+    def test_an_alias_is_the_object_its_anchor_names(self, tmp_path):
+        doc = load_text(tmp_path, "a: &a [1]\nb: *a\nc: {<<: &m {k: [2]}}\nd: *m\n")
+        assert doc["b"] is doc["a"] and doc["c"]["k"] is doc["d"]["k"]
+
+    @pytest.mark.parametrize("text", ["!!set {a, b}", "!!omap [a: 1]", "!!pairs [a: 1]"])
+    def test_sets_and_pairs_are_the_callers_error(self, tmp_path, text):
+        with pytest.raises(Malformed, match="cannot read a collection tagged 'tag:yaml.org,"):
+            load_text(tmp_path, text)
+
+    def test_an_explicit_int_too_long_for_int_is_the_callers_error(self, tmp_path):
+        digits = "9" * (_files.MAX_DIGITS + 1)
+        with pytest.raises(Malformed, match=f"integer of {len(digits)} digits is too long$"):
+            load_text(tmp_path, f"a: !!int {digits}\n")
+        assert load_text(tmp_path, f"a: !!str {digits}\n") == {"a": digits}
+
+    def test_the_first_fault_in_the_stream_is_reported(self, tmp_path):
+        with pytest.raises(Malformed, match="cannot read 'maybe' as tag:yaml.org,2002:bool"):
+            load_text(tmp_path, "a: !!bool maybe\nb: [\n")
+
+    def test_the_file_is_parsed_once_and_never_composed(self, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def counting(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("parse", "load", "safe_load", "compose", "compose_all", "load_all"):
+            monkeypatch.setattr(yaml, name, counting(name, getattr(yaml, name)))
+        assert load_text(tmp_path, "a: &a {b: [1, 2]}\nc: {<<: *a}\n") == {
+            "a": {"b": [1, 2]}, "c": {"b": [1, 2]},
+        }
+        assert calls == {"parse": 1}
+
     @pytest.mark.parametrize("name", ["fixtures/redis.yaml", "fixtures/nginx.yaml"])
     def test_same_document_as_the_pure_python_loader(self, name):
         resource = resources.files("leastpriv").joinpath(f"data/{name}")
@@ -114,6 +215,17 @@ def test_a_quoted_value_past_the_limit_is_shown_by_its_length():
     short = "x" * _files.MAX_QUOTED
     assert _files.quoted(short) == repr(short)
     assert _files.quoted(short + "x") == f"of {_files.MAX_QUOTED + 1} characters"
+
+
+@pytest.mark.parametrize("value,shown", [
+    ([1, 2], "[1, 2]"),
+    ({"a": None}, "{'a': None}"),
+    (list(range(2000)), "list of length 2000"),
+    ({"k": "x" * 100}, "dict of length 1"),
+    (7 ** 100, "int of 85 characters"),
+])
+def test_any_value_is_quoted_by_its_type_and_length_when_long(value, shown):
+    assert _files.quoted(value) == shown
 
 
 # -- atomic output files -----------------------------------------------------
