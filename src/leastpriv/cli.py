@@ -12,11 +12,13 @@ from __future__ import annotations
 import argparse
 import shlex
 import sys
+from collections import Counter
 from typing import Optional
 
-from ._files import replacing
+from ._files import quoted, replacing
 from .decision import (
     ContainerMismatchError,
+    DecisionError,
     Infeasible,
     Policy,
     ScoreTargets,
@@ -100,11 +102,13 @@ def _parse_targets(text: str) -> list[ScoreTargets]:
             continue
         sec, sep, func = piece.partition(":")
         if not sep:
-            raise CliError(f"target {piece!r} must be security:functionality")
+            raise CliError(f"target {quoted(piece)} must be security:functionality")
         try:
             targets.append(ScoreTargets(float(sec), float(func)))
-        except ValueError as exc:
-            raise CliError(f"bad target {piece!r}: {exc}") from None
+        except DecisionError as exc:
+            raise CliError(f"bad target {quoted(piece)}: {exc}") from None
+        except ValueError:
+            raise CliError(f"bad target {quoted(piece)}: both scores must be numbers") from None
     if not targets:
         raise CliError("no targets given")
     return targets
@@ -187,14 +191,9 @@ def _cmd_validate_inference(args) -> int:
     model = _load_model_or_fixture(args.model)
     plan = load_plan(args.plan, catalog)
     probe = model_probe(model)
-    rows = []
-    for factor_a, factor_b, _combined in plan.pair_environments():
-        report = validate_inference(probe, plan.baseline, factor_a, factor_b)
-        rows.append((factor_a.id, factor_b.id, report))
-    exact = sum(1 for _, _, report in rows if report.exact)
-    histogram: dict[int, int] = {}
-    for _, _, report in rows:
-        histogram[report.delta] = histogram.get(report.delta, 0) + 1
+    rows = [(a.id, b.id, validate_inference(probe, plan.baseline, a, b)) for a, b in plan.pairs]
+    exact = Counter(report.exact for _, _, report in rows)[True]
+    histogram = Counter(report.delta for _, _, report in rows)
     if args.format == "tsv":
         print("factor_a\tfactor_b\texact\tdelta\tsize_delta")
         for id_a, id_b, report in rows:

@@ -207,7 +207,7 @@ def default_cvedb() -> CveDatabase:
 def _check_name(label: str, name: str) -> None:
     """A container name or environment id: non-empty, no whitespace."""
     if not name or any(ch.isspace() for ch in name):
-        raise StoreError(f"bad {label} {name!r}")
+        raise StoreError(f"bad {label} {quoted(name)}")
 
 
 class ObservationStore:
@@ -353,7 +353,9 @@ def append_observation(path, observation: Observation, container: Optional[str] 
         store = load_store(path)
     name = store.container if found is None else found[0]
     if container is not None and container != name:
-        raise ContainerMismatchError(f"store {path} is for container {name!r}, not {container!r}")
+        raise ContainerMismatchError(
+            f"store {path} is for container {quoted(name)}, not {quoted(container)}"
+        )
     if found is None:
         store.record_observation(observation)
         save_store(store, path)
@@ -450,7 +452,6 @@ class EventClasses:
 
     always: EventSet
     sporadic: EventSet
-    observed: EventSet
 
 
 def classify_events(store: ObservationStore) -> EventClasses:
@@ -459,9 +460,9 @@ def classify_events(store: ObservationStore) -> EventClasses:
 
 
 def _classes(frequencies: dict[tuple[str, str], int], environments: int) -> EventClasses:
-    observed = EventSet.from_events(frequencies)
     always = EventSet.from_events(event for event, n in frequencies.items() if n == environments)
-    return EventClasses(always, observed - always, observed)
+    sporadic = EventSet.from_events(event for event, n in frequencies.items() if n < environments)
+    return EventClasses(always, sporadic)
 
 
 @dataclass(frozen=True)
@@ -492,15 +493,6 @@ class Policy:
     sporadic_included: EventSet
     sporadic_excluded: EventSet
     targets: Optional[ScoreTargets] = None
-
-    def classification_of(self, kind: str, name: str) -> str:
-        if self.always.contains_event(kind, name):
-            return "always-in"
-        if self.sporadic_included.contains_event(kind, name):
-            return "sporadic-included"
-        if self.sporadic_excluded.contains_event(kind, name):
-            return "sporadic-excluded"
-        return "never-observed"
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ._files import dump_yaml, load_yaml, quoted
 from .options import (
@@ -149,27 +149,6 @@ class Environment:
                 return value
         return None
 
-    def describe(self) -> str:
-        parts = [f"{v.name}={v.text}" for v in self.options]
-        if self.workload is not None:
-            w = self.workload
-            ops = ",".join(
-                f"{label}={count}"
-                for label, count in (
-                    ("read", w.read_ops),
-                    ("update", w.update_ops),
-                    ("scan", w.scan_ops),
-                    ("insert", w.insert_ops),
-                    ("delete", w.delete_ops),
-                )
-                if count
-            )
-            parts.append(
-                f"workload({ops},count={w.field_count},length={w.field_length},"
-                f"threads={w.thread_count})"
-            )
-        return " ".join(parts) if parts else "baseline"
-
 
 def compose_environment(
     options: Iterable[OptionValue] = (),
@@ -212,22 +191,12 @@ class EnvironmentPlan:
     baseline: Environment
     factors: tuple[Environment, ...]
 
-    def executed_environments(self) -> tuple[Environment, ...]:
-        return (self.baseline,) + self.factors
-
     @property
-    def pairs(self) -> tuple[tuple[str, str], ...]:
-        """The ids of every planned pair, smaller id first."""
-        return tuple((a.id, b.id) for a, b in self._factor_pairs())
-
-    def pair_environments(self) -> tuple[tuple[Environment, Environment, Environment], ...]:
-        """(factor_a, factor_b, composed) triples for every planned pair."""
-        return tuple((a, b, compose_pair(a, b)) for a, b in self._factor_pairs())
-
-    def _factor_pairs(self) -> Iterator[tuple[Environment, Environment]]:
+    def pairs(self) -> tuple[tuple[Environment, Environment], ...]:
         """Every unordered factor pair, in factor order, the smaller id first."""
-        for a, b in combinations(self.factors, 2):
-            yield (a, b) if a.id < b.id else (b, a)
+        return tuple(
+            (a, b) if a.id < b.id else (b, a) for a, b in combinations(self.factors, 2)
+        )
 
 
 def plan_environments(
@@ -246,11 +215,10 @@ def plan_environments(
     seen_options: set[str] = set()
     for factor in factors:
         if not _is_single_factor(factor):
-            raise PlanError(
-                f"factor {factor.describe()!r} must vary exactly one option or one workload"
-            )
+            raise PlanError(f"factor {factor.canonical_text()!r} must vary exactly one "
+                            "option or one workload")
         if factor.id in seen_ids:
-            raise PlanError(f"factor {factor.describe()!r} listed twice")
+            raise PlanError(f"factor {factor.canonical_text()!r} listed twice")
         seen_ids.add(factor.id)
         if factor.options:
             name = factor.options[0].name
@@ -323,7 +291,7 @@ def write_plan(plan: EnvironmentPlan, path) -> None:
         "factors": [
             {"id": factor.id, **environment_to_doc(factor)} for factor in plan.factors
         ],
-        "pairs": [list(pair) for pair in plan.pairs],
+        "pairs": [[a.id, b.id] for a, b in plan.pairs],
     }
     dump_yaml(doc, path)
 
@@ -349,6 +317,6 @@ def load_plan(path, catalog: OptionCatalog) -> EnvironmentPlan:
         if not is_pair or not all(isinstance(factor_id, str) for factor_id in pair):
             raise PlanFormatError(f"{path}: pair {quoted(pair)} is not two factor ids")
         declared_pairs.append(tuple(pair))
-    if declared_pairs and sorted(declared_pairs) != sorted(plan.pairs):
+    if declared_pairs and sorted(declared_pairs) != sorted((a.id, b.id) for a, b in plan.pairs):
         raise PlanFormatError(f"{path}: pair list does not match the factor set")
     return plan

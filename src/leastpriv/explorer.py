@@ -20,7 +20,7 @@ import math
 import random
 import subprocess
 from dataclasses import dataclass, fields
-from typing import Callable, Optional
+from typing import Callable, Optional, get_type_hints
 
 from ._files import MAX_DIGITS, quoted, replacing, too_long
 from .environment import Environment, compose_environment, compose_pair
@@ -96,15 +96,14 @@ class MutationConfig:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.v_min > self.v_max:
-            raise ConfigError(f"v_min {self.v_min} > v_max {self.v_max}")
+            raise ConfigError(f"v_min {quoted(self.v_min)} > v_max {quoted(self.v_max)}")
         if not self.r > 1:
             raise ConfigError(f"scaling factor r must exceed 1, got {self.r}")
         try:
             float(self.v_min), float(self.v_max), float(self.v_max - self.v_min)
         except OverflowError:
-            raise ConfigError(
-                f"domain [{self.v_min}, {self.v_max}] is too wide for float positions"
-            ) from None
+            raise ConfigError(f"domain [{quoted(self.v_min)}, {quoted(self.v_max)}] "
+                              "is too wide for float positions") from None
         if self.step_init is None:
             object.__setattr__(
                 self, "step_init", float(max(1, (self.v_max - self.v_min) // 64))
@@ -112,7 +111,7 @@ class MutationConfig:
         if not self.step_init > 0:
             raise ConfigError(f"step_init must be positive, got {self.step_init}")
         if self.it_max < 1:
-            raise ConfigError(f"it_max must be at least 1, got {self.it_max}")
+            raise ConfigError(f"it_max must be at least 1, got {quoted(self.it_max)}")
         if not 0 <= self.p <= 1:
             raise ConfigError(f"reset probability p must be in [0,1], got {self.p}")
         if not self.t_base_lower < self.t_base_upper:
@@ -127,8 +126,10 @@ class MutationConfig:
 
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(MutationConfig))
-# The integer fields; every other field is a float.
-_INTEGER_FIELDS = frozenset({"v_min", "v_max", "it_max", "seed"})
+# Every field not annotated int is a float.
+_INTEGER_FIELDS = frozenset(
+    name for name, kind in get_type_hints(MutationConfig).items() if kind is int
+)
 
 
 def parse_config_field(token: str) -> tuple[str, object]:

@@ -607,7 +607,7 @@ def validate_value(spec: OptionSpec, raw: str) -> OptionValue:
     if isinstance(node, BoolFlag):
         if raw in ("", "true", "false"):
             return OptionValue(spec, raw or "true")
-        raise ValueParseError(f"option {spec.name!r}: {raw!r} is not a boolean flag value")
+        raise ValueParseError(f"option {spec.name!r}: {quoted(raw)} is not a boolean flag value")
     if isinstance(node, ListOf):
         items = raw.split(",")
         if len(items) > LIST_MAX:
@@ -632,21 +632,23 @@ def _diagnose(spec: OptionSpec, node: ValueSyntax, raw: str) -> OptionError:
         return ValueRangeError(f"{prefix} {too_long(digits.group())}")
     for value, (lo, high) in _windowed_integers(node, raw):
         if not lo <= value <= high:
-            return ValueRangeError(f"{prefix} {value} outside [{lo}, {high + 1})")
+            return ValueRangeError(f"{prefix} {quoted(value)} outside [{lo}, {high + 1})")
     if isinstance(node, BytesWithUnit):
         m = re.fullmatch(r"(\d+)([A-Za-z]*)", raw)
         if m:
             magnitude, suffix = int(m.group(1)), m.group(2)
             if suffix and suffix not in node.unit_suffixes:
                 return UnitError(
-                    f"{prefix} unit {suffix!r} is not one of {node.unit_suffixes}"
+                    f"{prefix} unit {quoted(suffix)} is not one of {node.unit_suffixes}"
                 )
             if not suffix and not node.suffix_optional:
                 return UnitError(f"{prefix} a unit suffix is required")
             lo, hi = node.magnitude.lo, node.magnitude.hi
             if not lo <= magnitude < hi:
-                return ValueRangeError(f"{prefix} magnitude {magnitude} outside [{lo}, {hi})")
-    return ValueParseError(f"{prefix} {raw!r} does not match {spec.expression!r}")
+                return ValueRangeError(
+                    f"{prefix} magnitude {quoted(magnitude)} outside [{lo}, {hi})"
+                )
+    return ValueParseError(f"{prefix} {quoted(raw)} does not match {spec.expression!r}")
 
 
 def _windowed_integers(node: ValueSyntax, raw: str) -> Iterator[tuple[int, tuple[int, int]]]:

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import importlib.resources
 import random
-from dataclasses import dataclass, fields
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union, get_type_hints
 
 from ._files import load_yaml, quoted
 from .environment import (
+    _WORKLOAD_FIELDS,
     WORKLOAD_PRESETS,
     Environment,
-    WorkloadSpec,
     compose_environment,
     doc_list,
 )
@@ -63,8 +63,6 @@ __all__ = [
 MODEL_VERSION = 1
 FIXTURE_NAMES = ("redis", "nginx")
 
-_WORKLOAD_FIELDS = frozenset(f.name for f in fields(WorkloadSpec))
-
 
 class ModelError(ValueError):
     pass
@@ -100,7 +98,7 @@ class OptionValueInRange:
 
     def __post_init__(self):
         if self.lo > self.hi:
-            raise ModelError(f"empty range [{self.lo}, {self.hi}]")
+            raise ModelError(f"empty range [{quoted(self.lo)}, {quoted(self.hi)}]")
 
     def matches(self, env: Environment) -> bool:
         bound = env.option_value(self.option)
@@ -122,7 +120,7 @@ class WorkloadFieldAtLeast:
 
     def __post_init__(self):
         if self.field not in _WORKLOAD_FIELDS:
-            raise ModelError(f"unknown workload field {self.field!r}")
+            raise ModelError(f"unknown workload field {quoted(self.field)}")
 
     def matches(self, env: Environment) -> bool:
         if env.workload is None:
@@ -200,6 +198,17 @@ def emit_trace(
 # -- model files ------------------------------------------------------------
 
 
+# The trigger kinds whose body is a mapping of their class's fields.
+_BODY_TRIGGERS = {
+    key: (cls, get_type_hints(cls))
+    for key, cls in (
+        ("option_value_equals", OptionValueEquals),
+        ("option_value_in_range", OptionValueInRange),
+        ("workload_field_at_least", WorkloadFieldAtLeast),
+    )
+}
+
+
 def _predicate_from_doc(doc) -> Predicate:
     if not isinstance(doc, dict) or len(doc) != 1:
         raise ModelError(f"bad trigger {quoted(doc)}: expected a single-key mapping")
@@ -208,24 +217,22 @@ def _predicate_from_doc(doc) -> Predicate:
         if not isinstance(body, str):
             raise ModelError("option_present takes an option name")
         return OptionPresent(body)
-    if key == "option_value_equals":
-        try:
-            return OptionValueEquals(body["option"], str(body["value"]))
-        except (TypeError, KeyError):
-            raise ModelError(f"bad option_value_equals body {quoted(body)}") from None
-    if key == "option_value_in_range":
-        try:
-            return OptionValueInRange(body["option"], int(body["lo"]), int(body["hi"]))
-        except (TypeError, KeyError, ValueError):
-            raise ModelError(f"bad option_value_in_range body {quoted(body)}") from None
     if key == "workload_present":
         return WorkloadPresent()
-    if key == "workload_field_at_least":
+    if key not in _BODY_TRIGGERS:
+        raise ModelError(f"unknown trigger kind {quoted(key)}")
+    cls, types = _BODY_TRIGGERS[key]
+    values = []
+    for name, kind in types.items():
         try:
-            return WorkloadFieldAtLeast(body["field"], int(body["threshold"]))
-        except (TypeError, KeyError, ValueError):
-            raise ModelError(f"bad workload_field_at_least body {quoted(body)}") from None
-    raise ModelError(f"unknown trigger kind {quoted(key)}")
+            value = body[name]
+        except (TypeError, KeyError):
+            raise ModelError(f"bad {key} body {quoted(body)}") from None
+        if type(value) is not kind:  # so a bool is no int, and a number no string
+            noun = "an integer" if kind is int else "a string"
+            raise ModelError(f"{key} {name} must be {noun}, got {quoted(value)}")
+        values.append(value)
+    return cls(*values)
 
 
 def model_from_doc(doc) -> SyntheticContainerModel:

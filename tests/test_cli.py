@@ -814,6 +814,40 @@ class TestErrorReporting:
         assert shown in err
         assert len(err.encode()) < 200
 
+    WEB_TRACE = "beacon-trace v1\n100 7 SYS unshare\n110 7 SYS prctl\n200 7 SYS read\n"
+    SPACED = "a b" + "x" * 5000
+
+    @pytest.mark.parametrize("argv,shown", [
+        (["plan", "default", "cpu-shares=" + "x" * 5000, "--out", "p.yaml"],
+         "ValueParseError: option 'cpu-shares': of 5000 characters does not match"),
+        (["plan", "default", "cpu-shares=" + "9" * 4300, "--out", "p.yaml"],
+         "ValueRangeError: option 'cpu-shares': int of 4300 characters outside [0, 262144)"),
+        (["sweep", "web.obs", CVEDB, "--targets", "1:" + "x" * 5000],
+         "CliError: bad target of 5002 characters: both scores must be numbers"),
+        (["sweep", "web.obs", CVEDB, "--targets", "1:" + "9" * 4300],
+         "CliError: bad target of 4302 characters: functionality_min must be in [0,1], got inf"),
+        (["ingest", "web.trace", "--env-id", SPACED, "--store", "web.obs"],
+         "StoreError: bad environment id of 5003 characters"),
+        (["ingest", "web.trace", "--env-id", "e", "--store", "web.obs", "--container", SPACED],
+         "CliError: store web.obs is for container 'web', not of 5003 characters"),
+        (["ingest", "web.trace", "--env-id", "e", "--store", "new.obs", "--container", SPACED],
+         "StoreError: bad container name of 5003 characters"),
+        (["explore", "redis", "cpu-shares", "--config", "v_min=" + "9" * 4300],
+         "ConfigError: v_min int of 4300 characters > v_max 262143"),
+    ], ids=["option-value", "option-integer", "target", "target-integer", "env-id",
+            "container-mismatch", "container-name", "config-integer"])
+    def test_an_argument_echo_is_bounded(self, tmp_path, monkeypatch, capsys, argv, shown):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "web.trace").write_text(self.WEB_TRACE)
+        assert main(["ingest", "web.trace", "--env-id", "w", "--store", "web.obs",
+                     "--container", "web"]) == 0
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert shown in err
+        assert len(err.encode()) < 200
+
     def test_an_unknown_option_name_is_bounded(self, capsys):
         assert main(["explore", "redis", self.LONG]) == 1
         assert capsys.readouterr().err == (

@@ -133,11 +133,10 @@ class TestClassification:
         classes = classify_events(store)
         assert classes.always == parse_event_list(["a"])
         assert classes.sporadic == parse_event_list(["b", "c"])
-        assert classes.observed == parse_event_list(["a", "b", "c"])
 
     def test_single_environment_has_no_sporadic(self):
         classes = classify_events(store_of(x1="a,b"))
-        assert classes.always == classes.observed
+        assert classes.always == parse_event_list(["a", "b"])
         assert not classes.sporadic
 
 
@@ -259,17 +258,18 @@ class TestSynthesis:
         store = store_of(x1="a,b", x2="a,c")
         db = db_of(c=9.9)
         policy = synthesize_policy(store, db, ScoreTargets(0.5, 0.5))
-        assert policy.classification_of("SYS", "a") == "always-in"
-        assert policy.classification_of("SYS", "b") == "sporadic-included"
-        assert policy.classification_of("SYS", "c") == "sporadic-excluded"
-        assert policy.classification_of("SYS", "zzz") == "never-observed"
+        assert policy.always == parse_event_list(["a"])
+        assert policy.sporadic_included == parse_event_list(["b"])
+        assert policy.sporadic_excluded == parse_event_list(["c"])
 
     def test_observed_events_partition_into_the_three_classes(self):
         store = store_of(x1="a,b,cold", x2="a,c", x3="a,b")
         db = db_of(c=9.9)
         policy = synthesize_policy(store, db, ScoreTargets(0.5, 0.6))
         classes = classify_events(store)
-        assert policy.always | policy.sporadic_included | policy.sporadic_excluded == classes.observed
+        observed = parse_event_list(["a", "b", "c", "cold"])
+        assert classes.always | classes.sporadic == observed
+        assert policy.always | policy.sporadic_included | policy.sporadic_excluded == observed
         assert not policy.sporadic_included & policy.sporadic_excluded
         assert policy.allowed == policy.always | policy.sporadic_included
 

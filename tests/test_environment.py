@@ -121,9 +121,9 @@ class TestPlans:
         assert len(plan.factors) == 3
         assert len(plan.pairs) == 3  # C(3,2)
         # only baseline + single factors are executed; pairs are inferred
-        ids = {env.id for env in plan.executed_environments()}
+        ids = {env.id for env in (plan.baseline, *plan.factors)}
         assert len(ids) == 4
-        composed = {c.id for _, _, c in plan.pair_environments()}
+        composed = {compose_pair(a, b).id for a, b in plan.pairs}
         assert len(composed) == 3
         assert composed.isdisjoint(ids)
 
@@ -131,18 +131,22 @@ class TestPlans:
         factors = self.factors()
         plan = plan_environments(factors)
         expected = [tuple(sorted((a.id, b.id))) for a, b in combinations(factors, 2)]
-        assert list(plan.pairs) == expected
-        assert [(a.id, b.id) for a, b, _ in plan.pair_environments()] == expected
+        assert [(a.id, b.id) for a, b in plan.pairs] == expected
 
     def test_plan_rejects_multi_factor_environment(self):
         bad = compose_environment([opt("tty"), opt("init")])
-        with pytest.raises(PlanError):
+        with pytest.raises(PlanError) as error:
             plan_environments([bad])
+        assert str(error.value) == (
+            r"factor 'environment v1\noption init=true\noption tty=true\n' must vary "
+            "exactly one option or one workload"
+        )
 
     def test_plan_rejects_duplicate_factors(self):
         f = compose_environment([opt("tty")])
-        with pytest.raises(PlanError):
+        with pytest.raises(PlanError) as error:
             plan_environments([f, f])
+        assert str(error.value) == f"factor {f.canonical_text()!r} listed twice"
 
     def test_plan_file_round_trip(self, tmp_path):
         plan = plan_environments(self.factors())
@@ -150,9 +154,7 @@ class TestPlans:
         write_plan(plan, path)
         again = load_plan(path, default_catalog())
         assert [f.id for f in again.factors] == [f.id for f in plan.factors]
-        assert [(a.id, b.id, c.id) for a, b, c in again.pair_environments()] == [
-            (a.id, b.id, c.id) for a, b, c in plan.pair_environments()
-        ]
+        assert [(a.id, b.id) for a, b in again.pairs] == [(a.id, b.id) for a, b in plan.pairs]
 
     def test_quoted_plan_value_keeps_its_digits(self, tmp_path):
         path = tmp_path / "plan.yaml"

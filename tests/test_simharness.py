@@ -255,6 +255,47 @@ interaction_rules:
         with pytest.raises(ModelError, match="unsupported model_version 9"):
             load_model(path)
 
+    RANGE = "{option_value_in_range: {option: cpu-shares, lo: %s, hi: %s}}"
+    EQUALS = "{option_value_equals: {option: %s, value: %s}}"
+    AT_LEAST = "{workload_field_at_least: {field: %s, threshold: %s}}"
+
+    @pytest.mark.parametrize("trigger,error", [
+        (RANGE % ("2.9", "90"), "option_value_in_range lo must be an integer, got 2.9"),
+        (RANGE % ("true", "90"), "option_value_in_range lo must be an integer, got True"),
+        (RANGE % ("1", '"8"'), "option_value_in_range hi must be an integer, got '8'"),
+        (RANGE % ("'" + "9" * 5000 + "'", "90"),
+         "option_value_in_range lo must be an integer, got of 5000 characters"),
+        (AT_LEAST % ("read_ops", "7.99"),
+         "workload_field_at_least threshold must be an integer, got 7.99"),
+        (AT_LEAST % ("read_ops", '"7"'),
+         "workload_field_at_least threshold must be an integer, got '7'"),
+        (AT_LEAST % ("1", "7"), "workload_field_at_least field must be a string, got 1"),
+        (AT_LEAST % ("K" * 5000, "7"), "unknown workload field of 5000 characters"),
+        (EQUALS % ("network", "true"), "option_value_equals value must be a string, got True"),
+        (EQUALS % ("network", "8"), "option_value_equals value must be a string, got 8"),
+        (EQUALS % ("5", "host"), "option_value_equals option must be a string, got 5"),
+        (EQUALS % ("network", "null"), "option_value_equals value must be a string, got None"),
+    ], ids=["float-lo", "bool-lo", "string-hi", "long-digit-string", "float-threshold",
+            "string-threshold", "int-field", "long-field", "bool-value", "int-value",
+            "int-option", "null-value"])
+    def test_trigger_fields_keep_their_yaml_types(self, tmp_path, trigger, error):
+        path = tmp_path / "m.yaml"
+        path.write_text(f"model_version: 1\nname: m\nrules:\n  - when: {trigger}\n")
+        with pytest.raises(ModelError) as raised:
+            load_model(path)
+        assert str(raised.value) == error
+
+    def test_quoted_trigger_values_are_strings(self, tmp_path):
+        path = tmp_path / "m.yaml"
+        path.write_text(
+            "model_version: 1\nname: m\nrules:\n"
+            "  - when: {option_value_equals: {option: cpu-shares, value: '8'}}\n"
+            "    adds: {syscalls: [sched_yield]}\n"
+        )
+        model = load_model(path)
+        assert model.rules[0].trigger == OptionValueEquals("cpu-shares", "8")
+        assert evaluate(model, env_of(("cpu-shares", "8"))) == EventSet.of(["sched_yield"])
+
 
 class TestPairCorpus:
     def test_shape_and_interaction_split(self):
