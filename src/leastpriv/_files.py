@@ -2,13 +2,17 @@
 
 The line formats read (traces, CVE databases, observation stores) share
 the lazy `decode_lines`, or only its header check `read_header` where a
-trace is replayed in one loop, and their errors quote input values
-through `quoted`, which names a value by its length when its repr is
-long.  `quoted` lives in `events`, which imports no other module, so
-event names are quoted the same way.  Plans,
-models and policies are YAML read by `load_yaml` and written by
-`dump_yaml`; every output file is written through `replacing`, so a
-failed write leaves the old file as it was.
+trace is replayed in one loop.  An observation store in the form the
+tool writes is the exception: `decision.load_store` checks it in one
+regex pass and decodes it a block at a time, and any other store goes
+through `decode_lines`.  Their errors quote input values through
+`quoted`, which names a value by its length when its repr is long.
+`quoted` lives in `events`, which imports no other module, so event
+names are quoted the same way.  Plans, models and policies are YAML
+read by `load_yaml` and written by `dump_yaml`; every output file is
+written through `replacing`, so a failed write leaves the old file as
+it was.  `discard_stdout` sends stdout to devnull once its reader has
+gone.
 
 `load_yaml` parses a file once: one loop over its events checks each
 against the depth, alias and long-integer limits and builds the document
@@ -24,6 +28,7 @@ import os
 import re
 import secrets
 import shutil
+import sys
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 import yaml
@@ -292,3 +297,12 @@ def replacing(path):
     except BaseException:
         os.unlink(temporary)
         raise
+
+
+def discard_stdout() -> None:
+    """Point stdout's descriptor at devnull, so what is still buffered flushes nowhere."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    finally:
+        os.close(devnull)

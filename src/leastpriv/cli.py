@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 from typing import Optional
 
-from ._files import quoted, replacing
+from ._files import discard_stdout, quoted, replacing
 from .decision import (
     ContainerMismatchError,
     DecisionError,
@@ -433,6 +433,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout (`leastpriv check ... | head -1`): the
+        # flush at exit must not fail again, and the status is the one a
+        # shell reports for a process that SIGPIPE ended.
+        discard_stdout()
+        return 141  # 128 + SIGPIPE
     except (ValueError, OSError) as exc:
         message = str(exc).replace("\n", " ")
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)

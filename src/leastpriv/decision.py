@@ -290,11 +290,12 @@ def save_store(store: ObservationStore, path) -> None:
 
 
 # The form the writers here produce, which append_observation copies
-# unparsed: comment or blank lines after the header, the CONTAINER line,
-# then ENV, SYS and CAP lines whose names hold no whitespace and no ASCII
-# letter outside canonical case, and whose counts have no leading zeros
-# and fewer digits than int() accepts.  \s is exactly str.isspace, what
-# load_store splits on; other characters are canonicalised when loaded.
+# unparsed and load_store decodes a block at a time (any other store is
+# decoded line by line): comment or blank lines after the header, the
+# CONTAINER line, then ENV, SYS and CAP lines whose names hold no
+# whitespace and no ASCII letter outside canonical case, and whose counts
+# have no leading zeros and at most 18 digits.  \s is exactly str.isspace,
+# what load_store splits on; other characters are canonicalised when loaded.
 # Each _OFF_ pattern finds the first line outside the form.  A flat
 # lookahead keeps sre's stack constant; a repeat over the whole store
 # would grow it by every line it matched.  The body patterns start with
@@ -343,14 +344,15 @@ def append_observation(path, observation: Observation, container: Optional[str] 
     comments dropped, and the new ENV block goes after its blocks: blocks
     stay in ingest order and an id seen before gets a second block, which
     load_store merges.  Any other store, such as a hand-written one, is
-    read by load_store, so it fails with the same error, and is written
-    by save_store with the observation merged in, like a new store.
+    read line by line as load_store reads it, so it fails with the same
+    error, and is written by save_store with the observation merged in,
+    like a new store.
     """
     found = None
     if not os.path.exists(path):
         store = ObservationStore("container" if container is None else container)
     elif (found := _read_written(path)) is None:
-        store = load_store(path)
+        store = _decode_store(path)
     name = store.container if found is None else found[0]
     if container is not None and container != name:
         raise ContainerMismatchError(
@@ -373,7 +375,40 @@ def append_observation(path, observation: Observation, container: Optional[str] 
 
 
 def load_store(path) -> ObservationStore:
-    """Read a store, merging its ENV blocks: any order, an id repeated adds its counts."""
+    """Read a store, merging its ENV blocks: any order, an id repeated adds its counts.
+
+    A store in the written form (see _read_written) is checked in one pass
+    and then decoded a block at a time; any other store is decoded line by
+    line through decode_lines, which reports the first bad line by number.
+    Both read the same store to the same counts.
+    """
+    found = _read_written(path)
+    if found is None:
+        return _decode_store(path)
+    container, text, end = found
+    store = ObservationStore(container)
+    syscall_memo: dict[str, str] = {}  # name -> canonical, this read
+    capability_memo: dict[str, str] = {}
+    # Each block starts after a "\nENV ", the first at end - 1, and is cut
+    # out when it is decoded, so the text is not held twice.  Each body line
+    # is `TAG name count` with a canonical count: its tokens come in threes.
+    at = end - 1
+    while at >= 0:
+        start, at = at + 5, text.find("\nENV ", at + 5)
+        environment_id, _, body = text[start:at if at >= 0 else None].partition("\n")
+        syscalls, capabilities = store._add(environment_id)
+        kinds = {"SYS": (syscalls, syscall_memo, canonical_syscall),
+                 "CAP": (capabilities, capability_memo, canonical_capability)}
+        tokens = body.split()
+        for tag, name, count in zip(tokens[0::3], tokens[1::3], map(int, tokens[2::3])):
+            counts, memo, canonical = kinds[tag]
+            name = memo.get(name) or remember(memo, canonical, name)
+            counts[name] = counts.get(name, 0) + count
+    return store
+
+
+def _decode_store(path) -> ObservationStore:
+    """load_store for a store outside the written form: one line at a time."""
     store: Optional[ObservationStore] = None
     current: dict[str, dict[str, int]] = {}  # tag -> the store's counts for the ENV being read
     memos: dict[str, dict[str, str]] = {"SYS": {}, "CAP": {}}  # name -> canonical, this read
@@ -400,9 +435,9 @@ def load_store(path) -> ObservationStore:
             try:
                 count = int(parts[2])
             except ValueError:
-                raise StoreFormatError(f"bad count {parts[2]!r}") from None
+                raise StoreFormatError(f"bad count {quoted(parts[2])}") from None
             if count < 0:
-                raise StoreFormatError(f"negative count {count}")
+                raise StoreFormatError(f"negative count {quoted(count)}")
             memo, name, counts = memos[tag], parts[1], current[tag]
             name = memo.get(name) or remember(
                 memo, canonical_syscall if tag == "SYS" else canonical_capability, name
@@ -551,16 +586,25 @@ def _synthesizer(store: ObservationStore, database: CveDatabase):
     classes = _classes(frequencies, len(store))
     cvss = {event: database.max_cvss(*event) for event in frequencies}
     order = sorted(classes.sporadic.events(), key=lambda e: (-frequencies[e], cvss[e], e))
-    # An event's greedy rank is its place in the order; always-class events rank 0.
-    rank = {event: step for step, event in enumerate(order, 1)}
+    # Per kind, in the order of a store's count maps: name -> greedy rank
+    # (its place in the order) and name -> sporadic CVSS, where always-class
+    # events rank 0 with CVSS 0.0.  Every observed event is a key, and no
+    # CVSS is below 0, so the maxima below are exact.
+    ranks: tuple[dict[str, int], dict[str, int]] = ({}, {})
+    worsts: tuple[dict[str, float], dict[str, float]] = ({}, {})
+    index = {KIND_SYSCALL: 0, KIND_CAPABILITY: 1}
+    always = ((0, event) for event in classes.always.events())
+    for step, (kind, name) in chain(always, enumerate(order, 1)):
+        ranks[index[kind]][name] = step
+        worsts[index[kind]][name] = cvss[kind, name] if step else 0.0
     # Per environment, its covering step (the rank of its last event) and
     # its worst sporadic CVSS: it is covered under a ceiling at or above that.
-    environments = []
-    for syscalls, capabilities in store._counts.values():
-        events = [*((KIND_SYSCALL, name) for name in syscalls),
-                  *((KIND_CAPABILITY, name) for name in capabilities)]
-        environments.append((max((rank.get(event, 0) for event in events), default=0),
-                             max((cvss[event] for event in events if event in rank), default=0.0)))
+    environments = [
+        (max(max(map(rank.__getitem__, names), default=0) for rank, names in zip(ranks, maps)),
+         max(max(map(worst.__getitem__, names), default=0.0)
+             for worst, names in zip(worsts, maps)))
+        for maps in store._counts.values()
+    ]
 
     def cut(targets: ScoreTargets) -> Union[Policy, Infeasible]:
         if not store:

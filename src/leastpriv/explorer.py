@@ -224,7 +224,8 @@ def command_probe(command: list[str]) -> EventProbe:
         proc = subprocess.run(argv, capture_output=True, text=True)
         if proc.returncode != 0:
             raise ProbeError(
-                f"probe command {argv[0]!r} exited {proc.returncode}: {proc.stderr.strip()}"
+                f"probe command {quoted(argv[0])} exited {proc.returncode}: "
+                f"{quoted(proc.stderr.strip())}"
             )
         combined = EventSet.empty()
         for state in _replay_lines(io.StringIO(proc.stdout), argv[0]).values():

@@ -334,7 +334,7 @@ def _tokenize(expression: str) -> list[_Token]:
     while pos < len(expression):
         m = _TOKEN_RE.match(expression, pos)
         if not m:
-            raise CatalogError(f"cannot tokenize syntax at {expression[pos:]!r}")
+            raise CatalogError(f"cannot tokenize syntax at {quoted(expression[pos:])}")
         pos = m.end()
         kind = m.lastgroup
         if kind == "ws":
@@ -353,26 +353,25 @@ class _Parser:
         self.expression = expression
         self.depth = 0
 
+    def error(self, message: str) -> CatalogError:
+        return CatalogError(f"{message} in {quoted(self.expression)}")
+
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def take(self, kind: Optional[str] = None) -> _Token:
         token = self.peek()
         if token is None:
-            raise CatalogError(f"unexpected end of syntax in {self.expression!r}")
+            raise self.error("unexpected end of syntax")
         if kind is not None and token.kind != kind:
-            raise CatalogError(
-                f"expected {kind!r} but found {token.text!r} in {self.expression!r}"
-            )
+            raise self.error(f"expected {kind!r} but found {quoted(token.text)}")
         self.pos += 1
         return token
 
     def parse(self) -> ValueSyntax:
         node = self.alternation()
         if self.peek() is not None:
-            raise CatalogError(
-                f"trailing tokens after syntax: {self.peek().text!r} in {self.expression!r}"
-            )
+            raise self.error(f"trailing tokens after syntax: {quoted(self.peek().text)}")
         return node
 
     def group(self, close: str) -> ValueSyntax:
@@ -404,7 +403,7 @@ class _Parser:
                 break
             items.append(self.item())
         if not items:
-            raise CatalogError(f"empty sequence in {self.expression!r}")
+            raise self.error("empty sequence")
         if len(items) == 1 and not items[0].optional:
             return items[0].node
         return Compound(tuple(items))
@@ -429,7 +428,7 @@ class _Parser:
             if self.peek() is not None and self.peek().kind == "int":
                 return self.range_body()
             return self.group(")")
-        raise CatalogError(f"unexpected token {token.text!r} in {self.expression!r}")
+        raise self.error(f"unexpected token {quoted(token.text)}")
 
     def angle(self) -> ValueSyntax:
         name = self.take("angle").text[1:-1]
@@ -457,7 +456,7 @@ class _Parser:
             if not 2 <= width <= 64:
                 raise CatalogError(f"signed bit width out of range: {width}")
             return IntRange(-(1 << (width - 1)), 1 << (width - 1))
-        raise CatalogError(f"unknown syntax token <{name}> in {self.expression!r}")
+        raise self.error(f"unknown syntax token {quoted('<' + name + '>')}")
 
     def range_body(self) -> IntRange:
         """``lo, hi)`` or ``lo, Uw)``, after the opening bracket."""
@@ -469,7 +468,7 @@ class _Parser:
         elif hi_token.kind == "int":
             hi = _integer(hi_token.text)
         else:
-            raise CatalogError(f"bad range bound {hi_token.text!r} in {self.expression!r}")
+            raise self.error(f"bad range bound {quoted(hi_token.text)}")
         self.take(")")
         return IntRange(lo, hi)
 
@@ -570,19 +569,19 @@ def parse_catalog(text: str, source: str = "<memory>") -> OptionCatalog:
         fields = raw_line.split("\t")
         if len(fields) != 3:
             raise CatalogError(
-                f"{source}:{lineno}: expected name<TAB>category<TAB>syntax, got {raw_line!r}"
+                f"{source}:{lineno}: expected name<TAB>category<TAB>syntax, got {quoted(raw_line)}"
             )
         name, category, expression = (f.strip() for f in fields)
         if not name:
             raise CatalogError(f"{source}:{lineno}: empty option name")
         if name in specs:
-            raise DuplicateOptionError(f"{source}:{lineno}: option {name!r} declared twice")
+            raise DuplicateOptionError(f"{source}:{lineno}: option {quoted(name)} declared twice")
         if category not in CATEGORIES:
-            raise CatalogError(f"{source}:{lineno}: unknown category {category!r}")
+            raise CatalogError(f"{source}:{lineno}: unknown category {quoted(category)}")
         try:
             syntax = parse_syntax(expression, category)
         except CatalogError as exc:
-            raise CatalogError(f"{source}:{lineno}: option {name!r}: {exc}") from None
+            raise CatalogError(f"{source}:{lineno}: option {quoted(name)}: {exc}") from None
         specs[name] = OptionSpec(name, category, syntax, expression)
     return OptionCatalog(specs)
 

@@ -2,6 +2,8 @@
 
 import contextlib
 import io
+import os
+import subprocess
 import sys
 from collections import Counter
 from importlib import resources
@@ -713,6 +715,52 @@ class TestErrorReporting:
               "achieved_functionality": 1.0}
     INGEST = ["ingest", "t.trace", "--env-id", "a", "--store", "s.obs"]
 
+    @pytest.mark.parametrize("count,shown", [
+        ("x" * 4000, "bad count of 4000 characters"),
+        ("-" + "9" * 4299, "negative count int of 4300 characters"),
+    ], ids=["not-a-number", "negative"])
+    def test_a_store_count_echo_is_bounded(self, tmp_path, monkeypatch, capsys, count, shown):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.obs").write_text(
+            f"beacon-observations v1\nCONTAINER app\nENV a\nSYS read {count}\n"
+        )
+        assert main(["synthesize", "s.obs", CVEDB, "--security-min", "0",
+                     "--functionality-min", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: StoreFormatError: s.obs:4: {shown}\n"
+        assert len(err.encode()) < 200
+
+    def test_a_probe_stderr_echo_is_bounded(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fail.py").write_text(
+            "import sys\nsys.stderr.write('x' * 5000)\nsys.exit(3)\n"
+        )
+        assert main(["explore", f"cmd:{sys.executable} fail.py", "cpu-shares",
+                     "--config", "it_max=1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ExplorationError: ") and err.count("\n") == 1
+        assert err.endswith("exited 3: of 5000 characters\n")
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("catalog,shown", [
+        (f"{LONG}\n", "expected name<TAB>category<TAB>syntax, got of 5000 characters"),
+        (f"a\tint\t(1, 4) {'!' * 5000}\n", "cannot tokenize syntax at of 5000 characters"),
+        (f'a\tstring\t"{LONG}" |\n', "empty sequence in of 5004 characters"),
+        (f'a\tint\t(5 "{LONG}"\n',
+         "expected ',' but found of 5002 characters in of 5005 characters"),
+        (f"a\tint\t<{LONG}>\n", "unknown syntax token of 5002 characters in of 5002 "),
+        (f"a\t{LONG}\t<Bool>\n", "unknown category of 5000 characters"),
+        (f"{LONG}\tint\t!\n", "option of 5000 characters: cannot tokenize syntax at '!'"),
+    ], ids=["line", "tokenize", "expression", "token", "angle", "category", "name"])
+    def test_a_catalog_echo_is_bounded(self, tmp_path, monkeypatch, capsys, catalog, shown):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "F").write_text(catalog, encoding="utf-8")
+        assert main(["explore", "redis", "cpu-shares", "--catalog", "F"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert shown in err
+        assert len(err.encode()) < 200
+
     @pytest.mark.parametrize("files,argv,length", [
         ({"t.trace": f"{LONG}\n"}, INGEST, 5000),
         ({"t.trace": f"beacon-trace v1\n1 1 {LONG} read\n"}, INGEST, 5000),
@@ -857,6 +905,29 @@ class TestErrorReporting:
     def test_bad_targets_string(self, redis_store_path, capsys):
         code = main(["sweep", str(redis_store_path), CVEDB, "--targets", "nonsense"])
         assert code == 1
+
+    def test_a_closed_stdout_ends_quietly(self, tmp_path):
+        """`leastpriv check P DB | head -1`: no error line, and the SIGPIPE status."""
+        (tmp_path / "p.yaml").write_text(yaml.safe_dump(self.POLICY))
+        # more rows than a pipe buffers, so check is still writing when the pipe closes
+        (tmp_path / "c.cvedb").write_text(
+            "beacon-cvedb v1\n" + "".join(f"CVE-{i}\t5\tread\n" for i in range(20000))
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        script = "import sys\nfrom leastpriv.cli import main\nsys.exit(main())\n"
+        with open(tmp_path / "err", "wb") as err, subprocess.Popen(
+                [sys.executable, "-c", script, "check", "p.yaml", "c.cvedb"],
+                cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=err) as proc:
+            try:
+                first = proc.stdout.readline()
+                proc.stdout.close()
+                status = proc.wait(timeout=60)
+            finally:
+                proc.kill()
+        assert first == b"cve_id\tcvss\tblocked\tmissing\n"
+        assert (status, (tmp_path / "err").read_bytes()) == (141, b"")
 
 
 class TestIngestAppends:

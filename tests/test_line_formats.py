@@ -9,7 +9,9 @@ its counts, and its events are exactly the names it counts.  Ingesting
 into any store either fails with load_store's error and leaves the file
 alone, or leaves a store that loads to the old counts plus the trace's.
 Its check of a store's form, and its count of the store's ids, agree with
-the ^-anchored scans they replaced.
+the ^-anchored scans they replaced.  load_store, which decodes a store in
+that form a block at a time, reads every store as a plain per-line
+decoder does: the same counts in the same order, or the same error.
 """
 
 import io
@@ -25,10 +27,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from leastpriv import decision
 from leastpriv.cli import main
+from leastpriv._files import MAX_DIGITS, decode_lines, quoted, too_long
 from leastpriv.decision import (
     CVEDB_HEADER,
     OBSERVATIONS_HEADER,
     DbFormatError,
+    ObservationStore,
     StoreFormatError,
     _read_written,
     load_store,
@@ -380,3 +384,94 @@ def test_ingest_appends_or_fails_like_load_store(text, environment_id):
         if not written:
             save_store(result, os.path.join(directory, "canonical.obs"))
             assert Path(store).read_bytes() == Path(directory, "canonical.obs").read_bytes()
+
+
+# -- the block decoder -------------------------------------------------------
+
+
+def _reference_load_store(path):
+    """Any store decoded one line at a time, each name canonicalised where it is read."""
+    store = None
+    current = {}  # tag -> the store's counts for the ENV being read
+    canonical = {"SYS": canonical_syscall, "CAP": canonical_capability}
+
+    def decode(line):
+        nonlocal store
+        if line.startswith("#"):
+            return
+        parts = line.split()
+        tag = parts[0]
+        if tag == "CONTAINER":
+            if len(parts) != 2 or store is not None:
+                raise StoreFormatError("bad CONTAINER line")
+            store = ObservationStore(parts[1])
+        elif tag == "ENV":
+            if store is None or len(parts) != 2:
+                raise StoreFormatError("bad ENV line")
+            current.update(zip(("SYS", "CAP"), store._add(parts[1])))
+        elif tag in ("SYS", "CAP"):
+            if not current or len(parts) != 3:
+                raise StoreFormatError(f"stray or malformed {tag} line")
+            if len(parts[2]) > MAX_DIGITS:
+                raise StoreFormatError(f"bad count: {too_long(parts[2])}")
+            try:
+                count = int(parts[2])
+            except ValueError:
+                raise StoreFormatError(f"bad count {quoted(parts[2])}") from None
+            if count < 0:
+                raise StoreFormatError(f"negative count {quoted(count)}")
+            name = canonical[tag](parts[1])
+            current[tag][name] = current[tag].get(name, 0) + count
+        else:
+            raise StoreFormatError(f"unknown tag {quoted(tag)}")
+
+    with open(path, "r", encoding="utf-8") as handle:
+        for _ in decode_lines(handle, OBSERVATIONS_HEADER, path, StoreFormatError, decode):
+            pass
+    if store is None:
+        raise StoreFormatError(f"{path}: missing CONTAINER line")
+    return store
+
+
+def _read_or_error(read, path):
+    """(container, ids in first-seen order, counts per id), or the error line."""
+    try:
+        store = read(path)
+    except ValueError as exc:
+        return f"error: {type(exc).__name__}: {exc}"
+    return store.container, list(store._counts), _counts(store)
+
+
+# Stores in the written form, so that load_store decodes them a block at a time.
+_BLOCK_EXAMPLES = [
+    f"{_H}\nCONTAINER app\nENV x1\nSYS read 1\nENV x2\nSYS read 2\nENV x1\nSYS read 3\n",
+    f"{_H}\nCONTAINER app\nENV x1\nSYS read 1\nCAP CAP_CHOWN 1\nSYS read 2\nCAP CAP_CHOWN 4\n",
+    f"{_H}\nCONTAINER app\nENV x1\nCAP CAP_CHOWN 1\nCAP CAP_SETUID 2\nSYS read 3\n",
+    f"{_H}\nCONTAINER app\nENV x1\nSYS read 0\nCAP CAP_CHOWN 0\nENV x2\n",
+    f"{_H}\nCONTAINER app\nENV x1\nSYS read {'9' * 18}\nSYS read {'9' * 18}\n",
+    f"{_H}\nCONTAINER app\nENV x1\nSYS Σx 1\nSYS σx 2\nENV x2\nSYS Σx 4\n",
+]
+
+
+def test_the_block_examples_are_in_the_written_form(tmp_path):
+    path = tmp_path / "s.obs"
+    for text in _BLOCK_EXAMPLES:
+        path.write_text(text, encoding="utf-8")
+        assert _read_written(path) is not None, text
+
+
+def block_examples(test):
+    for text in [text for text, _ in _STORE_EXAMPLES] + _BLOCK_EXAMPLES:
+        test = example(text=text)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=store_texts)
+@block_examples
+def test_load_store_reads_like_a_per_line_decoder(text):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "s.obs")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        assert _read_or_error(load_store, path) == _read_or_error(_reference_load_store, path)
