@@ -60,6 +60,11 @@ _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 MAX_DEPTH = 32
 MAX_ALIAS_NODES = 10_000
 
+# A catalog syntax or an environment's text is quoted whole up to this many
+# characters, which the shipped `publish` syntax (90) and every workload
+# factor's text (at most 115) fit, and named by its length beyond.
+MAX_QUOTED_TEXT = 120
+
 # An integer written with more digits than this, in any input, is refused
 # before int() meets it, so no interpreter's own limit on int() decides.
 MAX_DIGITS = 4300

@@ -89,7 +89,7 @@ def _parse_factor(token: str, catalog):
     spec = catalog[name]
     if not sep:
         if spec.category != "bool":
-            raise CliError(f"factor {name!r} needs =value (category {spec.category})")
+            raise CliError(f"factor {quoted(name)} needs =value (category {spec.category})")
         value = "true"
     return compose_environment([validate_value(spec, value)])
 
@@ -162,7 +162,7 @@ def _cmd_explore(args) -> int:
     spec = catalog[args.option]
     bounds = integer_bounds(spec.syntax)
     if bounds is None:
-        raise CliError(f"option {args.option!r} has no integer domain to mutate")
+        raise CliError(f"option {quoted(args.option)} has no integer domain to mutate")
     if args.model.startswith("cmd:"):
         probe = command_probe(shlex.split(args.model[len("cmd:"):]))
     else:

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from ._files import dump_yaml, load_yaml, quoted
+from ._files import MAX_QUOTED_TEXT, dump_yaml, load_yaml, quoted
 from .options import (
     OptionCatalog,
     OptionError,
@@ -159,7 +159,7 @@ def compose_environment(
     seen: set[str] = set()
     for value in ordered:
         if value.name in seen:
-            raise EnvironmentError(f"option {value.name!r} bound twice")
+            raise EnvironmentError(f"option {quoted(value.name)} bound twice")
         seen.add(value.name)
     return Environment(tuple(ordered), workload)
 
@@ -215,15 +215,16 @@ def plan_environments(
     seen_options: set[str] = set()
     for factor in factors:
         if not _is_single_factor(factor):
-            raise PlanError(f"factor {factor.canonical_text()!r} must vary exactly one "
-                            "option or one workload")
+            raise PlanError(f"factor {quoted(factor.canonical_text(), MAX_QUOTED_TEXT)} "
+                            "must vary exactly one option or one workload")
         if factor.id in seen_ids:
-            raise PlanError(f"factor {factor.canonical_text()!r} listed twice")
+            raise PlanError(f"factor {quoted(factor.canonical_text(), MAX_QUOTED_TEXT)} "
+                            "listed twice")
         seen_ids.add(factor.id)
         if factor.options:
             name = factor.options[0].name
             if name in seen_options:
-                raise PlanError(f"two factors vary the same option {name!r}")
+                raise PlanError(f"two factors vary the same option {quoted(name)}")
             seen_options.add(name)
     return EnvironmentPlan(base, tuple(factors))
 
@@ -263,7 +264,7 @@ def environment_from_doc(doc: dict, catalog: OptionCatalog) -> Environment:
             spec, raw = catalog[entry["name"]], entry["value"]
             if not isinstance(raw, str):
                 raise PlanFormatError(
-                    f"option {spec.name!r}: value {quoted(raw)} is not a string; "
+                    f"option {quoted(spec.name)}: value {quoted(raw)} is not a string; "
                     "quote it in the plan"
                 )
             values.append(validate_value(spec, raw))

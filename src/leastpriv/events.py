@@ -88,19 +88,20 @@ class EventNameError(ValueError):
 MAX_QUOTED = 40
 
 
-def quoted(value: object) -> str:
-    """repr(value) for an error message, or what value is when that repr is over-long.
+def quoted(value: object, limit: int = MAX_QUOTED) -> str:
+    """repr(value) for an error message, or what value is when that repr,
+    quotes aside, is longer than limit.
 
     An over-long string is named by its length, as `of 5000 characters`;
     any other value by its type and length, as `list of length 2000`, or
     by the length of its repr when it has no len(), as `int of 4300 characters`.
     """
     if isinstance(value, str):
-        if len(value) <= MAX_QUOTED and len(repr(value)) <= MAX_QUOTED + 2:
+        if len(value) <= limit and len(repr(value)) <= limit + 2:
             return repr(value)
         return f"of {len(value)} characters"
     text = repr(value)
-    if len(text) <= MAX_QUOTED + 2:
+    if len(text) <= limit + 2:
         return text
     try:
         return f"{type(value).__name__} of length {len(value)}"

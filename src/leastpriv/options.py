@@ -15,8 +15,9 @@ with ``#`` comment lines.  The syntax-expression notation:
     <Signals>                  enum over the standard signal names
     <HVPath>, <CVPath>         enum over configured host / container path pools
 
-All four integer forms parse to one IntRange window; a ``bytes`` row's
-``<Uw> [(unit enum)]`` folds into a BytesWithUnit around its ``<Uw>``.
+All four integer forms parse to one IntRange window.  A compound with one
+IntRange part and every other part optional, such as the byte size
+``<Uw> [("b" | "k")]``, has that part's window and carries its integer.
 
 Every expression denotes a finite value space.  Validating a raw string
 parses it once and yields an OptionValue holding the canonical text
@@ -30,12 +31,12 @@ integer.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from typing import Iterator, Optional
 
-from ._files import MAX_DIGITS, quoted, too_long
+from ._files import MAX_DIGITS, MAX_QUOTED_TEXT, quoted, too_long
 
 __all__ = [
     "OptionError",
@@ -44,11 +45,9 @@ __all__ = [
     "UnknownOptionError",
     "ValueParseError",
     "ValueRangeError",
-    "UnitError",
     "BoolFlag",
     "IntRange",
     "Enum",
-    "BytesWithUnit",
     "ListOf",
     "Literal",
     "Compound",
@@ -88,10 +87,6 @@ class ValueParseError(OptionError):
 
 class ValueRangeError(ValueParseError):
     """Integer parsed but outside the legal bounds."""
-
-
-class UnitError(ValueParseError):
-    pass
 
 
 # Standard signal names in kernel numbering order (1..31).
@@ -198,27 +193,6 @@ class Enum(ValueSyntax):
 
 
 @dataclass(frozen=True)
-class BytesWithUnit(ValueSyntax):
-    """Byte size: an unsigned ``<Uw>`` magnitude with a unit suffix.
-
-    Folded from ``<Uw> [(unit enum)]`` in a ``bytes`` row; its number is
-    the magnitude.
-    """
-
-    magnitude: IntRange
-    unit_suffixes: tuple[str, ...]
-    suffix_optional: bool
-
-    def match(self, text: str, pos: int):
-        for digits, number, _, end in self.magnitude.match(text, pos):
-            for suffix in self.unit_suffixes:
-                if text.startswith(suffix, end):
-                    yield digits + suffix, number, True, end + len(suffix)
-            if self.suffix_optional:
-                yield digits, number, True, end
-
-
-@dataclass(frozen=True)
 class Literal(ValueSyntax):
     """Fixed text; only appears inside compounds and alternations."""
 
@@ -246,9 +220,16 @@ class Compound(ValueSyntax):
     An optional part that binds no non-literal leaf is left out of the
     canonical text, so ``/data:`` against ``<CVPath> [":" ["ro" | "rw"]]``
     reads as ``/data``.
+
+    When one part is an IntRange and every other part is optional, the
+    bare integer is itself a value: the compound has that part's window
+    and carries its integer (``512m`` against ``<U32> [("b" | "m")]``
+    reads as 512).
     """
 
     parts: tuple[CompoundPart, ...]
+    # Index of the part whose integer the compound carries, or None.
+    _numbered: Optional[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.parts:
@@ -256,25 +237,33 @@ class Compound(ValueSyntax):
         for part in self.parts:
             if isinstance(part.node, ListOf):
                 raise CatalogError("lists cannot nest inside compounds")
+        ranges = [i for i, part in enumerate(self.parts) if isinstance(part.node, IntRange)]
+        others_optional = all(p.optional for i, p in enumerate(self.parts) if i not in ranges)
+        numbered = ranges[0] if len(ranges) == 1 and others_optional else None
+        object.__setattr__(self, "_numbered", numbered)
 
     def match(self, text: str, pos: int):
         # One forward pass.  After each part, keep the first parse a
         # left-to-right backtracking search would meet to each end
         # position: what the later parts match depends only on that
         # position, so a later parse to it can never come first.
-        reached = {pos: ("", False)}
-        for part in self.parts:
-            after: dict[int, tuple[str, bool]] = {}
-            for at, (done, bound) in reached.items():
-                for piece, _, binds, nxt in part.node.match(text, at):
+        reached: dict[int, tuple[str, Optional[int], bool]] = {pos: ("", None, False)}
+        for index, part in enumerate(self.parts):
+            numbered = index == self._numbered
+            after: dict[int, tuple[str, Optional[int], bool]] = {}
+            for at, (done, number, bound) in reached.items():
+                for piece, value, binds, nxt in part.node.match(text, at):
                     if nxt not in after:
-                        dropped = part.optional and not binds
-                        after[nxt] = (done, bound) if dropped else (done + piece, bound or binds)
+                        if part.optional and not binds:
+                            after[nxt] = (done, number, bound)
+                        else:
+                            number_after = value if numbered else number
+                            after[nxt] = (done + piece, number_after, bound or binds)
                 if part.optional:
-                    after.setdefault(at, (done, bound))
+                    after.setdefault(at, (done, number, bound))
             reached = after
-        for end, (done, bound) in reached.items():
-            yield done, None, bound, end
+        for end, (done, number, bound) in reached.items():
+            yield done, number, bound, end
 
 
 @dataclass(frozen=True)
@@ -487,28 +476,9 @@ def _unsigned_width(width: int) -> int:
     return width
 
 
-def parse_syntax(expression: str, category: str = "string") -> ValueSyntax:
+def parse_syntax(expression: str) -> ValueSyntax:
     """Parse one syntax expression into its node tree."""
-    node = _Parser(_tokenize(expression), expression).parse()
-    if category == "bytes":
-        node = _fold_byte_size(node)
-    return node
-
-
-def _fold_byte_size(node: ValueSyntax) -> ValueSyntax:
-    """Collapse ``<Uw> [(unit enum)]`` into a byte-size node; a signed
-    window or a range is left as it is."""
-    if not isinstance(node, Compound) or len(node.parts) != 2:
-        return node
-    first, second = node.parts
-    if (
-        isinstance(first.node, IntRange)
-        and not first.node.signed
-        and not first.optional
-        and isinstance(second.node, Enum)
-    ):
-        return BytesWithUnit(first.node, second.node.choices, second.optional)
-    return node
+    return _Parser(_tokenize(expression), expression).parse()
 
 
 # --- catalog ---------------------------------------------------------------
@@ -579,7 +549,7 @@ def parse_catalog(text: str, source: str = "<memory>") -> OptionCatalog:
         if category not in CATEGORIES:
             raise CatalogError(f"{source}:{lineno}: unknown category {quoted(category)}")
         try:
-            syntax = parse_syntax(expression, category)
+            syntax = parse_syntax(expression)
         except CatalogError as exc:
             raise CatalogError(f"{source}:{lineno}: option {quoted(name)}: {exc}") from None
         specs[name] = OptionSpec(name, category, syntax, expression)
@@ -606,12 +576,14 @@ def validate_value(spec: OptionSpec, raw: str) -> OptionValue:
     if isinstance(node, BoolFlag):
         if raw in ("", "true", "false"):
             return OptionValue(spec, raw or "true")
-        raise ValueParseError(f"option {spec.name!r}: {quoted(raw)} is not a boolean flag value")
+        raise ValueParseError(
+            f"option {quoted(spec.name)}: {quoted(raw)} is not a boolean flag value"
+        )
     if isinstance(node, ListOf):
         items = raw.split(",")
         if len(items) > LIST_MAX:
             raise ValueParseError(
-                f"option {spec.name!r}: {len(items)} elements exceed the cap of {LIST_MAX}"
+                f"option {quoted(spec.name)}: {len(items)} elements exceed the cap of {LIST_MAX}"
             )
         text = ",".join(_validate_scalar(spec, node.element, item)[0] for item in items)
         return OptionValue(spec, text)
@@ -626,28 +598,14 @@ def _validate_scalar(spec: OptionSpec, node: ValueSyntax, raw: str) -> tuple[str
 
 
 def _diagnose(spec: OptionSpec, node: ValueSyntax, raw: str) -> OptionError:
-    prefix = f"option {spec.name!r}:"
+    prefix = f"option {quoted(spec.name)}:"
     if digits := _TOO_LONG.search(raw):
         return ValueRangeError(f"{prefix} {too_long(digits.group())}")
     for value, (lo, high) in _windowed_integers(node, raw):
         if not lo <= value <= high:
             return ValueRangeError(f"{prefix} {quoted(value)} outside [{lo}, {high + 1})")
-    if isinstance(node, BytesWithUnit):
-        m = re.fullmatch(r"(\d+)([A-Za-z]*)", raw)
-        if m:
-            magnitude, suffix = int(m.group(1)), m.group(2)
-            if suffix and suffix not in node.unit_suffixes:
-                return UnitError(
-                    f"{prefix} unit {quoted(suffix)} is not one of {node.unit_suffixes}"
-                )
-            if not suffix and not node.suffix_optional:
-                return UnitError(f"{prefix} a unit suffix is required")
-            lo, hi = node.magnitude.lo, node.magnitude.hi
-            if not lo <= magnitude < hi:
-                return ValueRangeError(
-                    f"{prefix} magnitude {quoted(magnitude)} outside [{lo}, {hi})"
-                )
-    return ValueParseError(f"{prefix} {quoted(raw)} does not match {spec.expression!r}")
+    syntax = quoted(spec.expression, MAX_QUOTED_TEXT)
+    return ValueParseError(f"{prefix} {quoted(raw)} does not match {syntax}")
 
 
 def _windowed_integers(node: ValueSyntax, raw: str) -> Iterator[tuple[int, tuple[int, int]]]:
@@ -675,10 +633,10 @@ def _windowed_integers(node: ValueSyntax, raw: str) -> Iterator[tuple[int, tuple
 
 def integer_bounds(node: ValueSyntax) -> Optional[tuple[int, int]]:
     """Inclusive (low, high) integer window for mutation, if one exists."""
-    if isinstance(node, BytesWithUnit):
-        node = node.magnitude
     if isinstance(node, IntRange):
         return node.lo, node.hi - 1
+    if isinstance(node, Compound) and node._numbered is not None:
+        return integer_bounds(node.parts[node._numbered].node)
     if isinstance(node, OneOf):
         windows = [w for w in map(integer_bounds, node.branches) if w is not None]
         return max(windows, key=lambda w: w[1] - w[0], default=None)

@@ -761,6 +761,47 @@ class TestErrorReporting:
         assert shown in err
         assert len(err.encode()) < 200
 
+    @pytest.mark.parametrize("syntax,factors,shown", [
+        ("<U8>", [LONG], "CliError: factor of 5000 characters needs =value"),
+        ("<Bool>", [f"{LONG}b=x"], "ValueParseError: option of 5001 characters: 'x' is not"),
+        ("<List>:(<U8>)", [f"{LONG}l=1,2,3,4,5"],
+         "ValueParseError: option of 5001 characters: 5 elements exceed"),
+        ("<U8>", [f"{LONG}=999"], "ValueRangeError: option of 5000 characters: 999 outside"),
+        ("<U8>", [f"{LONG}=1", f"{LONG}=2"],
+         "PlanError: two factors vary the same option of 5000 characters"),
+        ("<U8>", [f"{LONG}=1", f"{LONG}=1"], "PlanError: factor of 5025 characters listed twice"),
+    ], ids=["needs-value", "bool", "list-cap", "range", "same-option", "listed-twice"])
+    def test_a_catalog_option_name_echo_is_bounded(self, tmp_path, monkeypatch, capsys, syntax,
+                                                    factors, shown):
+        monkeypatch.chdir(tmp_path)
+        name = factors[0].partition("=")[0]
+        (tmp_path / "F").write_text(f"{name}\tint\t{syntax}\n", encoding="utf-8")
+        assert main(["plan", "F", *factors, "--out", "p.yaml"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {shown}") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+
+    def test_a_long_syntax_is_named_by_its_length(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "F").write_text(f'cpu-shares\tstring\t"{self.LONG}"\n', encoding="utf-8")
+        assert main(["plan", "F", "cpu-shares=x", "--out", "p.yaml"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: ValueParseError: option 'cpu-shares': 'x' does not match "
+                       "of 5002 characters\n")
+
+    @pytest.mark.parametrize("catalog,option,shown", [
+        ('mem\tbytes\t<U32> ("b" | "k")\n', "mem", "'mem'"),
+        (f"{LONG}\tstring\t<Signals>\n", LONG, "of 5000 characters"),
+    ], ids=["unit-required", "long-name"])
+    def test_an_option_without_a_window_is_not_explored(self, tmp_path, monkeypatch, capsys,
+                                                        catalog, option, shown):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "F").write_text(catalog, encoding="utf-8")
+        assert main(["explore", "redis", option, "--catalog", "F"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: CliError: option {shown} has no integer domain to mutate\n"
+        )
+
     @pytest.mark.parametrize("files,argv,length", [
         ({"t.trace": f"{LONG}\n"}, INGEST, 5000),
         ({"t.trace": f"beacon-trace v1\n1 1 {LONG} read\n"}, INGEST, 5000),

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from leastpriv.options import (
     BoolFlag,
-    BytesWithUnit,
     CatalogError,
     LIST_MAX,
     Compound,
+    CompoundPart,
     DuplicateOptionError,
     Enum,
     IntRange,
@@ -16,7 +16,6 @@ from leastpriv.options import (
     Literal,
     OneOf,
     OptionSpec,
-    UnitError,
     UnknownOptionError,
     ValueParseError,
     ValueRangeError,
@@ -29,28 +28,28 @@ from leastpriv.options import (
 
 
 def spec_for(expression, category="string", name="opt"):
-    return OptionSpec(name, category, parse_syntax(expression, category), expression)
+    return OptionSpec(name, category, parse_syntax(expression), expression)
 
 
 class TestSyntaxParsing:
     def test_bool_token(self):
-        assert isinstance(parse_syntax("<Bool>", "bool"), BoolFlag)
+        assert isinstance(parse_syntax("<Bool>"), BoolFlag)
 
     def test_unsigned_width(self):
-        node = parse_syntax("<U18>", "int")
+        node = parse_syntax("<U18>")
         assert node == IntRange(0, 1 << 18, signed=False)
 
     def test_signed_width(self):
-        node = parse_syntax("<I16>", "int")
+        node = parse_syntax("<I16>")
         assert node == IntRange(-(1 << 15), 1 << 15)
 
     def test_continuous_range_is_half_open(self):
-        node = parse_syntax("(1000, 1000000)", "int")
+        node = parse_syntax("(1000, 1000000)")
         assert isinstance(node, IntRange)
         assert (node.lo, node.hi) == (1000, 1000000)
 
     def test_range_with_power_of_two_bound(self):
-        node = parse_syntax("<Continuous_range>:(0, U16)", "int")
+        node = parse_syntax("<Continuous_range>:(0, U16)")
         assert (node.lo, node.hi) == (0, 1 << 16)
 
     @pytest.mark.parametrize("expression,node,window", [
@@ -62,7 +61,7 @@ class TestSyntaxParsing:
         ("<Continuous_range>:(0, U16)", IntRange(0, 1 << 16), (0, (1 << 16) - 1)),
     ])
     def test_integer_syntax_is_one_window(self, expression, node, window):
-        assert parse_syntax(expression, "int") == node
+        assert parse_syntax(expression) == node
         assert integer_bounds(node) == window
 
     @pytest.mark.parametrize("expression,message", [
@@ -89,43 +88,44 @@ class TestSyntaxParsing:
     ])
     def test_integer_syntax_errors(self, expression, message):
         with pytest.raises(CatalogError) as excinfo:
-            parse_syntax(expression, "int")
+            parse_syntax(expression)
         assert str(excinfo.value) == message
 
     def test_enum_alternation_of_literals(self):
-        node = parse_syntax('"bridge" | "host" | "none"', "string")
+        node = parse_syntax('"bridge" | "host" | "none"')
         assert isinstance(node, Enum)
         assert node.choices == ("bridge", "host", "none")
 
-    def test_byte_size_folds_to_units(self):
-        node = parse_syntax('<U32> [("b" | "k" | "m" | "g")]', "bytes")
-        assert isinstance(node, BytesWithUnit)
-        assert node.magnitude == IntRange(0, 1 << 32, signed=False)
-        assert node.unit_suffixes == ("b", "k", "m", "g")
-        assert node.suffix_optional
+    def test_byte_size_is_a_compound_with_its_integer_window(self):
+        node = parse_syntax('<U32> [("b" | "k" | "m" | "g")]')
+        assert node == Compound((
+            CompoundPart(IntRange(0, 1 << 32, signed=False), False),
+            CompoundPart(Enum(("b", "k", "m", "g")), True),
+        ))
+        assert integer_bounds(node) == (0, (1 << 32) - 1)
 
     def test_compound_with_separators(self):
-        node = parse_syntax('<U16> ":" <U16>', "string")
+        node = parse_syntax('<U16> ":" <U16>')
         assert isinstance(node, Compound)
         assert len(node.parts) == 3
 
     def test_list_wrapper(self):
-        node = parse_syntax('<List>:(<U16> ":" <U16>)', "list")
+        node = parse_syntax('<List>:(<U16> ":" <U16>)')
         assert isinstance(node, ListOf)
         assert LIST_MAX == 4
 
     def test_mixed_alternation_becomes_oneof(self):
-        node = parse_syntax('"-1" | <U22>', "int")
+        node = parse_syntax('"-1" | <U22>')
         assert isinstance(node, OneOf)
         assert len(node.branches) == 2
 
     def test_rejects_garbage(self):
         with pytest.raises(CatalogError):
-            parse_syntax("<U18> <U18", "int")
+            parse_syntax("<U18> <U18")
         with pytest.raises(CatalogError):
-            parse_syntax("<Wat>", "string")
+            parse_syntax("<Wat>")
         with pytest.raises(CatalogError):
-            parse_syntax('<List>:(<U8>) | "none"', "list")
+            parse_syntax('<List>:(<U8>) | "none"')
 
 
 class TestCatalog:
@@ -203,8 +203,12 @@ class TestValidation:
         val = validate_value(spec, "512m")
         assert (val.text, val.number) == ("512m", 512)
         assert validate_value(spec, "512").text == "512"
-        with pytest.raises(UnitError):
+        with pytest.raises(ValueParseError) as excinfo:
             validate_value(spec, "512q")
+        assert type(excinfo.value) is ValueParseError
+        assert str(excinfo.value) == (
+            """option 'opt': '512q' does not match '<U32> [("b" | "k" | "m" | "g")]'"""
+        )
 
     def test_list_cap(self):
         spec = spec_for('<List>:(<U16> ":" <U16>)', "list")
@@ -270,18 +274,51 @@ class TestValidation:
 
 class TestIntegerBounds:
     def test_unsigned_window(self):
-        assert integer_bounds(parse_syntax("<U18>", "int")) == (0, (1 << 18) - 1)
+        assert integer_bounds(parse_syntax("<U18>")) == (0, (1 << 18) - 1)
 
     def test_range_window(self):
-        assert integer_bounds(parse_syntax("(1000, 1000000)", "int")) == (1000, 999999)
+        assert integer_bounds(parse_syntax("(1000, 1000000)")) == (1000, 999999)
 
     def test_enum_has_no_window(self):
-        assert integer_bounds(parse_syntax('"a" | "b"', "string")) is None
+        assert integer_bounds(parse_syntax('"a" | "b"')) is None
 
     def test_catalog_mutation_targets(self):
         cat = default_catalog()
         assert integer_bounds(cat["cpu-shares"].syntax) == (0, 262143)
         assert integer_bounds(cat["cpu-period"].syntax) == (1000, 999999)
+
+    # explore mutates an option by validating bare integers from its window
+    @pytest.mark.parametrize("spec", [
+        *(spec for spec in default_catalog() if integer_bounds(spec.syntax)),
+        spec_for('<U32> [("b" | "k")]', "string", "string-byte-size"),
+        spec_for('[":"] <I8> [<Signals>]', "string", "signed-compound"),
+    ], ids=lambda spec: spec.name)
+    def test_every_window_can_be_explored(self, spec):
+        lo, hi = integer_bounds(spec.syntax)
+        for number in (lo, (lo + hi) // 2, hi):
+            value = validate_value(spec, str(number))
+            assert (value.text, value.number) == (str(number), number)
+
+    @pytest.mark.parametrize("expression,category,raw", [
+        ('<U32> ("b" | "k")', "bytes", "512k"),
+        ('<U8> ":" <U8>', "string", "1:2"),
+        ('"x" <U8>', "string", "x5"),
+        ('[<U8>] ["-"] [<U8>]', "string", "1-2"),
+    ])
+    def test_a_compound_whose_integer_is_not_a_value_has_no_window(self, expression,
+                                                                    category, raw):
+        spec = spec_for(expression, category)
+        assert integer_bounds(spec.syntax) is None
+        assert validate_value(spec, raw).number is None
+
+    def test_a_byte_size_reads_alike_in_every_category(self):
+        bytes_spec = spec_for('<U32> [("b" | "k")]', "bytes")
+        string_spec = spec_for('<U32> [("b" | "k")]', "string")
+        assert integer_bounds(bytes_spec.syntax) == integer_bounds(string_spec.syntax)
+        for raw, text, number in (("0512k", "512k", 512), ("512", "512", 512), ("7b", "7b", 7)):
+            for spec in (bytes_spec, string_spec):
+                value = validate_value(spec, raw)
+                assert (value.text, value.number) == (text, number)
 
 
 # At least one raw value per shipped option, with its canonical text.
@@ -346,13 +383,6 @@ def spellings(node):
         )
     if isinstance(node, Enum):
         return st.sampled_from(node.choices)
-    if isinstance(node, BytesWithUnit):
-        units = node.unit_suffixes + (("",) if node.suffix_optional else ())
-        return st.builds(
-            lambda v, zeros, unit: "0" * zeros + str(v) + unit,
-            st.integers(node.magnitude.lo, node.magnitude.hi - 1), st.integers(0, 2),
-            st.sampled_from(units),
-        )
     if isinstance(node, Literal):
         return st.just(node.text)
     if isinstance(node, Compound):
