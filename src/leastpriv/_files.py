@@ -2,11 +2,10 @@
 
 The line formats read (traces, CVE databases, observation stores) share
 the lazy `decode_lines`, or only its header check `read_header` where a
-trace is replayed in one loop.  An observation store in the form the
-tool writes is the exception: `decision.load_store` checks it in one
-regex pass and decodes it a block at a time, and any other store goes
-through `decode_lines`.  Their errors quote input values through
-`quoted`, which names a value by its length when its repr is long.
+trace is replayed or a store is loaded in one loop that decodes the
+common line inline and sends any other line to its full check.  Their
+errors quote input values through `quoted`, which names a value by its
+length when its repr is long.
 `quoted` lives in `events`, which imports no other module, so event
 names are quoted the same way.  Plans, models and policies are YAML
 read by `load_yaml` and written by `dump_yaml`; every output file is

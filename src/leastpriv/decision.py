@@ -31,7 +31,9 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Optional, Union
 
-from ._files import MAX_DIGITS, decode_lines, dump_yaml, load_yaml, quoted, replacing, too_long
+from ._files import (
+    MAX_DIGITS, decode_lines, dump_yaml, load_yaml, quoted, read_header, replacing, too_long,
+)
 from .events import (
     KIND_CAPABILITY,
     KIND_SYSCALL,
@@ -245,15 +247,18 @@ class ObservationStore:
         return tuple(sorted(self._counts))
 
     def events_for(self, environment_id: str) -> EventSet:
-        syscalls, capabilities = self.counts_for(environment_id)
+        syscalls, capabilities = self._maps(environment_id)
         return EventSet(frozenset(syscalls), frozenset(capabilities))
 
     def counts_for(self, environment_id: str) -> tuple[Counter, Counter]:
+        syscalls, capabilities = self._maps(environment_id)
+        return Counter(syscalls), Counter(capabilities)
+
+    def _maps(self, environment_id: str) -> tuple[dict[str, int], dict[str, int]]:
         try:
-            syscalls, capabilities = self._counts[environment_id]
+            return self._counts[environment_id]
         except KeyError:
             raise StoreError(f"unknown environment {environment_id!r}") from None
-        return Counter(syscalls), Counter(capabilities)
 
     def union_events(self) -> EventSet:
         return EventSet.from_events(self.event_frequencies())
@@ -290,12 +295,12 @@ def save_store(store: ObservationStore, path) -> None:
 
 
 # The form the writers here produce, which append_observation copies
-# unparsed and load_store decodes a block at a time (any other store is
-# decoded line by line): comment or blank lines after the header, the
-# CONTAINER line, then ENV, SYS and CAP lines whose names hold no
-# whitespace and no ASCII letter outside canonical case, and whose counts
-# have no leading zeros and at most 18 digits.  \s is exactly str.isspace,
-# what load_store splits on; other characters are canonicalised when loaded.
+# unparsed; it reads any other store through load_store.  The form is:
+# comment or blank lines after the header, the CONTAINER line, then ENV,
+# SYS and CAP lines whose names hold no whitespace and no ASCII letter
+# outside canonical case, and whose counts have no leading zeros and at
+# most 18 digits.  \s is exactly str.isspace, what load_store splits on;
+# other characters are canonicalised when loaded.
 # Each _OFF_ pattern finds the first line outside the form.  A flat
 # lookahead keeps sre's stack constant; a repeat over the whole store
 # would grow it by every line it matched.  The body patterns start with
@@ -313,9 +318,9 @@ _ENV_ID = re.compile(r"\nENV (\S+)")
 def _read_written(path) -> Optional[tuple[str, str, int]]:
     """(container, text, end) of a store in the written form, else None.
 
-    text[end:] is its ENV blocks, and text[end - 1] the newline that ends
-    its CONTAINER line.  load_store reads such a store to exactly the
-    counts of its blocks.
+    text[end:] is its ENV blocks, which append_observation copies
+    unparsed, and text[end - 1] the newline that ends its CONTAINER line.
+    load_store reads such a store to exactly the counts of its blocks.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -344,15 +349,14 @@ def append_observation(path, observation: Observation, container: Optional[str] 
     comments dropped, and the new ENV block goes after its blocks: blocks
     stay in ingest order and an id seen before gets a second block, which
     load_store merges.  Any other store, such as a hand-written one, is
-    read line by line as load_store reads it, so it fails with the same
-    error, and is written by save_store with the observation merged in,
-    like a new store.
+    read by load_store, so it fails with load_store's error, and is
+    written by save_store with the observation merged in, like a new store.
     """
     found = None
     if not os.path.exists(path):
         store = ObservationStore("container" if container is None else container)
     elif (found := _read_written(path)) is None:
-        store = _decode_store(path)
+        store = load_store(path)
     name = store.container if found is None else found[0]
     if container is not None and container != name:
         raise ContainerMismatchError(
@@ -377,46 +381,21 @@ def append_observation(path, observation: Observation, container: Optional[str] 
 def load_store(path) -> ObservationStore:
     """Read a store, merging its ENV blocks: any order, an id repeated adds its counts.
 
-    A store in the written form (see _read_written) is checked in one pass
-    and then decoded a block at a time; any other store is decoded line by
-    line through decode_lines, which reports the first bad line by number.
-    Both read the same store to the same counts.
+    One loop over the file's lines, in the shape of monitor's trace replay:
+    a `TAG name count` line whose name its kind's memo already holds is
+    decoded inline; any other line, blank, comment, CONTAINER or ENV, new
+    name or fault, goes to `decode`, which checks it in full.  A bad line
+    is reported as decode_lines reports it, `path:lineno:` first.
     """
-    found = _read_written(path)
-    if found is None:
-        return _decode_store(path)
-    container, text, end = found
-    store = ObservationStore(container)
-    syscall_memo: dict[str, str] = {}  # name -> canonical, this read
-    capability_memo: dict[str, str] = {}
-    # Each block starts after a "\nENV ", the first at end - 1, and is cut
-    # out when it is decoded, so the text is not held twice.  Each body line
-    # is `TAG name count` with a canonical count: its tokens come in threes.
-    at = end - 1
-    while at >= 0:
-        start, at = at + 5, text.find("\nENV ", at + 5)
-        environment_id, _, body = text[start:at if at >= 0 else None].partition("\n")
-        syscalls, capabilities = store._add(environment_id)
-        kinds = {"SYS": (syscalls, syscall_memo, canonical_syscall),
-                 "CAP": (capabilities, capability_memo, canonical_capability)}
-        tokens = body.split()
-        for tag, name, count in zip(tokens[0::3], tokens[1::3], map(int, tokens[2::3])):
-            counts, memo, canonical = kinds[tag]
-            name = memo.get(name) or remember(memo, canonical, name)
-            counts[name] = counts.get(name, 0) + count
-    return store
-
-
-def _decode_store(path) -> ObservationStore:
-    """load_store for a store outside the written form: one line at a time."""
     store: Optional[ObservationStore] = None
     current: dict[str, dict[str, int]] = {}  # tag -> the store's counts for the ENV being read
     memos: dict[str, dict[str, str]] = {"SYS": {}, "CAP": {}}  # name -> canonical, this read
 
-    def decode(line: str) -> None:
+    def decode(line: str) -> Optional[tuple[dict[str, int], str, int]]:
+        """The full check of one line: the (counts, name, count) it adds, or None."""
         nonlocal store
         if line.startswith("#"):
-            return
+            return None
         parts = line.split()
         tag = parts[0]
         if tag == "CONTAINER":
@@ -438,17 +417,33 @@ def _decode_store(path) -> ObservationStore:
                 raise StoreFormatError(f"bad count {quoted(parts[2])}") from None
             if count < 0:
                 raise StoreFormatError(f"negative count {quoted(count)}")
-            memo, name, counts = memos[tag], parts[1], current[tag]
-            name = memo.get(name) or remember(
-                memo, canonical_syscall if tag == "SYS" else canonical_capability, name
-            )
-            counts[name] = counts.get(name, 0) + count
+            canonical = canonical_syscall if tag == "SYS" else canonical_capability
+            return current[tag], remember(memos[tag], canonical, parts[1]), count
         else:
             raise StoreFormatError(f"unknown tag {quoted(tag)}")
+        return None
 
     with open(path, "r", encoding="utf-8") as handle:
-        for _ in decode_lines(handle, OBSERVATIONS_HEADER, str(path), StoreFormatError, decode):
-            pass
+        read_header(handle, OBSERVATIONS_HEADER, str(path), StoreFormatError)
+        for lineno, line in enumerate(handle, start=2):
+            try:  # the common line; any other raises to the full check below
+                if len(line) > MAX_DIGITS:
+                    raise ValueError  # it may hold a too-long count
+                tag, name, text = line.split()
+                counts, name, count = current[tag], memos[tag][name], int(text)
+                if count < 0:
+                    raise ValueError
+            except (ValueError, KeyError):
+                if line.isspace():
+                    continue
+                try:
+                    added = decode(line.rstrip("\n"))
+                except ValueError as exc:
+                    raise StoreFormatError(f"{path}:{lineno}: {exc}") from None
+                if added is None:
+                    continue
+                counts, name, count = added
+            counts[name] = counts.get(name, 0) + count
     if store is None:
         raise StoreFormatError(f"{path}: missing CONTAINER line")
     return store
@@ -586,31 +581,29 @@ def _synthesizer(store: ObservationStore, database: CveDatabase):
     classes = _classes(frequencies, len(store))
     cvss = {event: database.max_cvss(*event) for event in frequencies}
     order = sorted(classes.sporadic.events(), key=lambda e: (-frequencies[e], cvss[e], e))
-    # Per kind, in the order of a store's count maps: name -> greedy rank
-    # (its place in the order) and name -> sporadic CVSS, where always-class
-    # events rank 0 with CVSS 0.0.  Every observed event is a key, and no
-    # CVSS is below 0, so the maxima below are exact.
-    ranks: tuple[dict[str, int], dict[str, int]] = ({}, {})
-    worsts: tuple[dict[str, float], dict[str, float]] = ({}, {})
-    index = {KIND_SYSCALL: 0, KIND_CAPABILITY: 1}
-    always = ((0, event) for event in classes.always.events())
-    for step, (kind, name) in chain(always, enumerate(order, 1)):
-        ranks[index[kind]][name] = step
-        worsts[index[kind]][name] = cvss[kind, name] if step else 0.0
-    # Per environment, its covering step (the rank of its last event) and
-    # its worst sporadic CVSS: it is covered under a ceiling at or above that.
+    # Per kind: name -> bit, 1 << its place in the order for a sporadic
+    # event and 0 for an always-class one.  An environment is the sum of its
+    # events' bits; its covering step, the rank of its last event, is the
+    # sum's bit_length().
+    bits: dict[str, dict[str, int]] = {KIND_SYSCALL: {}, KIND_CAPABILITY: {}}
+    for kind, name in classes.always.events():
+        bits[kind][name] = 0
+    for place, (kind, name) in enumerate(order):
+        bits[kind][name] = 1 << place
     environments = [
-        (max(max(map(rank.__getitem__, names), default=0) for rank, names in zip(ranks, maps)),
-         max(max(map(worst.__getitem__, names), default=0.0)
-             for worst, names in zip(worsts, maps)))
-        for maps in store._counts.values()
+        sum(map(bits[KIND_SYSCALL].__getitem__, syscalls))
+        + sum(map(bits[KIND_CAPABILITY].__getitem__, capabilities))
+        for syscalls, capabilities in store._counts.values()
     ]
 
     def cut(targets: ScoreTargets) -> Union[Policy, Infeasible]:
         if not store:
             raise StoreError("cannot synthesize from an empty store")
         ceiling, fraction = targets.cvss_ceiling, targets.functionality_min
-        steps = sorted(step for step, worst in environments if worst <= ceiling)
+        # an environment that holds no sporadic event over the ceiling is
+        # covered once the cut reaches its step
+        over = sum(1 << place for place, event in enumerate(order) if cvss[event] > ceiling)
+        steps = sorted(env.bit_length() for env in environments if not env & over)
         needed = next(n for n in range(len(store) + 1) if n / len(store) >= fraction)
         blocking = [event for event in classes.always.events() if cvss[event] > ceiling]
         if blocking:

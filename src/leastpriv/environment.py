@@ -308,7 +308,7 @@ def load_plan(path, catalog: OptionCatalog) -> EnvironmentPlan:
         declared = entry.get("id")
         if declared is not None and declared != factor.id:
             raise PlanFormatError(
-                f"{path}: factor id {declared} does not match contents ({factor.id})"
+                f"{path}: factor id {quoted(declared)} does not match contents ({factor.id})"
             )
         factors.append(factor)
     plan = plan_environments(factors, baseline)

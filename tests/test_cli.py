@@ -891,6 +891,18 @@ class TestErrorReporting:
         assert shown in err
         assert len(err.encode()) < 200
 
+    def test_a_declared_factor_id_is_named_by_its_length(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        factor = {"id": "x" * 5000, "options": [{"name": "cpu-shares", "value": "512"}]}
+        (tmp_path / "p.yaml").write_text(yaml.safe_dump({**self.PLAN, "factors": [factor]}),
+                                         encoding="utf-8")
+        assert main(["validate-inference", "redis", "p.yaml"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: PlanFormatError: p.yaml: factor id of 5000 characters "
+                              "does not match contents (")
+        assert err.count("\n") == 1
+        assert len(err.encode()) < 200
+
     @pytest.mark.parametrize("argv,shown", [
         (["--config", LONG], "bad config entry of 5000 characters"),
         (["--config", "nosuch=" + LONG], "bad config entry of 5007 characters"),

@@ -396,6 +396,37 @@ def test_synthesis_matches_the_step_by_step_greedy(envs, cvss, pairs):
                 assert result == expected
 
 
+def test_synthesis_ranks_past_a_machine_word():
+    """More sporadic events than a word has bits, so environments hold high bits."""
+    rng = random.Random(7)
+    names = [f"s{i:03d}" for i in range(160)] + ["CAP_NET_RAW", "CAP_CHOWN", "CAP_SYS_ADMIN"]
+    store = ObservationStore("app")
+    for i in range(24):
+        chosen = rng.sample(names, rng.randint(5, 60))
+        store.record(f"env{i:02d}", parse_event_list(["base", *chosen]))
+    db = db_of(**{name: rng.choice([0.5, 4.9, 5.0, 7.8, 10.0])
+                  for name in rng.sample(names, 25)})
+    assert len(classify_events(store).sporadic) >= 150
+    target_list = [ScoreTargets(s, f) for s in (0.0, 0.22, 0.5, 0.51, 0.95)
+                   for f in (0.0, 0.25, 0.5, 0.9, 1.0)]
+    rows = sweep(store, db, target_list)
+    assert [row[0] for row in rows] == target_list
+    results = []
+    for targets, swept in rows:
+        expected = reference_synthesis(store, db, targets)
+        for result in (swept, synthesize_policy(store, db, targets)):
+            if isinstance(expected, Policy):
+                assert isinstance(result, Policy)
+                assert policy_to_doc(result) == policy_to_doc(expected)
+            else:
+                assert result == expected
+        results.append(expected)
+    assert any(isinstance(result, Infeasible) for result in results)
+    # a feasible cut admits events ranked past the 64th place
+    assert max(len(result.sporadic_included) for result in results
+               if isinstance(result, Policy)) > 64
+
+
 class TestSweep:
     def test_reference_walk_is_monotone(self):
         store = store_of(x1="a", x2="a,b", x3="a,b,c")

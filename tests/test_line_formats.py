@@ -9,9 +9,9 @@ its counts, and its events are exactly the names it counts.  Ingesting
 into any store either fails with load_store's error and leaves the file
 alone, or leaves a store that loads to the old counts plus the trace's.
 Its check of a store's form, and its count of the store's ids, agree with
-the ^-anchored scans they replaced.  load_store, which decodes a store in
-that form a block at a time, reads every store as a plain per-line
-decoder does: the same counts in the same order, or the same error.
+the ^-anchored scans they replaced.  load_store, which decodes the common
+count line inline, reads every store as a plain per-line decoder does:
+the same counts in the same order, or the same error.
 """
 
 import io
@@ -39,7 +39,7 @@ from leastpriv.decision import (
     parse_cvedb,
     save_store,
 )
-from leastpriv.events import EventSet, canonical_capability, canonical_syscall
+from leastpriv.events import MEMO_NAMES, EventSet, canonical_capability, canonical_syscall
 from leastpriv.monitor import TRACE_HEADER, TraceFormatError, parse_trace
 from leastpriv.options import CatalogError, parse_catalog
 
@@ -386,7 +386,7 @@ def test_ingest_appends_or_fails_like_load_store(text, environment_id):
             assert Path(store).read_bytes() == Path(directory, "canonical.obs").read_bytes()
 
 
-# -- the block decoder -------------------------------------------------------
+# -- load_store against a per-line decoder -----------------------------------
 
 
 def _reference_load_store(path):
@@ -442,7 +442,7 @@ def _read_or_error(read, path):
     return store.container, list(store._counts), _counts(store)
 
 
-# Stores in the written form, so that load_store decodes them a block at a time.
+# Stores in the written form, ids and names repeated across blocks.
 _BLOCK_EXAMPLES = [
     f"{_H}\nCONTAINER app\nENV x1\nSYS read 1\nENV x2\nSYS read 2\nENV x1\nSYS read 3\n",
     f"{_H}\nCONTAINER app\nENV x1\nSYS read 1\nCAP CAP_CHOWN 1\nSYS read 2\nCAP CAP_CHOWN 4\n",
@@ -466,9 +466,39 @@ def block_examples(test):
     return test
 
 
+# Lines at the edge of load_store's inline decode: three tokens that are
+# not a count line, a count before any ENV, int() counts that are not
+# canonical or are below 0, a line one character too long for the inline
+# decode and one that, newline included, just fits, and names past the
+# memo's capacity.
+_LONG_NAME = "n" * (MAX_DIGITS + 1 - len("SYS  1"))
+_INLINE_EDGE_EXAMPLES = [
+    f"{_H}\nCONTAINER app\nENV x1\nSYS read 1\n# a b\nSYS read 2\n",
+    f"{_H}\nCONTAINER app\nENV x1\nSYS read 1\n  # a b\n",
+    f"{_H}\nCONTAINER app\nSYS read 1\nENV x1\n",
+    f"{_H}\nCONTAINER app\nENV x1\nSYS read 1\nENV a b\n",
+    f"{_H}\nCONTAINER app\nENV x1\nSYS read 1\nCONTAINER a b\n",
+    f"{_H}\nCONTAINER a b\nENV x1\nSYS read 1\n",
+    f"{_H}\nCONTAINER app\nENV x1\nSYS read 1\nSYS read +5\nCAP CAP_CHOWN 1\nCAP chown 1_0\n",
+    f"{_H}\nCONTAINER app\nENV x1\nSYS read 1\nSYS read -1\n",
+    f"{_H}\nCONTAINER app\nENV x1\nSYS {_LONG_NAME} 1\nSYS {_LONG_NAME} 2\nSYS read 1\n",
+    f"{_H}\nCONTAINER app\nENV x1\nSYS {_LONG_NAME[2:]} 1\nSYS {_LONG_NAME[2:]} 2\n",
+    f"{_H}\nCONTAINER app\nENV x1\n"
+    + "".join(f"SYS n{i} 1\nCAP c{i} 1\n" for i in range(MEMO_NAMES + 2))
+    + f"ENV x2\nSYS n{MEMO_NAMES + 1} 3\nSYS N{MEMO_NAMES + 1} 4\nSYS n0 5\nCAP C0 6\n",
+]
+
+
+def inline_edge_examples(test):
+    for text in _INLINE_EDGE_EXAMPLES:
+        test = example(text=text)(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=store_texts)
 @block_examples
+@inline_edge_examples
 def test_load_store_reads_like_a_per_line_decoder(text):
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "s.obs")
