@@ -25,10 +25,15 @@ each line is checked and decoded, each distinct name canonicalised once
 per read through a bounded memo per kind (`events.remember`), and the
 state machine stepped, so the trace is never held whole and the first
 fault in line order, a bad line or a backwards timestamp, is the one
-raised.  `replay_file` runs it over a file and `replay_trace` over the
-text of in-memory records, one trace line per record, so records are
-checked and canonicalised exactly as a file's lines are.  `parse_trace`
-decodes lines into TraceRecords with the same checks.
+raised.  A line is split once into its two integers and its raw tail;
+two more bounded memos of the read map each namespace text to its
+namespace's one state (last timestamp and entry) and each tail already
+decoded to its kind, canonical name and marker code, so the common
+record costs one split, one int() and two lookups.  `replay_file` runs
+it over a file and `replay_trace` over the text of in-memory records,
+one trace line per record, so records are checked and canonicalised
+exactly as a file's lines are.  `parse_trace` decodes lines into
+TraceRecords with the same checks.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from ._files import MAX_DIGITS, decode_lines, quoted, read_header, too_long
 from .events import (
     KIND_CAPABILITY,
     KIND_SYSCALL,
+    MEMO_NAMES,
     EventSet,
     Observation,
     canonical_capability,
@@ -67,10 +73,10 @@ __all__ = [
 
 TRACE_HEADER = "beacon-trace v1"
 
-# Syscalls that arm an entry's flags when they arrive pre-confinement.
-_SECCOMP_MARKERS = frozenset({"prctl", "seccomp"})
-_CAPABILITY_MARKER = "capset"
-_NAMESPACE_MARKER = "unshare"
+# A syscall's marker code: unshare makes a namespace's entry, and the others
+# arm its flags when they arrive pre-confinement.  Any other event's is 0.
+_UNSHARE, _SECCOMP, _CAPSET = 1, 2, 3
+_MARKERS = {"unshare": _UNSHARE, "prctl": _SECCOMP, "seccomp": _SECCOMP, "capset": _CAPSET}
 
 
 class TraceFormatError(ValueError):
@@ -116,9 +122,9 @@ def _decode_record(
     except ValueError:
         raise TraceFormatError("timestamp and namespace must be integers") from None
     if timestamp < 0:
-        raise TraceFormatError(f"negative timestamp {timestamp}")
+        raise TraceFormatError(f"negative timestamp {quoted(timestamp)}")
     if namespace < 0:
-        raise TraceFormatError(f"negative namespace id {namespace}")
+        raise TraceFormatError(f"negative namespace id {quoted(namespace)}")
     if kind == KIND_SYSCALL:
         name = syscalls.get(name) or remember(syscalls, canonical_syscall, name)
     elif kind == KIND_CAPABILITY:
@@ -182,18 +188,27 @@ def replay_file(path) -> dict[int, NamespaceState]:
 def _replay_lines(lines: Iterable[str], source: str) -> dict[int, NamespaceState]:
     """Check, decode and replay a trace's lines, each ending in its newline, as they are read.
 
-    A record whose name its kind's memo already holds is decoded inline;
-    any other line, blank, new name or fault, goes to `_decode_record`,
-    which checks it in full.  A TraceOrderError's index counts records,
-    not lines.  Counts go into plain dicts, and each NamespaceState is
-    built once at the end.
+    A line is split once, into its timestamp, its namespace and its raw
+    tail (`SYS read\n`).  A tail that an earlier line of this read
+    decoded is looked up in a memo of its kind, canonical name and marker
+    code, and a namespace text in a memo of its namespace's one state;
+    a namespace text the memo lacks is converted with int() there and
+    then.  Any other line, blank, new tail or fault, goes to
+    `_decode_record`, which checks it in full, so the first fault in line
+    order is the one raised.  Both memos hold at most MEMO_NAMES texts.
+    A TraceOrderError's index counts records, not lines.  A namespace's
+    state is made at its first record, its entry at its first `unshare`,
+    and the states are returned in the order of those unshares.
     """
     syscalls: dict[str, str] = {}
     capabilities: dict[str, str] = {}
-    memos = {KIND_SYSCALL: syscalls, KIND_CAPABILITY: capabilities}
-    last_timestamp: dict[int, int] = {}
-    # namespace -> [seccomp flag, capability flag, syscall counts, capability counts]
-    entries: dict[int, list] = {}
+    tails: dict[str, tuple[bool, str, int]] = {}  # tail -> (is a syscall, name, marker code)
+    # namespace -> [last timestamp, namespace, entry]; the entry is None until
+    # the namespace's unshare, then [seccomp flag, capability flag, syscall
+    # counts, capability counts]
+    states: dict[int, list] = {}
+    spaces: dict[str, list] = {}  # namespace text -> its namespace's state
+    entries: dict[int, list] = {}  # namespace -> entry, in the order of their unshares
     blanks = 0  # blank lines read, so that a record's index is its line's less these
     lines = iter(lines)
     read_header(lines, TRACE_HEADER, source, TraceFormatError)
@@ -201,11 +216,15 @@ def _replay_lines(lines: Iterable[str], source: str) -> dict[int, NamespaceState
         try:  # the common record; any other line raises to the full check below
             if len(line) > MAX_DIGITS:
                 raise ValueError  # it may hold a too-long integer
-            ts_text, ns_text, kind, name = line.split()
+            ts_text, ns_text, tail = line.split(None, 2)
+            is_syscall, name, marker = tails[tail]
             timestamp = int(ts_text)
-            namespace = int(ns_text)
-            name = memos[kind][name]
-            if timestamp < 0 or namespace < 0:
+            state = spaces.get(ns_text)
+            if state is None:
+                namespace = int(ns_text)
+                if namespace < 0:
+                    raise ValueError
+            if timestamp < 0:
                 raise ValueError
         except (ValueError, KeyError):
             if line.isspace():
@@ -215,24 +234,37 @@ def _replay_lines(lines: Iterable[str], source: str) -> dict[int, NamespaceState
                 timestamp, namespace, kind, name = _decode_record(syscalls, capabilities, line)
             except ValueError as exc:
                 raise TraceFormatError(f"{source}:{lineno}: {exc}") from None
-        if timestamp < last_timestamp.get(namespace, timestamp):
+            is_syscall = kind == KIND_SYSCALL
+            marker = _MARKERS.get(name, 0) if is_syscall else 0
+            ts_text, ns_text, tail = line.split(None, 2)
+            if len(tails) < MEMO_NAMES:
+                tails[tail] = is_syscall, name, marker
+            state = None
+        if state is None:
+            state = states.get(namespace)
+            if state is None:
+                state = states[namespace] = [0, namespace, None]
+            if len(spaces) < MEMO_NAMES:
+                spaces[ns_text] = state
+        if timestamp < state[0]:
             index = lineno - 2 - blanks
             raise TraceOrderError(
-                f"record {index}: timestamp {timestamp} goes backwards in namespace {namespace}",
+                f"record {index}: timestamp {quoted(timestamp)} goes backwards "
+                f"in namespace {quoted(state[1])}",
                 record_index=index,
             )
-        last_timestamp[namespace] = timestamp
-        entry = entries.get(namespace)
+        state[0] = timestamp
+        entry = state[2]
         if entry is None:
-            if kind == KIND_SYSCALL and name == _NAMESPACE_MARKER:
-                entries[namespace] = [False, False, {}, {}]
-        elif kind == KIND_SYSCALL:
+            if marker == _UNSHARE:
+                state[2] = entries[state[1]] = [False, False, {}, {}]
+        elif is_syscall:
             if entry[0]:
                 counts = entry[2]
                 counts[name] = counts.get(name, 0) + 1
-            if name in _SECCOMP_MARKERS:
+            if marker == _SECCOMP:
                 entry[0] = True
-            elif name == _CAPABILITY_MARKER:
+            elif marker == _CAPSET:
                 entry[1] = True
         elif entry[1]:
             counts = entry[3]

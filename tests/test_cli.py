@@ -730,6 +730,25 @@ class TestErrorReporting:
         assert err == f"error: StoreFormatError: s.obs:4: {shown}\n"
         assert len(err.encode()) < 200
 
+    @pytest.mark.parametrize("records,shown", [
+        (f"-{'9' * 4290} 1 SYS read\n",
+         "TraceFormatError: t.trace:3: negative timestamp int of 4291 characters"),
+        (f"5 -{'9' * 4290} SYS read\n",
+         "TraceFormatError: t.trace:3: negative namespace id int of 4291 characters"),
+        (f"5 {'9' * 4290} SYS unshare\n4 {'9' * 4290} SYS read\n",
+         "TraceOrderError: record 2: timestamp 4 goes backwards in namespace int of 4290 "
+         "characters"),
+    ], ids=["negative-timestamp", "negative-namespace", "backwards"])
+    def test_a_trace_integer_echo_is_bounded(self, tmp_path, monkeypatch, capsys, records,
+                                             shown):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.trace").write_text(f"beacon-trace v1\n1 1 SYS unshare\n{records}")
+        assert main(self.INGEST) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {shown}\n"
+        assert len(err.encode()) < 200
+        assert not (tmp_path / "s.obs").exists()
+
     def test_a_probe_stderr_echo_is_bounded(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "fail.py").write_text(

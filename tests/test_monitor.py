@@ -1,5 +1,6 @@
 """Trace replay state machine and trace wire format."""
 
+import itertools
 import tracemalloc
 from collections import Counter
 
@@ -444,10 +445,32 @@ _trace_lines = st.lists(
 @example(body=["1 1 SYS unshare", f"{_HUGE} 1 SYS read"])
 @example(body=["1 1 SYS unshare", "2 1 SYS capset", "3 1 CAP net_raw", "4 1 CAP Net_Raw"])
 @example(body=["1 1 SYS unshare", "", "  ", "\t", "2 1 SYS read", " \t ", "0 1 SYS read"])
+# one namespace spelled several ways, clean and with a backwards record across spellings
+@example(body=["1 1 SYS unshare", "2 01 SYS prctl", "3 +1 SYS read", "1 10 SYS unshare",
+               "2 1_0 SYS prctl", "3 10 SYS read", "4 1_0 SYS read", "5 01 SYS read"])
+@example(body=["1 1 SYS unshare", "2 01 SYS prctl", "3 +1 SYS read", "2 1 SYS read"])
+@example(body=["1 10 SYS unshare", "3 1_0 SYS read", "2 10 SYS read"])
+# a negative integer beside a known tail and a known namespace text
+@example(body=["1 1 SYS unshare", "2 -1 SYS unshare"])
+@example(body=["1 1 SYS unshare", "-1 1 SYS unshare"])
+# one name in three tails, one with trailing whitespace
+@example(body=["1 1 SYS unshare", "2 1 SYS prctl", "3 1 SYS read \t", "4 1 SYS read",
+               "5 1 SYS READ", "6 1 SYS read \t", "7 1 SYS READ"])
+# a known tail in a new namespace text, and a known namespace text with a new tail
+@example(body=["1 1 SYS unshare", "2 2 SYS unshare", "3 1 SYS prctl", "3 2 SYS prctl",
+               "4 3 SYS prctl", "5 1 SYS write", "6 2 SYS write", "7 3 SYS unshare",
+               "8 3 CAP chown"])
 def test_file_replay_matches_the_record_at_a_time_reference(tmp_path_factory, body):
     path = tmp_path_factory.mktemp("trace") / "t.trace"
     path.write_text("\n".join([TRACE_HEADER, *body]) + "\n", encoding="utf-8")
     assert _outcome(replay_file, path) == _outcome(_reference_replay, path)
+
+
+def test_namespaces_are_returned_in_the_order_of_their_unshares(tmp_path):
+    path = tmp_path / "t.trace"
+    path.write_text(f"{TRACE_HEADER}\n1 5 SYS read\n2 7 SYS unshare\n3 9 SYS unshare\n"
+                    "4 5 SYS unshare\n5 7 SYS read\n6 05 SYS unshare\n", encoding="utf-8")
+    assert list(replay_file(path)) == list(_reference_replay(path)) == [7, 9, 5]
 
 
 @settings(max_examples=150, deadline=None)
@@ -485,3 +508,28 @@ def test_a_trace_with_more_names_than_the_memo_holds(tmp_path, monkeypatch):
     assert [canonical for _, canonical in memos] == [canonical_syscall, canonical_capability] * 2
     for memo, _ in memos:
         assert len(memo) == MEMO_NAMES
+
+
+def _spellings_of_seven(count):
+    """count texts that int() reads as 7: zeros, an underscore, more zeros, then 7."""
+    texts = (f"{'0' * ahead}_{'0' * (width - ahead)}7"
+             for width in itertools.count(1) for ahead in range(1, width + 1))
+    return list(itertools.islice(texts, count))
+
+
+@pytest.mark.parametrize("texts", [
+    [str(namespace) for namespace in range(1, MEMO_NAMES + 501)],
+    _spellings_of_seven(MEMO_NAMES + 500),
+], ids=["namespaces", "spellings-of-one"])
+def test_a_trace_with_more_namespace_texts_than_the_memo_holds(tmp_path, texts):
+    lines = [TRACE_HEADER]
+    for ts, name in enumerate(("unshare", "prctl", "read", "read")):  # the later rounds meet
+        lines += [f"{ts} {text} SYS {name}" for text in texts]      # texts past the memo
+    path = tmp_path / "many.trace"
+    path.write_text("\n".join(lines) + "\n")
+    states = replay_file(path)
+    reference = _reference_replay(path)
+    assert states == reference and list(states) == list(reference)
+    assert len(states) == len({int(text) for text in texts})
+    path.write_text("\n".join([*lines, f"2 {texts[-1]} SYS read"]) + "\n")  # backwards
+    assert _outcome(replay_file, path) == _outcome(_reference_replay, path)
