@@ -37,11 +37,11 @@ from ._files import (
 from .events import (
     KIND_CAPABILITY,
     KIND_SYSCALL,
+    MEMO_NAMES,
     EventSet,
     Observation,
     canonical_capability,
     canonical_syscall,
-    remember,
 )
 
 __all__ = [
@@ -384,8 +384,9 @@ def load_store(path) -> ObservationStore:
     One loop over the file's lines, in the shape of monitor's trace replay:
     a `TAG name count` line whose name its kind's memo already holds is
     decoded inline; any other line, blank, comment, CONTAINER or ENV, new
-    name or fault, goes to `decode`, which checks it in full.  A bad line
-    is reported as decode_lines reports it, `path:lineno:` first.
+    name or fault, goes to `decode`, which checks it in full and keeps a
+    new name in the memo while it holds fewer than MEMO_NAMES names.  A
+    bad line is reported as decode_lines reports it, `path:lineno:` first.
     """
     store: Optional[ObservationStore] = None
     current: dict[str, dict[str, int]] = {}  # tag -> the store's counts for the ENV being read
@@ -417,8 +418,10 @@ def load_store(path) -> ObservationStore:
                 raise StoreFormatError(f"bad count {quoted(parts[2])}") from None
             if count < 0:
                 raise StoreFormatError(f"negative count {quoted(count)}")
-            canonical = canonical_syscall if tag == "SYS" else canonical_capability
-            return current[tag], remember(memos[tag], canonical, parts[1]), count
+            name = (canonical_syscall if tag == "SYS" else canonical_capability)(parts[1])
+            if len(memos[tag]) < MEMO_NAMES:
+                memos[tag][parts[1]] = name
+            return current[tag], name, count
         else:
             raise StoreFormatError(f"unknown tag {quoted(tag)}")
         return None

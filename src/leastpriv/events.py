@@ -5,14 +5,15 @@ exercises.  Syscall names are lower-case; capability names are upper-case
 and carry the CAP_ prefix.  Every module canonicalizes names through the
 helpers here so that set algebra downstream never has to worry about case
 or prefix variants.  A reader of a trace or a store canonicalises each
-distinct name once per read: it keeps one memo per kind, looks each name
-up there first and calls `remember` only for a name it has not seen.
+distinct text once per read: it looks the text up in a memo of the read
+first and canonicalises only a text the memo lacks, keeping the result
+while the memo holds fewer than MEMO_NAMES texts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 __all__ = [
     "KIND_SYSCALL",
@@ -24,7 +25,6 @@ __all__ = [
     "canonical_syscall",
     "canonical_capability",
     "MEMO_NAMES",
-    "remember",
 ]
 
 KIND_SYSCALL = "SYS"
@@ -134,20 +134,10 @@ def canonical_capability(name: str) -> str:
     return cleaned
 
 
-# Names one memo keeps.  Names are untrusted, so a memo stops growing here
-# and a read with more distinct names canonicalises the rest on each use.
+# Texts one memo of a line reader keeps: trace record tails and namespace
+# texts, store names.  They are untrusted, so a memo stops growing here and
+# a read with more distinct texts decodes the rest on each use.
 MEMO_NAMES = 4096
-
-
-def remember(memo: dict[str, str], canonical: Callable[[str], str], name: str) -> str:
-    """canonical(name), kept in memo while it holds fewer than MEMO_NAMES names.
-
-    A name that does not canonicalise raises and is not kept.
-    """
-    value = canonical(name)
-    if len(memo) < MEMO_NAMES:
-        memo[name] = value
-    return value
 
 
 @dataclass(frozen=True)

@@ -21,26 +21,24 @@ keeps one occurrence count per recorded event; its event sets are the
 names it counted.
 
 One loop steps the state machine, over a trace's lines as they are read:
-each line is checked and decoded, each distinct name canonicalised once
-per read through a bounded memo per kind (`events.remember`), and the
-state machine stepped, so the trace is never held whole and the first
-fault in line order, a bad line or a backwards timestamp, is the one
-raised.  A line is split once into its two integers and its raw tail;
-two more bounded memos of the read map each namespace text to its
-namespace's one state (last timestamp and entry) and each tail already
-decoded to its kind, canonical name and marker code, so the common
-record costs one split, one int() and two lookups.  `replay_file` runs
-it over a file and `replay_trace` over the text of in-memory records,
-one trace line per record, so records are checked and canonicalised
-exactly as a file's lines are.  `parse_trace` decodes lines into
-TraceRecords with the same checks.
+each line is checked and decoded and the state machine stepped, so the
+trace is never held whole and the first fault in line order, a bad line
+or a backwards timestamp, is the one raised.  A line is split once into
+its two integers and its raw tail; two bounded memos of the read map
+each namespace text to its namespace's one state (last timestamp and
+entry) and each tail already decoded to its kind, canonical name and
+marker code, so the common record costs one split, one int() and two
+lookups, and each distinct tail is canonicalised once per read.
+`replay_file` runs it over a file and `replay_trace` over the text of
+in-memory records, one trace line per record, so records are checked and
+canonicalised exactly as a file's lines are.  `parse_trace` decodes
+lines into TraceRecords with the same checks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from ._files import MAX_DIGITS, decode_lines, quoted, read_header, too_long
@@ -52,7 +50,6 @@ from .events import (
     Observation,
     canonical_capability,
     canonical_syscall,
-    remember,
 )
 
 __all__ = [
@@ -60,7 +57,6 @@ __all__ = [
     "TraceRecord",
     "TraceFormatError",
     "TraceOrderError",
-    "MonitorError",
     "UnknownNamespaceError",
     "NamespaceState",
     "parse_trace",
@@ -89,11 +85,7 @@ class TraceOrderError(TraceFormatError):
         self.record_index = record_index
 
 
-class MonitorError(ValueError):
-    pass
-
-
-class UnknownNamespaceError(MonitorError):
+class UnknownNamespaceError(ValueError):
     pass
 
 
@@ -104,10 +96,8 @@ class TraceRecord(NamedTuple):
     name: str
 
 
-def _decode_record(
-    syscalls: dict[str, str], capabilities: dict[str, str], line: str
-) -> tuple[int, int, str, str]:
-    """One line's fields; its name is looked up in the read's memo of its kind first."""
+def _decode_record(line: str) -> tuple[int, int, str, str]:
+    """One line's fields, checked, with its name canonicalised."""
     parts = line.split()
     if len(parts) != 4:
         raise TraceFormatError(f"expected 4 fields, got {len(parts)}")
@@ -126,17 +116,16 @@ def _decode_record(
     if namespace < 0:
         raise TraceFormatError(f"negative namespace id {quoted(namespace)}")
     if kind == KIND_SYSCALL:
-        name = syscalls.get(name) or remember(syscalls, canonical_syscall, name)
+        name = canonical_syscall(name)
     elif kind == KIND_CAPABILITY:
-        name = capabilities.get(name) or remember(capabilities, canonical_capability, name)
+        name = canonical_capability(name)
     else:
         raise TraceFormatError(f"unknown kind {quoted(kind)}")
     return timestamp, namespace, kind, name
 
 
 def parse_trace(lines: Iterable[str], source: str = "<memory>") -> list[TraceRecord]:
-    decode = partial(_decode_record, {}, {})  # a fresh name memo per kind for this read
-    rows = decode_lines(lines, TRACE_HEADER, source, TraceFormatError, decode)
+    rows = decode_lines(lines, TRACE_HEADER, source, TraceFormatError, _decode_record)
     return list(map(TraceRecord._make, rows))
 
 
@@ -200,8 +189,6 @@ def _replay_lines(lines: Iterable[str], source: str) -> dict[int, NamespaceState
     state is made at its first record, its entry at its first `unshare`,
     and the states are returned in the order of those unshares.
     """
-    syscalls: dict[str, str] = {}
-    capabilities: dict[str, str] = {}
     tails: dict[str, tuple[bool, str, int]] = {}  # tail -> (is a syscall, name, marker code)
     # namespace -> [last timestamp, namespace, entry]; the entry is None until
     # the namespace's unshare, then [seccomp flag, capability flag, syscall
@@ -231,7 +218,7 @@ def _replay_lines(lines: Iterable[str], source: str) -> dict[int, NamespaceState
                 blanks += 1
                 continue
             try:
-                timestamp, namespace, kind, name = _decode_record(syscalls, capabilities, line)
+                timestamp, namespace, kind, name = _decode_record(line)
             except ValueError as exc:
                 raise TraceFormatError(f"{source}:{lineno}: {exc}") from None
             is_syscall = kind == KIND_SYSCALL

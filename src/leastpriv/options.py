@@ -218,8 +218,10 @@ class Compound(ValueSyntax):
     """Concatenation of literals and sub-syntaxes.
 
     An optional part that binds no non-literal leaf is left out of the
-    canonical text, so ``/data:`` against ``<CVPath> [":" ["ro" | "rw"]]``
-    reads as ``/data``.
+    canonical text when it ends the value, a trailing separator, so
+    ``/data:`` against ``<CVPath> [":" ["ro" | "rw"]]`` reads as
+    ``/data``.  Followed by any text, it stays in: ``12`` against
+    ``["1"] <U8>`` reads as ``12``, not as the value ``2``.
 
     When one part is an IntRange and every other part is optional, the
     bare integer is itself a value: the compound has that part's window
@@ -254,7 +256,7 @@ class Compound(ValueSyntax):
             for at, (done, number, bound) in reached.items():
                 for piece, value, binds, nxt in part.node.match(text, at):
                     if nxt not in after:
-                        if part.optional and not binds:
+                        if part.optional and not binds and nxt == len(text):
                             after[nxt] = (done, number, bound)
                         else:
                             number_after = value if numbered else number

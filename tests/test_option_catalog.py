@@ -256,7 +256,15 @@ class TestValidation:
     def test_optional_parts_keep_the_first_parse(self):
         spec = spec_for('["x" <U8>] ["x"] ["x" <U8>]', "string")
         assert validate_value(spec, "x1x").text == "x1"
-        assert validate_value(spec, "x1xx2").text == "x1x2"
+        assert validate_value(spec, "x1xx2").text == "x1xx2"  # "x1x2" is another value
+
+    @pytest.mark.parametrize("row,texts", [
+        ('x\tint\t["1"] <U8>', ["2", "12", "27", "127"]),
+        ('y\tstring\t<U8> ["x" ["y"]] "z"', ["5xyz", "5xz", "5z"]),
+    ])
+    def test_an_optional_literal_followed_by_text_stays_in_the_text(self, row, texts):
+        (spec,) = parse_catalog(row + "\n")
+        assert [validate_value(spec, raw).text for raw in texts] == texts
 
     def test_long_compound_does_not_recurse(self):
         spec = spec_for('"x" ' * 3000, "string")
