@@ -45,7 +45,7 @@ from yaml.events import (
 from yaml.nodes import ScalarNode
 from yaml.resolver import Resolver
 
-from .events import MAX_QUOTED, quoted  # noqa: F401  (re-exported for the line-format readers)
+from .events import quoted
 
 T = TypeVar("T")
 

@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 from typing import Optional
 
-from ._files import discard_stdout, quoted, replacing
+from ._files import discard_stdout, replacing
 from .decision import (
     ContainerMismatchError,
     DecisionError,
@@ -43,7 +43,7 @@ from .environment import (
     plan_environments,
     write_plan,
 )
-from .events import EventSet
+from .events import EventSet, quoted
 from .explorer import (
     MutationConfig,
     command_probe,

@@ -32,7 +32,7 @@ from itertools import chain
 from typing import Iterable, Optional, Union
 
 from ._files import (
-    MAX_DIGITS, decode_lines, dump_yaml, load_yaml, quoted, read_header, replacing, too_long,
+    MAX_DIGITS, decode_lines, dump_yaml, load_yaml, read_header, replacing, too_long,
 )
 from .events import (
     KIND_CAPABILITY,
@@ -42,6 +42,7 @@ from .events import (
     Observation,
     canonical_capability,
     canonical_syscall,
+    quoted,
 )
 
 __all__ = [
@@ -122,9 +123,11 @@ class CveEntry:
         if not self.cve_id:
             raise DecisionError("entry needs a CVE id")
         if not 0.0 <= self.cvss <= 10.0:
-            raise DecisionError(f"{self.cve_id}: CVSS {self.cvss} outside [0,10]")
+            raise DecisionError(f"{quoted(self.cve_id)}: CVSS {self.cvss} outside [0,10]")
         if not self.events:
-            raise DecisionError(f"{self.cve_id}: attack vector must name at least one event")
+            raise DecisionError(
+                f"{quoted(self.cve_id)}: attack vector must name at least one event"
+            )
 
 
 class CveDatabase:
@@ -135,7 +138,7 @@ class CveDatabase:
         seen: set[str] = set()
         for entry in self.entries:
             if entry.cve_id in seen:
-                raise DecisionError(f"duplicate database entry {entry.cve_id}")
+                raise DecisionError(f"duplicate database entry {quoted(entry.cve_id)}")
             seen.add(entry.cve_id)
         self._worst: dict[tuple[str, str], float] = {}
         for entry in self.entries:
@@ -177,7 +180,7 @@ def _decode_cve(line: str) -> Optional[CveEntry]:
         raise DbFormatError(f"bad CVSS value {quoted(cvss_text)}")
     names = [piece.strip() for piece in events_text.split(",") if piece.strip()]
     if not names:
-        raise DbFormatError(f"{cve_id}: empty attack vector")
+        raise DbFormatError(f"{quoted(cve_id)}: empty attack vector")
     return CveEntry(cve_id, cvss, parse_event_list(names))
 
 

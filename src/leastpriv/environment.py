@@ -16,7 +16,8 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from ._files import MAX_QUOTED_TEXT, dump_yaml, load_yaml, quoted
+from ._files import MAX_QUOTED_TEXT, dump_yaml, load_yaml
+from .events import quoted
 from .options import (
     OptionCatalog,
     OptionError,
@@ -79,7 +80,7 @@ class WorkloadSpec:
                 raise EnvironmentError(f"workload field {f.name} must be an integer")
             if value < 0 or value > OPERATION_CAP:
                 raise EnvironmentError(
-                    f"workload field {f.name}={value} outside [0, {OPERATION_CAP}]"
+                    f"workload field {f.name}={quoted(value)} outside [0, {OPERATION_CAP}]"
                 )
         if not any(
             getattr(self, name) > 0

@@ -22,9 +22,9 @@ import subprocess
 from dataclasses import dataclass, fields
 from typing import Callable, Optional, get_type_hints
 
-from ._files import MAX_DIGITS, quoted, replacing, too_long
+from ._files import MAX_DIGITS, replacing, too_long
 from .environment import Environment, compose_environment, compose_pair
-from .events import EventSet
+from .events import EventSet, quoted
 from .monitor import _replay_lines
 from .options import OptionSpec, validate_value
 from .simharness import evaluate as evaluate_model
@@ -176,9 +176,11 @@ class EventProbe:
         except ProbeError:
             raise
         except Exception as exc:
-            raise ProbeError(f"{self.name}: probe failed: {exc}") from exc
+            raise ProbeError(f"{quoted(self.name)}: probe failed: {exc}") from exc
         if not isinstance(result, EventSet):
-            raise ProbeError(f"{self.name}: probe returned {type(result).__name__}, not an event set")
+            raise ProbeError(
+                f"{quoted(self.name)}: probe returned {type(result).__name__}, not an event set"
+            )
         self._memo[key] = result
         return result
 
@@ -221,14 +223,19 @@ def command_probe(command: list[str]) -> EventProbe:
             )
             for arg in command
         ]
-        proc = subprocess.run(argv, capture_output=True, text=True)
+        try:
+            proc = subprocess.run(argv, capture_output=True, text=True)
+        except OSError as exc:
+            # str(exc) repeats the command's path whole
+            path = "" if exc.filename is None else f": {quoted(exc.filename)}"
+            raise OSError(f"[Errno {exc.errno}] {exc.strerror}{path}") from None
         if proc.returncode != 0:
             raise ProbeError(
                 f"probe command {quoted(argv[0])} exited {proc.returncode}: "
                 f"{quoted(proc.stderr.strip())}"
             )
         combined = EventSet.empty()
-        for state in _replay_lines(io.StringIO(proc.stdout), argv[0]).values():
+        for state in _replay_lines(io.StringIO(proc.stdout), quoted(argv[0])).values():
             combined = combined | EventSet(state.syscalls, state.capabilities)
         return combined
 

@@ -41,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from ._files import MAX_DIGITS, decode_lines, quoted, read_header, too_long
+from ._files import MAX_DIGITS, decode_lines, read_header, too_long
 from .events import (
     KIND_CAPABILITY,
     KIND_SYSCALL,
@@ -50,6 +50,7 @@ from .events import (
     Observation,
     canonical_capability,
     canonical_syscall,
+    quoted,
 )
 
 __all__ = [

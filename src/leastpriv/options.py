@@ -15,6 +15,9 @@ with ``#`` comment lines.  The syntax-expression notation:
     <Signals>                  enum over the standard signal names
     <HVPath>, <CVPath>         enum over configured host / container path pools
 
+The parser checks every syntax rule as it builds each node, and an error
+names an over-long value by its length; the nodes are plain frozen data.
+
 All four integer forms parse to one IntRange window.  A compound with one
 IntRange part and every other part optional, such as the byte size
 ``<Uw> [("b" | "k")]``, has that part's window and carries its integer.
@@ -36,7 +39,8 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterator, Optional
 
-from ._files import MAX_DIGITS, MAX_QUOTED_TEXT, quoted, too_long
+from ._files import MAX_DIGITS, MAX_QUOTED_TEXT, too_long
+from .events import quoted
 
 __all__ = [
     "OptionError",
@@ -160,10 +164,6 @@ class IntRange(ValueSyntax):
     hi: int
     signed: bool = True
 
-    def __post_init__(self):
-        if self.lo >= self.hi:
-            raise CatalogError(f"empty range ({self.lo}, {self.hi})")
-
     def match(self, text: str, pos: int):
         m = (_SIGNED if self.signed else _DIGITS).match(text, pos)
         if m:
@@ -175,14 +175,6 @@ class IntRange(ValueSyntax):
 @dataclass(frozen=True)
 class Enum(ValueSyntax):
     choices: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.choices:
-            raise CatalogError("enum with no choices")
-        if len(set(self.choices)) != len(self.choices):
-            raise CatalogError(f"enum choices not unique: {self.choices}")
-        if any(not c for c in self.choices):
-            raise CatalogError("enum with empty choice")
 
     def match(self, text: str, pos: int):
         # Longest choices first so one choice cannot shadow an extension
@@ -198,10 +190,6 @@ class Literal(ValueSyntax):
 
     text: str
 
-    def __post_init__(self):
-        if not self.text:
-            raise CatalogError("empty literal")
-
     def match(self, text: str, pos: int):
         if text.startswith(self.text, pos):
             yield self.text, None, False, pos + len(self.text)
@@ -216,6 +204,10 @@ class CompoundPart:
 @dataclass(frozen=True)
 class Compound(ValueSyntax):
     """Concatenation of literals and sub-syntaxes.
+
+    Skipping an optional part is tried before matching it, so ``127``
+    against ``["1"] <U8>`` carries 127, and ``1255``, whose only parse
+    in the window takes the ``1``, carries 255.
 
     An optional part that binds no non-literal leaf is left out of the
     canonical text when it ends the value, a trailing separator, so
@@ -234,11 +226,6 @@ class Compound(ValueSyntax):
     _numbered: Optional[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.parts:
-            raise CatalogError("empty compound")
-        for part in self.parts:
-            if isinstance(part.node, ListOf):
-                raise CatalogError("lists cannot nest inside compounds")
         ranges = [i for i, part in enumerate(self.parts) if isinstance(part.node, IntRange)]
         others_optional = all(p.optional for i, p in enumerate(self.parts) if i not in ranges)
         numbered = ranges[0] if len(ranges) == 1 and others_optional else None
@@ -246,14 +233,17 @@ class Compound(ValueSyntax):
 
     def match(self, text: str, pos: int):
         # One forward pass.  After each part, keep the first parse a
-        # left-to-right backtracking search would meet to each end
-        # position: what the later parts match depends only on that
-        # position, so a later parse to it can never come first.
+        # left-to-right backtracking search that tries skipping an
+        # optional part first would meet to each end position: what the
+        # later parts match depends only on that position, so a later
+        # parse to it can never come first.
         reached: dict[int, tuple[str, Optional[int], bool]] = {pos: ("", None, False)}
         for index, part in enumerate(self.parts):
             numbered = index == self._numbered
             after: dict[int, tuple[str, Optional[int], bool]] = {}
             for at, (done, number, bound) in reached.items():
+                if part.optional:
+                    after.setdefault(at, (done, number, bound))
                 for piece, value, binds, nxt in part.node.match(text, at):
                     if nxt not in after:
                         if part.optional and not binds and nxt == len(text):
@@ -261,8 +251,6 @@ class Compound(ValueSyntax):
                         else:
                             number_after = value if numbered else number
                             after[nxt] = (done + piece, number_after, bound or binds)
-                if part.optional:
-                    after.setdefault(at, (done, number, bound))
             reached = after
         for end, (done, number, bound) in reached.items():
             yield done, number, bound, end
@@ -275,22 +263,12 @@ class ListOf(ValueSyntax):
 
     element: ValueSyntax
 
-    def __post_init__(self):
-        if isinstance(self.element, (ListOf, BoolFlag)):
-            raise CatalogError("unsupported list element syntax")
-
 
 @dataclass(frozen=True)
 class OneOf(ValueSyntax):
     """Alternation whose branches are not all literals; always binds a leaf."""
 
     branches: tuple[ValueSyntax, ...]
-
-    def __post_init__(self):
-        if len(self.branches) < 2:
-            raise CatalogError("alternation needs at least two branches")
-        if any(isinstance(branch, ListOf) for branch in self.branches):
-            raise CatalogError("lists cannot nest inside alternations")
 
     def match(self, text: str, pos: int):
         for branch in self.branches:
@@ -383,7 +361,12 @@ class _Parser:
         if len(branches) == 1:
             return branches[0]
         if all(isinstance(b, Literal) for b in branches):
-            return Enum(tuple(b.text for b in branches))
+            choices = tuple(b.text for b in branches)
+            if len(set(choices)) != len(choices):
+                raise CatalogError(f"enum choices not unique: {quoted(choices)}")
+            return Enum(choices)
+        if any(isinstance(b, ListOf) for b in branches):
+            raise CatalogError("lists cannot nest inside alternations")
         return OneOf(tuple(branches))
 
     def sequence(self) -> ValueSyntax:
@@ -397,6 +380,8 @@ class _Parser:
             raise self.error("empty sequence")
         if len(items) == 1 and not items[0].optional:
             return items[0].node
+        if any(isinstance(item.node, ListOf) for item in items):
+            raise CatalogError("lists cannot nest inside compounds")
         return Compound(tuple(items))
 
     def item(self) -> CompoundPart:
@@ -412,6 +397,8 @@ class _Parser:
             return self.angle()
         if token.kind == "string":
             self.take("string")
+            if token.text == '""':
+                raise CatalogError("empty literal")
             return Literal(token.text[1:-1])
         if token.kind == "(":
             self.take("(")
@@ -434,7 +421,10 @@ class _Parser:
         if name == "List":
             self.take(":")
             self.take("(")
-            return ListOf(self.group(")"))
+            element = self.group(")")
+            if isinstance(element, (ListOf, BoolFlag)):
+                raise CatalogError("unsupported list element syntax")
+            return ListOf(element)
         if name == "Continuous_range":
             self.take(":")
             self.take("(")
@@ -445,7 +435,7 @@ class _Parser:
             if m.group(1) == "U":
                 return IntRange(0, 1 << _unsigned_width(width), signed=False)
             if not 2 <= width <= 64:
-                raise CatalogError(f"signed bit width out of range: {width}")
+                raise CatalogError(f"signed bit width out of range: {quoted(width)}")
             return IntRange(-(1 << (width - 1)), 1 << (width - 1))
         raise self.error(f"unknown syntax token {quoted('<' + name + '>')}")
 
@@ -461,6 +451,8 @@ class _Parser:
         else:
             raise self.error(f"bad range bound {quoted(hi_token.text)}")
         self.take(")")
+        if lo >= hi:
+            raise CatalogError(f"empty range ({quoted(lo)}, {quoted(hi)})")
         return IntRange(lo, hi)
 
 
@@ -474,7 +466,7 @@ def _integer(text: str) -> int:
 def _unsigned_width(width: int) -> int:
     """The width of <Uw> or of a (lo, Uw) bound, held to 1..64."""
     if not 1 <= width <= 64:
-        raise CatalogError(f"unsigned bit width out of range: {width}")
+        raise CatalogError(f"unsigned bit width out of range: {quoted(width)}")
     return width
 
 

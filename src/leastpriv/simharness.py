@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Union, get_type_hints
 
-from ._files import load_yaml, quoted
+from ._files import load_yaml
 from .environment import (
     _WORKLOAD_FIELDS,
     WORKLOAD_PRESETS,
@@ -28,7 +28,7 @@ from .environment import (
     compose_environment,
     doc_list,
 )
-from .events import KIND_SYSCALL, EventSet
+from .events import KIND_SYSCALL, EventSet, quoted
 from .monitor import TraceRecord, format_trace
 from .options import (
     OptionCatalog,

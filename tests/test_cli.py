@@ -417,8 +417,8 @@ class TestExplore:
         monkeypatch.chdir(tmp_path)
         assert main(["explore", "cmd:./probe.sh", "cpu-shares", "--config", "it_max=3"]) == 1
         assert capsys.readouterr().err == (
-            "error: ExplorationError: iteration 0: ./probe.sh: probe failed: "
-            "./probe.sh:3: expected 4 fields, got 8\n"
+            "error: ExplorationError: iteration 0: './probe.sh': probe failed: "
+            "'./probe.sh':3: expected 4 fields, got 8\n"
         )
 
     @pytest.mark.parametrize("option,hi", [("pids-limit", (1 << 22) - 1), ("memory", (1 << 32) - 1)])
@@ -604,8 +604,9 @@ class TestErrorReporting:
         "plan_version: 1\nfactors: [\n",
         "plan_version: 1\nfactors: [{options: [{name: cpu-shares, value: 010}]}]\n",
         "plan_version: 1\nfactors: [{options: [{name: tty, value: true}]}]\n",
+        "plan_version: 1\nfactors: [&a [1], &a [2]]\n",
     ], ids=["factors", "pairs", "pair-entry", "baseline-options", "factor-options", "yaml",
-            "octal-value", "bool-value"])
+            "octal-value", "bool-value", "repeated-anchor"])
     def test_malformed_plan_is_one_error_line(self, tmp_path, capsys, text):
         plan = tmp_path / "bad.plan"
         plan.write_text(text)
@@ -770,7 +771,14 @@ class TestErrorReporting:
         (f"a\tint\t<{LONG}>\n", "unknown syntax token of 5002 characters in of 5002 "),
         (f"a\t{LONG}\t<Bool>\n", "unknown category of 5000 characters"),
         (f"{LONG}\tint\t!\n", "option of 5000 characters: cannot tokenize syntax at '!'"),
-    ], ids=["line", "tokenize", "expression", "token", "angle", "category", "name"])
+        (f'a\tstring\t"{"a" * 3000}" | "{"a" * 3000}"\n',
+         "option 'a': enum choices not unique: tuple of length 2"),
+        (f"a\tint\t({'9' * 4200}, 1)\n", "empty range (int of 4200 characters, 1)"),
+        (f"a\tint\t<U{'9' * 4200}>\n", "unsigned bit width out of range: int of 4200 characters"),
+        (f"a\tint\t<I{'9' * 4200}>\n", "signed bit width out of range: int of 4200 characters"),
+        (" \tint\t<U8>\n", "F:1: empty option name"),
+    ], ids=["line", "tokenize", "expression", "token", "angle", "category", "name",
+            "enum-choices", "empty-range", "unsigned-width", "signed-width", "empty-name"])
     def test_a_catalog_echo_is_bounded(self, tmp_path, monkeypatch, capsys, catalog, shown):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "F").write_text(catalog, encoding="utf-8")
@@ -834,8 +842,21 @@ class TestErrorReporting:
          ["emit", "p.yaml"], 5000),
         ({"p.yaml": yaml.safe_dump({**POLICY, "allowed": {"capabilities": ["a " * 2500]}})},
          ["emit", "p.yaml"], 5000),
+        ({"s.obs": GOOD_STORE, "c.cvedb": f"beacon-cvedb v1\n{LONG}\t11\tread\n"}, SYNTHESIZE,
+         5000),
+        ({"s.obs": GOOD_STORE, "c.cvedb": "beacon-cvedb v1\n" + f"{LONG}\t5\tread\n" * 2},
+         SYNTHESIZE, 5000),
+        ({"s.obs": GOOD_STORE, "c.cvedb": f"beacon-cvedb v1\n{LONG}\t5\t , \n"}, SYNTHESIZE,
+         5000),
+        ({"p.yaml": f"plan_version: 1\nfactors:\n- workload:\n    read_ops: {'9' * 4200}\n"},
+         ["validate-inference", "redis", "p.yaml"], 4200),
+        ({"m.yaml": yaml.safe_dump({"model_version": 1, "name": LONG})},
+         ["explore", "m.yaml", "cpu-shares", "--config", "v_min=300000", "--config",
+          "v_max=400000"], 5000),
+        ({}, ["explore", f"cmd:{LONG}", "cpu-shares"], 5000),
     ], ids=["trace-header", "trace-kind", "trace-kind-escaped", "store-header", "store-tag",
-            "cvss-value", "policy-syscall", "policy-capability"])
+            "cvss-value", "policy-syscall", "policy-capability", "cvss-range", "cve-twice",
+            "cve-empty-vector", "workload-field-range", "model-probe-name", "command-probe-name"])
     def test_an_over_long_value_is_named_by_its_length(self, tmp_path, monkeypatch, capsys,
                                                         files, argv, length):
         monkeypatch.chdir(tmp_path)
@@ -895,11 +916,31 @@ class TestErrorReporting:
          "bad workload entry dict of length 1: expected a mapping of "),
         ({**PLAN, "pairs": [LONG]}, ["validate-inference", "redis", "p.yaml"],
          "pair of 5000 characters is not two factor ids"),
+        ([POLICY], ["emit", "p.yaml"], "DecisionError: policy document must be a mapping"),
+        ({**POLICY, "container": ""}, ["emit", "p.yaml"],
+         "DecisionError: policy needs a container name"),
+        ({"plan_version": 2}, ["validate-inference", "redis", "p.yaml"],
+         "PlanFormatError: p.yaml: not a plan_version 1 document"),
+        ({**PLAN, "factors": [{"workload": {"read_ops": 1}}], "pairs": [["a", "b"]]},
+         ["validate-inference", "redis", "p.yaml"],
+         "PlanFormatError: p.yaml: pair list does not match the factor set"),
+        ({**PLAN, "factors": [{"workload": {"read_ops": 1, "thread_count": 0}}]},
+         ["validate-inference", "redis", "p.yaml"], "workload field thread_count must be positive"),
+        ({**PLAN, "factors": [{"workload": {"read_ops": 1.5}}]},
+         ["validate-inference", "redis", "p.yaml"],
+         "bad workload entry {'read_ops': 1.5}: workload field read_ops must be an integer"),
+        ({**MODEL, "interaction_rules": [{"when_all": [{"option_present": "tty"}]}]},
+         ["explore", "p.yaml", "cpu-shares"],
+         "ModelError: interaction rule needs exactly two triggers"),
+        ({**MODEL, "rules": [{"when": {"option_value_in_range":
+                                       {"option": "cpu-shares", "lo": 5, "hi": 1}}}]},
+         ["explore", "p.yaml", "cpu-shares"], "ModelError: empty range [5, 1]"),
     ], ids=["event-block", "event-names", "event-name-list", "classes", "targets",
             "score", "policy-version", "rule", "trigger", "trigger-kind", "equals-body",
             "range-body", "workload-body", "interaction", "model-version", "rule-list",
             "plan-entry", "option-entry", "option-value", "workload-entry", "workload-field",
-            "pair"])
+            "pair", "policy-list", "policy-container", "plan-version", "pair-list",
+            "thread-count", "read-ops-float", "one-trigger", "model-range"])
     def test_a_whole_value_echo_is_bounded(self, tmp_path, monkeypatch, capsys, doc, argv,
                                            shown):
         monkeypatch.chdir(tmp_path)
@@ -926,7 +967,8 @@ class TestErrorReporting:
         (["--config", LONG], "bad config entry of 5000 characters"),
         (["--config", "nosuch=" + LONG], "bad config entry of 5007 characters"),
         (["--config", "r=" + LONG], "bad config value of 5002 characters"),
-    ], ids=["entry", "unknown-field", "value"])
+        (["--config", "decay=-1"], "decay must be non-negative, got -1.0"),
+    ], ids=["entry", "unknown-field", "value", "negative-decay"])
     def test_a_config_token_is_bounded(self, capsys, argv, shown):
         assert main(["explore", "redis", "cpu-shares", *argv]) == 1
         err = capsys.readouterr().err
@@ -954,8 +996,11 @@ class TestErrorReporting:
          "StoreError: bad container name of 5003 characters"),
         (["explore", "redis", "cpu-shares", "--config", "v_min=" + "9" * 4300],
          "ConfigError: v_min int of 4300 characters > v_max 262143"),
+        (["sweep", "web.obs", CVEDB, "--targets", ","], "CliError: no targets given"),
+        (["explore", "cmd:", "cpu-shares"], "ProbeError: empty probe command"),
     ], ids=["option-value", "option-integer", "target", "target-integer", "env-id",
-            "container-mismatch", "container-name", "config-integer"])
+            "container-mismatch", "container-name", "config-integer", "no-targets",
+            "empty-command"])
     def test_an_argument_echo_is_bounded(self, tmp_path, monkeypatch, capsys, argv, shown):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "web.trace").write_text(self.WEB_TRACE)

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import leastpriv
 from leastpriv import _files
 from leastpriv.cli import main
+from leastpriv.events import MAX_QUOTED, quoted
 
 
 class Malformed(ValueError):
@@ -212,9 +213,9 @@ def test_decode_lines_yields_each_value_before_reading_the_next_line():
 
 
 def test_a_quoted_value_past_the_limit_is_shown_by_its_length():
-    short = "x" * _files.MAX_QUOTED
-    assert _files.quoted(short) == repr(short)
-    assert _files.quoted(short + "x") == f"of {_files.MAX_QUOTED + 1} characters"
+    short = "x" * MAX_QUOTED
+    assert quoted(short) == repr(short)
+    assert quoted(short + "x") == f"of {MAX_QUOTED + 1} characters"
 
 
 @pytest.mark.parametrize("value,shown", [
@@ -225,7 +226,7 @@ def test_a_quoted_value_past_the_limit_is_shown_by_its_length():
     (7 ** 100, "int of 85 characters"),
 ])
 def test_any_value_is_quoted_by_its_type_and_length_when_long(value, shown):
-    assert _files.quoted(value) == shown
+    assert quoted(value) == shown
 
 
 # -- atomic output files -----------------------------------------------------

@@ -27,7 +27,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from leastpriv import decision
 from leastpriv.cli import main
-from leastpriv._files import MAX_DIGITS, decode_lines, quoted, too_long
+from leastpriv._files import MAX_DIGITS, decode_lines, too_long
 from leastpriv.decision import (
     CVEDB_HEADER,
     OBSERVATIONS_HEADER,
@@ -39,7 +39,9 @@ from leastpriv.decision import (
     parse_cvedb,
     save_store,
 )
-from leastpriv.events import MEMO_NAMES, EventSet, canonical_capability, canonical_syscall
+from leastpriv.events import (
+    MEMO_NAMES, EventSet, canonical_capability, canonical_syscall, quoted,
+)
 from leastpriv.monitor import TRACE_HEADER, TraceFormatError, parse_trace
 from leastpriv.options import CatalogError, parse_catalog
 
@@ -139,13 +141,23 @@ def test_catalog_lines(body):
      f"StoreFormatError: empty: empty input, expected {OBSERVATIONS_HEADER!r}"),
     (["synthesize", "store", "empty", "--security-min", "0", "--functionality-min", "1"],
      f"DbFormatError: empty: empty input, expected {CVEDB_HEADER!r}"),
+    (["synthesize", "header", "cvedb", "--security-min", "0", "--functionality-min", "1"],
+     "StoreFormatError: header: missing CONTAINER line"),
+    (["score", "no-env", "cvedb", "--policy", "read"],
+     "StoreError: functionality is undefined over an empty store"),
+    (["ingest", "trace", "--env-id", "e2", "--store", "latin-1"],
+     "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xe9 in position 44: "
+     "invalid continuation byte"),
 ])
 def test_an_empty_file_is_one_error_line(tmp_path, monkeypatch, capsys, argv, error):
     monkeypatch.chdir(tmp_path)
     files = {"empty": "", "store": f"{OBSERVATIONS_HEADER}\nCONTAINER app\nENV e1\nSYS read 1\n",
-             "cvedb": f"{CVEDB_HEADER}\n"}
+             "cvedb": f"{CVEDB_HEADER}\n", "header": f"{OBSERVATIONS_HEADER}\n",
+             "no-env": f"{OBSERVATIONS_HEADER}\nCONTAINER app\n",
+             "latin-1": f"{OBSERVATIONS_HEADER}\nCONTAINER app\nENV caf\xe9\nSYS read 1\n",
+             "trace": f"{TRACE_HEADER}\n1 1 SYS unshare\n2 1 SYS read\n"}
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_text(text, encoding="latin-1" if name == "latin-1" else "utf-8")
     assert (main(argv), capsys.readouterr().err) == (1, f"error: {error}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 

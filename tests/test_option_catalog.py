@@ -266,6 +266,12 @@ class TestValidation:
         (spec,) = parse_catalog(row + "\n")
         assert [validate_value(spec, raw).text for raw in texts] == texts
 
+    @pytest.mark.parametrize("raw,number", [("2", 2), ("12", 12), ("127", 127), ("1255", 255)])
+    def test_skipping_an_optional_part_is_tried_first(self, raw, number):
+        (spec,) = parse_catalog('x\tint\t["1"] <U8>\n')
+        value = validate_value(spec, raw)
+        assert (value.text, value.number) == (raw, number)
+
     def test_long_compound_does_not_recurse(self):
         spec = spec_for('"x" ' * 3000, "string")
         assert validate_value(spec, "x" * 3000).text == "x" * 3000
