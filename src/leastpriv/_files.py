@@ -1,5 +1,9 @@
 """Every file the tool reads or writes goes through this module.
 
+Each input file is opened by `reading`, so a byte that is not UTF-8
+raises the reader's own error with the file's path first, as every other
+fault in it does.
+
 The line formats read (traces, CVE databases, observation stores) share
 the lazy `decode_lines`, or only its header check `read_header` where a
 trace is replayed or a store is loaded in one loop that decodes the
@@ -25,7 +29,6 @@ import contextlib
 import inspect
 import os
 import re
-import secrets
 import shutil
 import sys
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
@@ -98,6 +101,20 @@ def too_long(digits: str) -> str:
     return f"integer of {len(digits)} digits is too long"
 
 
+@contextlib.contextmanager
+def reading(path, error: type[ValueError]) -> Iterator:
+    """Open path as UTF-8 text; a byte that is not UTF-8, met while reading, raises `error`.
+
+    The error names the file and the byte, not the decoder's position,
+    which counts from the start of the chunk being decoded.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from None
+
+
 def read_header(lines: Iterator[str], header: str, source: str, error: type[ValueError]) -> None:
     """Take the first of lines and check it: a missing or wrong header raises `error`."""
     first = next(lines, None)
@@ -140,7 +157,7 @@ def decode_lines(
 
 def load_yaml(source, error: type[ValueError]):
     """The one YAML document in the file at source; malformed or too large raises `error`."""
-    with open(source, "r", encoding="utf-8") as handle:
+    with reading(source, error) as handle:
         try:
             return _build(yaml.parse(handle, Loader=_LOADER))
         except yaml.YAMLError as exc:
@@ -290,7 +307,7 @@ def dump_yaml(doc, path) -> None:
 @contextlib.contextmanager
 def replacing(path):
     """Write a temporary file that replaces path, keeping open(path, "w")'s mode."""
-    temporary = f"{path}.{secrets.token_hex(4)}.tmp"
+    temporary = f"{path}.{os.urandom(4).hex()}.tmp"
     handle = open(temporary, "x", encoding="utf-8")
     try:
         with handle:

@@ -5,16 +5,23 @@ headers and versions up front, and fails with a single machine-parsable
 line `error: <Class>: <message>` on stderr.  Exit codes: 0 success,
 2 infeasible synthesis, 1 anything else.  Output is deterministic for
 identical inputs, including configured seeds.
+
+Importing this module loads the line-format stages (monitor, decision,
+emitter).  plan, explore and validate-inference import environment,
+explorer, options and simharness inside their handlers, so no other call
+loads them.
 """
 
 from __future__ import annotations
 
 import argparse
-import shlex
 import sys
 from collections import Counter
 from typing import Optional
 
+# decision and emitter load with this module, though not every handler uses
+# them: perfbench's tracer imports this module and explorer, then wraps every
+# stage module it finds loaded.
 from ._files import discard_stdout, replacing
 from .decision import (
     ContainerMismatchError,
@@ -35,27 +42,8 @@ from .decision import (
     synthesize_policy,
 )
 from .emitter import emit_capability_flags, emit_seccomp_profile
-from .environment import (
-    WORKLOAD_PRESETS,
-    baseline_environment,
-    compose_environment,
-    load_plan,
-    plan_environments,
-    write_plan,
-)
 from .events import EventSet, quoted
-from .explorer import (
-    MutationConfig,
-    command_probe,
-    model_probe,
-    mutate_option_values,
-    parse_config_field,
-    validate_inference,
-    write_log,
-)
 from .monitor import event_set_for, replay_file
-from .options import default_catalog, integer_bounds, load_catalog, validate_value
-from .simharness import FIXTURE_NAMES, load_fixture, load_model
 
 __all__ = ["main"]
 
@@ -71,18 +59,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_catalog(path: Optional[str]):
+    from .options import default_catalog, load_catalog
+
     if path is None or path == "default":
         return default_catalog()
     return load_catalog(path)
 
 
 def _load_model_or_fixture(text: str):
+    from .simharness import FIXTURE_NAMES, load_fixture, load_model
+
     if text in FIXTURE_NAMES:
         return load_fixture(text)
     return load_model(text)
 
 
 def _parse_factor(token: str, catalog):
+    from .environment import WORKLOAD_PRESETS, compose_environment
+    from .options import validate_value
+
     if token in WORKLOAD_PRESETS:
         return compose_environment(workload=WORKLOAD_PRESETS[token])
     name, sep, value = token.partition("=")
@@ -140,6 +135,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    from .environment import plan_environments, write_plan
+
     catalog = _load_catalog(args.catalog)
     factors = [_parse_factor(token, catalog) for token in args.factors]
     plan = plan_environments(factors)
@@ -151,13 +148,21 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _config_overrides(pairs: list[str], v_min: int, v_max: int, seed: int) -> MutationConfig:
+def _config_overrides(pairs: list[str], v_min: int, v_max: int, seed: int):
+    from .explorer import MutationConfig, parse_config_field
+
     kwargs: dict = {"v_min": v_min, "v_max": v_max, "seed": seed}
     kwargs.update(parse_config_field(token) for token in pairs)
     return MutationConfig(**kwargs)
 
 
 def _cmd_explore(args) -> int:
+    import shlex
+
+    from .environment import baseline_environment
+    from .explorer import command_probe, model_probe, mutate_option_values, write_log
+    from .options import integer_bounds
+
     catalog = _load_catalog(args.catalog)
     spec = catalog[args.option]
     bounds = integer_bounds(spec.syntax)
@@ -168,6 +173,12 @@ def _cmd_explore(args) -> int:
     else:
         probe = model_probe(_load_model_or_fixture(args.model), spec)
     config = _config_overrides(args.config, bounds[0], bounds[1], args.seed)
+    # the window is the option's, whichever probe explores it
+    if config.v_min < bounds[0] or config.v_max > bounds[1]:
+        raise CliError(
+            f"--config window [{quoted(config.v_min)}, {quoted(config.v_max)}] is outside "
+            f"the window [{bounds[0]}, {bounds[1]}] of option {quoted(args.option)}"
+        )
     result = mutate_option_values(baseline_environment(), config, probe)
     if args.log:
         write_log(config, result, args.log)
@@ -187,6 +198,9 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_validate_inference(args) -> int:
+    from .environment import load_plan
+    from .explorer import model_probe, validate_inference
+
     catalog = _load_catalog(args.catalog)
     model = _load_model_or_fixture(args.model)
     plan = load_plan(args.plan, catalog)
@@ -411,7 +425,9 @@ def _build_parser(argv: list[str]) -> _Parser:
     argparse builds a help formatter for each argument it registers, so
     registering all nine subcommands cost a third of a small ingest.
     Any other argv (none, -h, an unknown word, a leading option) gets
-    every subcommand, so top-level help and errors list them all.
+    every subcommand, so top-level help and errors list them all.  The
+    parser refers to handlers only, so building it imports nothing; a
+    handler imports the modules of its stage when it runs.
     """
     parser = _Parser(
         prog="leastpriv",

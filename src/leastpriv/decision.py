@@ -32,7 +32,7 @@ from itertools import chain
 from typing import Iterable, Optional, Union
 
 from ._files import (
-    MAX_DIGITS, decode_lines, dump_yaml, load_yaml, read_header, replacing, too_long,
+    MAX_DIGITS, decode_lines, dump_yaml, load_yaml, read_header, reading, replacing, too_long,
 )
 from .events import (
     KIND_CAPABILITY,
@@ -194,7 +194,7 @@ def parse_cvedb(lines: Iterable[str], source: str = "<memory>") -> CveDatabase:
 
 
 def load_cvedb(path) -> CveDatabase:
-    with open(path, "r", encoding="utf-8") as handle:
+    with reading(path, DbFormatError) as handle:
         return parse_cvedb(handle, source=str(path))
 
 
@@ -429,7 +429,7 @@ def load_store(path) -> ObservationStore:
             raise StoreFormatError(f"unknown tag {quoted(tag)}")
         return None
 
-    with open(path, "r", encoding="utf-8") as handle:
+    with reading(path, StoreFormatError) as handle:
         read_header(handle, OBSERVATIONS_HEADER, str(path), StoreFormatError)
         for lineno, line in enumerate(handle, start=2):
             try:  # the common line; any other raises to the full check below

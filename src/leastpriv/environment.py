@@ -10,7 +10,6 @@ regardless of construction order.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import combinations
@@ -126,6 +125,8 @@ class Environment:
 
     @cached_property
     def id(self) -> str:
+        import hashlib  # here, not at the top: only plans and explorations hash an environment
+
         digest = hashlib.blake2b(self.canonical_text().encode("utf-8"), digest_size=16)
         return digest.hexdigest()
 

@@ -41,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from ._files import MAX_DIGITS, decode_lines, read_header, too_long
+from ._files import MAX_DIGITS, decode_lines, read_header, reading, too_long
 from .events import (
     KIND_CAPABILITY,
     KIND_SYSCALL,
@@ -171,7 +171,7 @@ def replay_trace(records: Iterable[TraceRecord]) -> dict[int, NamespaceState]:
 
 def replay_file(path) -> dict[int, NamespaceState]:
     """Replay the trace file at path as each line is read."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with reading(path, TraceFormatError) as handle:
         return _replay_lines(handle, str(path))
 
 

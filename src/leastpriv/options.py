@@ -39,7 +39,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterator, Optional
 
-from ._files import MAX_DIGITS, MAX_QUOTED_TEXT, too_long
+from ._files import MAX_DIGITS, MAX_QUOTED_TEXT, reading, too_long
 from .events import quoted
 
 __all__ = [
@@ -551,7 +551,7 @@ def parse_catalog(text: str, source: str = "<memory>") -> OptionCatalog:
 
 
 def load_catalog(path) -> OptionCatalog:
-    with open(path, "r", encoding="utf-8") as handle:
+    with reading(path, CatalogError) as handle:
         return parse_catalog(handle.read(), source=str(path))
 
 

@@ -850,13 +850,10 @@ class TestErrorReporting:
          5000),
         ({"p.yaml": f"plan_version: 1\nfactors:\n- workload:\n    read_ops: {'9' * 4200}\n"},
          ["validate-inference", "redis", "p.yaml"], 4200),
-        ({"m.yaml": yaml.safe_dump({"model_version": 1, "name": LONG})},
-         ["explore", "m.yaml", "cpu-shares", "--config", "v_min=300000", "--config",
-          "v_max=400000"], 5000),
         ({}, ["explore", f"cmd:{LONG}", "cpu-shares"], 5000),
     ], ids=["trace-header", "trace-kind", "trace-kind-escaped", "store-header", "store-tag",
             "cvss-value", "policy-syscall", "policy-capability", "cvss-range", "cve-twice",
-            "cve-empty-vector", "workload-field-range", "model-probe-name", "command-probe-name"])
+            "cve-empty-vector", "workload-field-range", "command-probe-name"])
     def test_an_over_long_value_is_named_by_its_length(self, tmp_path, monkeypatch, capsys,
                                                         files, argv, length):
         monkeypatch.chdir(tmp_path)
@@ -996,11 +993,18 @@ class TestErrorReporting:
          "StoreError: bad container name of 5003 characters"),
         (["explore", "redis", "cpu-shares", "--config", "v_min=" + "9" * 4300],
          "ConfigError: v_min int of 4300 characters > v_max 262143"),
+        (["explore", "redis", "cpu-shares", "--config", "v_min=300000", "--config",
+          "v_max=400000"],
+         "CliError: --config window [300000, 400000] is outside the window [0, 262143] of "
+         "option 'cpu-shares'"),
+        (["explore", "cmd:true", "cpu-shares", "--config", "v_max=" + "9" * 300],
+         "CliError: --config window [0, int of 300 characters] is outside the window "
+         "[0, 262143] of option 'cpu-shares'"),
         (["sweep", "web.obs", CVEDB, "--targets", ","], "CliError: no targets given"),
         (["explore", "cmd:", "cpu-shares"], "ProbeError: empty probe command"),
     ], ids=["option-value", "option-integer", "target", "target-integer", "env-id",
-            "container-mismatch", "container-name", "config-integer", "no-targets",
-            "empty-command"])
+            "container-mismatch", "container-name", "config-integer", "config-window",
+            "command-config-window", "no-targets", "empty-command"])
     def test_an_argument_echo_is_bounded(self, tmp_path, monkeypatch, capsys, argv, shown):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "web.trace").write_text(self.WEB_TRACE)
@@ -1087,16 +1091,16 @@ class TestIngestAppends:
                 monkeypatch.setattr(module, name, counted)
 
         @contextlib.contextmanager
-        def counted_open(path, *args, **kwargs):
+        def counted_reading(path, error, _reading=monitor.reading):
             calls["opens"] += 1
-            with open(path, *args, **kwargs) as handle:
+            with _reading(path, error) as handle:
                 def lines():
                     for line in handle:
                         calls["lines"] += 1
                         yield line
                 yield lines()
 
-        monkeypatch.setattr(monitor, "open", counted_open, raising=False)
+        monkeypatch.setattr(monitor, "reading", counted_reading)
         assert main(["ingest", str(trace), "--env-id", "zz-new", "--store", str(store),
                      "--container", "app"]) == 0
         trace_lines = trace.read_text().splitlines()

@@ -247,6 +247,16 @@ class TestProbes:
         probe.evaluate(BASE, 50)
         assert probe.evaluations == 1
 
+    def test_a_failing_model_probe_names_a_long_model_by_its_length(self):
+        model = SyntheticContainerModel("m" * 5000, EventSet.empty(), ())
+        probe = model_probe(model, default_catalog()["cpu-shares"])
+        config = MutationConfig(300000, 400000)
+        with pytest.raises(ExplorationError) as err:
+            mutate_option_values(BASE, config, probe)
+        message = str(err.value)
+        assert message.startswith("iteration 0: of 5000 characters: probe failed: ")
+        assert len(message) < 200
+
     def test_model_probe_without_option_rejects_values(self):
         probe = model_probe(piecewise_model())
         with pytest.raises(ProbeError):

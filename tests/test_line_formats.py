@@ -145,9 +145,20 @@ def test_catalog_lines(body):
      "StoreFormatError: header: missing CONTAINER line"),
     (["score", "no-env", "cvedb", "--policy", "read"],
      "StoreError: functionality is undefined over an empty store"),
+    # a file that is not UTF-8 is named by its path and the byte, as the
+    # decoder's position counts from the chunk it was decoding
     (["ingest", "trace", "--env-id", "e2", "--store", "latin-1"],
-     "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xe9 in position 44: "
-     "invalid continuation byte"),
+     "StoreFormatError: latin-1: not UTF-8 text (byte 0xe9)"),
+    (["synthesize", "latin-1", "cvedb", "--security-min", "0", "--functionality-min", "1"],
+     "StoreFormatError: latin-1: not UTF-8 text (byte 0xe9)"),
+    (["ingest", "latin-1.trace", "--env-id", "e2", "--store", "store"],
+     "TraceFormatError: latin-1.trace: not UTF-8 text (byte 0xe9)"),
+    (["synthesize", "store", "latin-1.cvedb", "--security-min", "0", "--functionality-min", "1"],
+     "DbFormatError: latin-1.cvedb: not UTF-8 text (byte 0xe9)"),
+    (["emit", "latin-1.policy", "--seccomp", "seccomp.json"],
+     "DecisionError: latin-1.policy: not UTF-8 text (byte 0xe9)"),
+    (["check", "latin-1.policy", "cvedb"],
+     "DecisionError: latin-1.policy: not UTF-8 text (byte 0xe9)"),
 ])
 def test_an_empty_file_is_one_error_line(tmp_path, monkeypatch, capsys, argv, error):
     monkeypatch.chdir(tmp_path)
@@ -155,9 +166,13 @@ def test_an_empty_file_is_one_error_line(tmp_path, monkeypatch, capsys, argv, er
              "cvedb": f"{CVEDB_HEADER}\n", "header": f"{OBSERVATIONS_HEADER}\n",
              "no-env": f"{OBSERVATIONS_HEADER}\nCONTAINER app\n",
              "latin-1": f"{OBSERVATIONS_HEADER}\nCONTAINER app\nENV caf\xe9\nSYS read 1\n",
-             "trace": f"{TRACE_HEADER}\n1 1 SYS unshare\n2 1 SYS read\n"}
+             "trace": f"{TRACE_HEADER}\n1 1 SYS unshare\n2 1 SYS read\n",
+             "latin-1.trace": f"{TRACE_HEADER}\n1 1 SYS unshare\n2 1 SYS r\xe9ad\n",
+             "latin-1.cvedb": f"{CVEDB_HEADER}\nCVE-1\t5\tr\xe9ad\n",
+             "latin-1.policy": "policy_version: 1\ncontainer: caf\xe9\n"}
     for name, text in files.items():
-        (tmp_path / name).write_text(text, encoding="latin-1" if name == "latin-1" else "utf-8")
+        encoding = "latin-1" if name.startswith("latin-1") else "utf-8"
+        (tmp_path / name).write_text(text, encoding=encoding)
     assert (main(argv), capsys.readouterr().err) == (1, f"error: {error}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
