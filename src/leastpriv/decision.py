@@ -42,6 +42,7 @@ from .events import (
     Observation,
     canonical_capability,
     canonical_syscall,
+    listed,
     quoted,
 )
 
@@ -261,7 +262,7 @@ class ObservationStore:
         try:
             return self._counts[environment_id]
         except KeyError:
-            raise StoreError(f"unknown environment {environment_id!r}") from None
+            raise StoreError(f"unknown environment {quoted(environment_id)}") from None
 
     def union_events(self) -> EventSet:
         return EventSet.from_events(self.event_frequencies())
@@ -724,13 +725,13 @@ def policy_from_doc(doc) -> Policy:
     if stray:
         raise DecisionError(
             "allowed must equal always + sporadic_included; they differ in "
-            + ", ".join(_event_label(event) for event in stray.events())
+            + listed([_event_label(event) for event in stray.events()], "event")
         )
     shared = (always & included) | (always & excluded) | (included & excluded)
     if shared:
         raise DecisionError(
             "event classes overlap in "
-            + ", ".join(_event_label(event) for event in shared.events())
+            + listed([_event_label(event) for event in shared.events()], "event")
         )
     targets_doc = doc.get("targets")
     targets = None

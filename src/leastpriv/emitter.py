@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .events import CANONICAL_CAPABILITIES, EventSet
+from .events import CANONICAL_CAPABILITIES, EventSet, listed, quoted
 
 __all__ = [
     "EmitError",
@@ -50,7 +50,7 @@ def parse_seccomp_profile(text: str) -> frozenset[str]:
     if not isinstance(doc, dict):
         raise EmitError("profile must be a JSON object")
     if doc.get("defaultAction") != "SCMP_ACT_ERRNO":
-        raise EmitError(f"unexpected defaultAction {doc.get('defaultAction')!r}")
+        raise EmitError(f"unexpected defaultAction {quoted(doc.get('defaultAction'))}")
     if not isinstance(doc.get("architectures"), list):
         raise EmitError("profile needs an architectures list")
     rules = doc.get("syscalls")
@@ -59,12 +59,12 @@ def parse_seccomp_profile(text: str) -> frozenset[str]:
     names: set[str] = set()
     for rule in rules:
         if not isinstance(rule, dict) or rule.get("action") != "SCMP_ACT_ALLOW":
-            raise EmitError(f"unexpected syscall rule {rule!r}")
+            raise EmitError(f"unexpected syscall rule {quoted(rule)}")
         rule_names = rule.get("names")
         if not isinstance(rule_names, list) or not all(
             isinstance(name, str) and name for name in rule_names
         ):
-            raise EmitError(f"malformed names in rule {rule!r}")
+            raise EmitError(f"malformed names in rule {quoted(rule)}")
         names.update(rule_names)
     return frozenset(names)
 
@@ -73,9 +73,7 @@ def emit_capability_flags(allowed: EventSet) -> list[str]:
     """--cap-drop=ALL plus one --cap-add per allowed capability, sorted."""
     unknown = sorted(allowed.capabilities - CANONICAL_CAPABILITIES)
     if unknown:
-        raise EmitError(
-            f"not Linux capabilities: {', '.join(unknown)}"
-        )
+        raise EmitError(f"not Linux capabilities: {listed(unknown, 'name')}")
     flags = ["--cap-drop=ALL"]
     for name in sorted(allowed.capabilities):
         flags.append(f"--cap-add={name[len('CAP_'):]}")

@@ -13,7 +13,7 @@ while the memo holds fewer than MEMO_NAMES texts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "KIND_SYSCALL",
@@ -82,31 +82,51 @@ class EventNameError(ValueError):
     """Raised for event names or event blocks that cannot be read."""
 
 
-# An error message shows a value by its length once its repr would be
-# longer than this many characters plus its quotes, so an error stays one
+# An error message shows a value by its length once its repr would take
+# more than this many bytes (UTF-8) plus its quotes, so an error stays one
 # short line whatever the input holds.
 MAX_QUOTED = 40
 
 
 def quoted(value: object, limit: int = MAX_QUOTED) -> str:
     """repr(value) for an error message, or what value is when that repr,
-    quotes aside, is longer than limit.
+    quotes aside, takes more than limit bytes in UTF-8.
 
     An over-long string is named by its length, as `of 5000 characters`;
     any other value by its type and length, as `list of length 2000`, or
     by the length of its repr when it has no len(), as `int of 4300 characters`.
     """
     if isinstance(value, str):
-        if len(value) <= limit and len(repr(value)) <= limit + 2:
+        if len(value) <= limit and len(repr(value).encode()) <= limit + 2:
             return repr(value)
         return f"of {len(value)} characters"
     text = repr(value)
-    if len(text) <= limit + 2:
+    if len(text.encode()) <= limit + 2:
         return text
     try:
         return f"{type(value).__name__} of length {len(value)}"
     except TypeError:
         return f"{type(value).__name__} of {len(text)} characters"
+
+
+# A list in an error message shows its length and at most MAX_LISTED of its
+# items, each through quoted() with LISTED_LIMIT, so the message stays one
+# short line however many items the list holds.
+MAX_LISTED = 3
+LISTED_LIMIT = 20
+
+
+def listed(values: Sequence[object], noun: str) -> str:
+    """How many values there are and the first few, for an error message:
+    `1 event: 'read'` or `301 events: 'a', 'b', 'c' and 298 more`.
+
+    noun is singular; an s makes it plural.
+    """
+    shown = [quoted(value, LISTED_LIMIT) for value in values[:MAX_LISTED]]
+    rest = len(values) - len(shown)
+    more = f" and {rest} more" if rest else ""
+    plural = "" if len(values) == 1 else "s"
+    return f"{len(values)} {noun}{plural}: {', '.join(shown)}{more}"
 
 
 def canonical_syscall(name: str) -> str:

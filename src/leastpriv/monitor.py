@@ -50,6 +50,7 @@ from .events import (
     Observation,
     canonical_capability,
     canonical_syscall,
+    listed,
     quoted,
 )
 
@@ -288,13 +289,11 @@ def event_set_for(
         (namespace_id,) = states
     state = states.get(namespace_id)
     if state is None:
-        known = ", ".join(str(ns) for ns in sorted(states))
+        known = listed(sorted(states), "namespace")
         if namespace_id is None:
-            raise UnknownNamespaceError(
-                f"trace tracks {len(states)} namespaces ({known}); pick one with --namespace"
-            )
+            raise UnknownNamespaceError(f"trace tracks {known}; pick one with --namespace")
         raise UnknownNamespaceError(
-            f"namespace {namespace_id} not present in trace (tracked: {known})"
+            f"namespace {quoted(namespace_id)} not present in trace, which tracks {known}"
         )
     return Observation(
         environment_id,

@@ -8,9 +8,13 @@ being applied, or a workload field clearing a threshold.  Interaction
 rules fire only when two triggers match at once; they exist to exercise
 code paths where a combined environment is not the union of its factors.
 
-Models evaluate in microseconds, which lets the whole pipeline run at
-desk scale: emit_trace turns an evaluation into a collector stream that
-replays through the monitor to exactly the evaluated set.
+Evaluating a model is one pass over its rules and one union per probe:
+the adds of every matched rule are collected, then joined onto the base
+events with one union per event kind, so a probe's cost grows with the
+rule count, not with matched rules times the size of the set.  That
+keeps the whole pipeline at desk scale: emit_trace turns an evaluation
+into a collector stream that replays through the monitor to exactly the
+evaluated set.
 """
 
 from __future__ import annotations
@@ -159,15 +163,25 @@ class SyntheticContainerModel:
 
 
 def evaluate(model: SyntheticContainerModel, env: Environment) -> EventSet:
-    """Deterministic event set: base, matched rules, then matched interactions."""
-    events = model.base_events
-    for rule in model.rules:
-        if rule.trigger.matches(env):
-            events = events | rule.adds
-    for rule in model.interaction_rules:
-        if rule.first.matches(env) and rule.second.matches(env):
-            events = events | rule.adds
-    return events
+    """Deterministic event set: base plus the adds of every matched rule and
+    matched interaction rule.
+
+    One pass collects the matched adds, then one union per kind builds the
+    result, so a probe copies the event set once however many rules match.
+    """
+    adds = [rule.adds for rule in model.rules if rule.trigger.matches(env)]
+    adds += [
+        rule.adds
+        for rule in model.interaction_rules
+        if rule.first.matches(env) and rule.second.matches(env)
+    ]
+    base = model.base_events
+    if not adds:
+        return base
+    return EventSet(
+        base.syscalls.union(*(added.syscalls for added in adds)),
+        base.capabilities.union(*(added.capabilities for added in adds)),
+    )
 
 
 def emit_trace(
@@ -277,7 +291,7 @@ def load_model(path) -> SyntheticContainerModel:
 def load_fixture(name: str) -> SyntheticContainerModel:
     """Load one of the shipped models (redis, nginx) from package data."""
     if name not in FIXTURE_NAMES:
-        raise ModelError(f"unknown fixture {name!r}, have {', '.join(FIXTURE_NAMES)}")
+        raise ModelError(f"unknown fixture {quoted(name)}, have {', '.join(FIXTURE_NAMES)}")
     resource = importlib.resources.files("leastpriv").joinpath(
         f"data/fixtures/{name}.yaml"
     )

@@ -107,6 +107,30 @@ class TestPipeline:
             ])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_a_long_non_ascii_name_is_written_folded_and_read_back(self, tmp_path, capsys):
+        # The SafeDumper folds a double-quoted scalar past column 80 with a
+        # `\` continuation; yaml.CSafeDumper writes the same name on one
+        # line, so a switch of dumper changes these bytes.
+        name = "x" * 90 + "é" + "x" * 10
+        trace, store, out = tmp_path / "t.trace", tmp_path / "s.obs", tmp_path / "p.policy"
+        trace.write_text(f"beacon-trace v1\n1 4 SYS unshare\n2 4 SYS prctl\n3 4 SYS {name}\n"
+                         "4 4 SYS read\n", encoding="utf-8")
+        assert main(["ingest", str(trace), "--env-id", "e", "--store", str(store),
+                     "--container", "app"]) == 0
+        assert main(["synthesize", str(store), CVEDB, "--security-min", "0",
+                     "--functionality-min", "1", "--out", str(out)]) == 0
+        folded = '"' + "x" * 90 + "\\xE9\\\n{indent}xxxxxxxxxx\""
+        assert out.read_bytes() == (
+            "policy_version: 1\ncontainer: app\nachieved_security: 1.0\n"
+            "achieved_functionality: 1.0\nallowed:\n  syscalls:\n  - read\n"
+            f"  - {folded.format(indent=' ' * 4)}\n"
+            "classes:\n  always:\n    syscalls:\n    - read\n"
+            f"    - {folded.format(indent=' ' * 6)}\n"
+            "  sporadic_included: {}\n  sporadic_excluded: {}\n"
+            "targets:\n  security_min: 0.0\n  functionality_min: 1.0\n"
+        ).encode()
+        assert load_policy(out).allowed.syscalls == {"read", name}
+
     def test_emit_produces_profile_and_flags(self, redis_store_path, tmp_path, capsys):
         policy_path = tmp_path / "policy.yaml"
         main([
@@ -948,6 +972,37 @@ class TestErrorReporting:
         assert shown in err
         assert len(err.encode()) < 200
 
+    CAPS = [f"CAP_X{i:03d}" for i in range(302)]
+    WIDE_TRACE = "beacon-trace v1\n" + "".join(f"{n} {n} SYS unshare\n" for n in range(1, 3001))
+    LONG_IDS = "".join(f"{t} {d}{'9' * 4289} SYS unshare\n" for t, d in ((1, 1), (2, 2)))
+
+    @pytest.mark.parametrize("files,argv,shown", [
+        ({"p.yaml": yaml.safe_dump({**POLICY, "allowed": {"syscalls": [LONG]}})},
+         ["emit", "p.yaml"], "they differ in 1 event: of 5000 characters"),
+        ({"p.yaml": yaml.safe_dump({**POLICY, "allowed": {"capabilities": CAPS},
+                                    "classes": {"always": {"capabilities": CAPS[:1]}}})},
+         ["check", "p.yaml", CVEDB], "they differ in 301 events: 'CAP_X001', "),
+        ({"p.yaml": yaml.safe_dump({**POLICY, "allowed": {"capabilities": CAPS},
+                                    "classes": {"always": {"capabilities": CAPS}}})},
+         ["emit", "p.yaml", "--caps", "c.txt"],
+         "EmitError: not Linux capabilities: 302 names: 'CAP_X000', "),
+        ({"t.trace": WIDE_TRACE}, INGEST, "trace tracks 3000 namespaces: 1, 2, 3 and 2997 more"),
+        ({"t.trace": f"beacon-trace v1\n{LONG_IDS}"}, INGEST,
+         "trace tracks 2 namespaces: int of 4290 characters, int of 4290 characters"),
+    ], ids=["stray-name", "stray-capabilities", "unknown-capabilities", "wide-trace",
+            "long-namespace-ids"])
+    def test_a_list_echo_names_its_count(self, tmp_path, monkeypatch, capsys, files, argv,
+                                         shown):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert shown in err
+        assert len(err.encode()) < 200
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
     def test_a_declared_factor_id_is_named_by_its_length(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         factor = {"id": "x" * 5000, "options": [{"name": "cpu-shares", "value": "512"}]}
@@ -975,6 +1030,8 @@ class TestErrorReporting:
 
     WEB_TRACE = "beacon-trace v1\n100 7 SYS unshare\n110 7 SYS prctl\n200 7 SYS read\n"
     SPACED = "a b" + "x" * 5000
+    # 40 characters, 151 bytes of UTF-8
+    WIDE = "a b" + "\U0001f600" * 37
 
     @pytest.mark.parametrize("argv,shown", [
         (["plan", "default", "cpu-shares=" + "x" * 5000, "--out", "p.yaml"],
@@ -989,6 +1046,8 @@ class TestErrorReporting:
          "StoreError: bad environment id of 5003 characters"),
         (["ingest", "web.trace", "--env-id", "e", "--store", "web.obs", "--container", SPACED],
          "CliError: store web.obs is for container 'web', not of 5003 characters"),
+        (["ingest", "web.trace", "--env-id", "e", "--store", "web.obs", "--container", WIDE],
+         "CliError: store web.obs is for container 'web', not of 40 characters"),
         (["ingest", "web.trace", "--env-id", "e", "--store", "new.obs", "--container", SPACED],
          "StoreError: bad container name of 5003 characters"),
         (["explore", "redis", "cpu-shares", "--config", "v_min=" + "9" * 4300],
@@ -1003,7 +1062,7 @@ class TestErrorReporting:
         (["sweep", "web.obs", CVEDB, "--targets", ","], "CliError: no targets given"),
         (["explore", "cmd:", "cpu-shares"], "ProbeError: empty probe command"),
     ], ids=["option-value", "option-integer", "target", "target-integer", "env-id",
-            "container-mismatch", "container-name", "config-integer", "config-window",
+            "container-mismatch", "wide-container-mismatch", "container-name", "config-integer", "config-window",
             "command-config-window", "no-targets", "empty-command"])
     def test_an_argument_echo_is_bounded(self, tmp_path, monkeypatch, capsys, argv, shown):
         monkeypatch.chdir(tmp_path)

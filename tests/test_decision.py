@@ -570,6 +570,12 @@ class TestStoreFiles:
         store.record("x1", parse_event_list(["a"]))
         assert store.counts_for("x1") == ({"a": 2}, {"CAP_CHOWN": 1})
 
+    def test_an_unknown_environment_is_quoted(self):
+        store = store_of(x1="a")
+        with pytest.raises(StoreError) as raised:
+            store.events_for("e" * 5000)
+        assert str(raised.value) == "unknown environment of 5000 characters"
+
     def test_events_are_the_counted_names(self):
         store = ObservationStore("app")
         store.record_observation(Observation("x1", (("a", 2), ("ghost", 0)), (("CAP_CHOWN", 1),)))
@@ -684,6 +690,26 @@ class TestPolicyFiles:
         path.write_text(path.read_text().replace("policy_version: 1", "policy_version: 2"))
         with pytest.raises(Exception):
             load_policy(path)
+
+    DOC = {"policy_version": 1, "container": "web", "achieved_security": 1.0,
+           "achieved_functionality": 1.0}
+    CAPS = [f"CAP_X{i:03d}" for i in range(302)]
+
+    @pytest.mark.parametrize("allowed,classes,shown", [
+        ({"syscalls": ["x" * 5000]}, {},
+         "allowed must equal always + sporadic_included; they differ in 1 event: "
+         "of 5000 characters"),
+        ({"capabilities": CAPS}, {"always": {"capabilities": CAPS[:1]}},
+         "allowed must equal always + sporadic_included; they differ in 301 events: "
+         "'CAP_X001', 'CAP_X002', 'CAP_X003' and 298 more"),
+        ({"capabilities": CAPS}, {"always": {"capabilities": CAPS},
+                                  "sporadic_excluded": {"capabilities": CAPS[1:]}},
+         "event classes overlap in 301 events: 'CAP_X001', 'CAP_X002', 'CAP_X003' and 298 more"),
+    ], ids=["long-name", "many-stray", "many-shared"])
+    def test_stray_and_shared_events_are_counted_not_all_listed(self, allowed, classes, shown):
+        with pytest.raises(DecisionError) as raised:
+            policy_from_doc({**self.DOC, "allowed": allowed, "classes": classes})
+        assert str(raised.value) == shown
 
 
 class TestEventListParsing:

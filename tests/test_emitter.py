@@ -62,6 +62,19 @@ class TestSeccompProfile:
         with pytest.raises(EmitError):
             parse_seccomp_profile(text)
 
+    @pytest.mark.parametrize("doc,shown", [
+        ({"defaultAction": "x" * 5000}, "unexpected defaultAction of 5000 characters"),
+        ({"defaultAction": "SCMP_ACT_ERRNO", "architectures": [], "syscalls": ["x" * 5000]},
+         "unexpected syscall rule of 5000 characters"),
+        ({"defaultAction": "SCMP_ACT_ERRNO", "architectures": [],
+          "syscalls": [{"action": "SCMP_ACT_ALLOW", "names": [""] * 2000}]},
+         "malformed names in rule dict of length 2"),
+    ], ids=["default-action", "rule", "names"])
+    def test_parse_quotes_what_it_rejects(self, doc, shown):
+        with pytest.raises(EmitError) as raised:
+            parse_seccomp_profile(json.dumps(doc))
+        assert str(raised.value) == shown
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(EmitError):
             parse_seccomp_profile("{not json")
@@ -80,3 +93,11 @@ class TestCapabilityFlags:
     def test_unknown_capability_rejected(self):
         with pytest.raises(EmitError):
             emit_capability_flags(events_of("CAP_FUTURE_THING"))
+
+    def test_unknown_capabilities_are_counted_not_all_listed(self):
+        unknown = [f"CAP_X{i:03d}" for i in range(301)]
+        with pytest.raises(EmitError) as raised:
+            emit_capability_flags(events_of("CAP_CHOWN", *unknown))
+        assert str(raised.value) == (
+            "not Linux capabilities: 301 names: 'CAP_X000', 'CAP_X001', 'CAP_X002' and 298 more"
+        )

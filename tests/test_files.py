@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import leastpriv
 from leastpriv import _files
 from leastpriv.cli import main
-from leastpriv.events import MAX_QUOTED, quoted
+from leastpriv.events import LISTED_LIMIT, MAX_QUOTED, listed, quoted
 
 
 class Malformed(ValueError):
@@ -216,6 +216,10 @@ def test_a_quoted_value_past_the_limit_is_shown_by_its_length():
     short = "x" * MAX_QUOTED
     assert quoted(short) == repr(short)
     assert quoted(short + "x") == f"of {MAX_QUOTED + 1} characters"
+    wide = "\U0001f600" * (MAX_QUOTED // 4)  # as many UTF-8 bytes as the limit
+    assert quoted(wide) == repr(wide)
+    assert quoted(wide + "x") == f"of {MAX_QUOTED // 4 + 1} characters"
+    assert quoted([wide + "x"]) == "list of length 1"
 
 
 @pytest.mark.parametrize("value,shown", [
@@ -227,6 +231,22 @@ def test_a_quoted_value_past_the_limit_is_shown_by_its_length():
 ])
 def test_any_value_is_quoted_by_its_type_and_length_when_long(value, shown):
     assert quoted(value) == shown
+
+
+@pytest.mark.parametrize("values,shown", [
+    (["read"], "1 event: 'read'"),
+    (["a", "b"], "2 events: 'a', 'b'"),
+    ([f"e{i:03d}" for i in range(301)], "301 events: 'e000', 'e001', 'e002' and 298 more"),
+    (["x" * 5000, "y"], "2 events: of 5000 characters, 'y'"),
+    ([7 ** 100, 3], "2 events: int of 85 characters, 3"),
+    # a name of wide characters is named by its length, whatever it encodes to
+    (["\U0001f600" * LISTED_LIMIT, "é" * LISTED_LIMIT],
+     "2 events: of 20 characters, of 20 characters"),
+])
+def test_a_listed_value_names_its_count_and_a_few_short_items(values, shown):
+    text = listed(values, "event")
+    assert text == shown
+    assert len(text.encode()) < 100
 
 
 # -- atomic output files -----------------------------------------------------

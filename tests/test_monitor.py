@@ -245,6 +245,23 @@ def test_observation_labels_namespace():
         event_set_for("env-a", states, 9)
 
 
+@pytest.mark.parametrize("namespaces,pick,shown", [
+    (range(1, 3001), None,
+     "trace tracks 3000 namespaces: 1, 2, 3 and 2997 more; pick one with --namespace"),
+    (range(1, 3001), 10 ** 4289,
+     "namespace int of 4290 characters not present in trace, which tracks 3000 namespaces: "
+     "1, 2, 3 and 2997 more"),
+    ((10 ** 4289, 2 * 10 ** 4289), None,
+     "trace tracks 2 namespaces: int of 4290 characters, int of 4290 characters; "
+     "pick one with --namespace"),
+], ids=["many", "long-pick", "long-ids"])
+def test_tracked_namespaces_are_counted_not_all_listed(namespaces, pick, shown):
+    states = {ns: NamespaceState() for ns in namespaces}
+    with pytest.raises(UnknownNamespaceError) as raised:
+        event_set_for("env-a", states, pick)
+    assert str(raised.value) == shown
+
+
 # --- randomized state machine properties -----------------------------------
 
 _SYSCALL_POOL = ("read", "write", "openat", "prctl", "seccomp", "capset", "unshare", "close")

@@ -4,14 +4,17 @@ import random
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from leastpriv.environment import (
+    _WORKLOAD_FIELDS,
     WORKLOAD_PRESETS,
     baseline_environment,
     compose_environment,
     compose_pair,
 )
 from leastpriv.events import EventSet
+from leastpriv.explorer import MutationConfig, model_probe, mutate_option_values
 from leastpriv.monitor import ingest_trace, parse_trace
 from leastpriv.options import default_catalog, validate_value
 from leastpriv.simharness import (
@@ -120,6 +123,11 @@ class TestFixtureBehavior:
             load_fixture("postgres")
         assert FIXTURE_NAMES == ("redis", "nginx")
 
+    def test_an_unknown_fixture_name_is_quoted(self):
+        with pytest.raises(ModelError) as raised:
+            load_fixture("x" * 5000)
+        assert str(raised.value) == "unknown fixture of 5000 characters, have redis, nginx"
+
 
 class TestEvaluationLaws:
     def test_base_events_always_present(self):
@@ -156,6 +164,94 @@ class TestEvaluationLaws:
         assert "pipe2" not in evaluate(model, env_of(("init", ""))).syscalls
         both = env_of(("tty", ""), ("init", ""))
         assert "pipe2" in evaluate(model, both).syscalls
+
+
+def fold_evaluate(model, env):
+    """Reference for evaluate: one union per matched rule, in rule order."""
+    events = model.base_events
+    for rule in model.rules:
+        if rule.trigger.matches(env):
+            events = events | rule.adds
+    for rule in model.interaction_rules:
+        if rule.first.matches(env) and rule.second.matches(env):
+            events = events | rule.adds
+    return events
+
+
+# Integer options (cpu-shares, oom-score-adj), a number with a unit
+# (memory), an enum (network) and a flag (tty): bound or not, each gives
+# the predicates a value with or without a number.
+_OPTION_VALUES = {
+    "cpu-shares": st.integers(0, 1100).map(str),
+    "oom-score-adj": st.integers(-1024, 1024).map(str),
+    "memory": st.sampled_from(["0", "64k", "512m", "1g"]),
+    "network": st.sampled_from(["bridge", "host", "none"]),
+    "tty": st.just(""),
+}
+_option_names = st.sampled_from(sorted(_OPTION_VALUES))
+_predicates = st.one_of(
+    st.builds(OptionPresent, _option_names),
+    st.builds(OptionValueEquals, _option_names,
+              st.sampled_from(["0", "10", "512", "-500", "512m", "host", "none", "true"])),
+    st.builds(lambda option, lo, width: OptionValueInRange(option, lo, lo + width),
+              _option_names, st.integers(-1100, 1100), st.integers(0, 1100)),
+    st.just(WorkloadPresent()),
+    st.builds(WorkloadFieldAtLeast, st.sampled_from(sorted(_WORKLOAD_FIELDS)),
+              st.integers(0, 20000)),
+)
+# Empty adds, syscall adds and capability adds, overlapping across rules.
+_adds = st.builds(
+    EventSet.of,
+    st.lists(st.sampled_from(["read", "write", "openat", "mmap", "futex", "ioctl"]), max_size=3),
+    st.lists(st.sampled_from(["CAP_CHOWN", "CAP_NET_RAW", "CAP_SYS_ADMIN"]), max_size=2),
+)
+_models = st.builds(
+    SyntheticContainerModel,
+    st.just("differential"),
+    _adds,
+    st.lists(st.builds(BehaviorRule, _predicates, _adds), max_size=12).map(tuple),
+    st.lists(st.builds(InteractionRule, _predicates, _predicates, _adds), max_size=4).map(tuple),
+)
+
+
+@st.composite
+def _environments(draw):
+    names = draw(st.lists(_option_names, unique=True))
+    bound = [opt(name, draw(_OPTION_VALUES[name])) for name in names]
+    workload = draw(st.none() | st.sampled_from(sorted(WORKLOAD_PRESETS)).map(
+        WORKLOAD_PRESETS.__getitem__))
+    return compose_environment(bound, workload)
+
+
+class TestEvaluateMatchesTheFold:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(model=_models, env=_environments())
+    def test_generated_models(self, model, env):
+        assert evaluate(model, env) == fold_evaluate(model, env)
+
+    def test_a_300_range_rule_model_at_every_swept_value(self):
+        rng = random.Random(20261020)
+        rules = []
+        for i in range(300):
+            lo = rng.randrange(4096)
+            hi = 4095 if rng.random() < 0.5 else min(4095, lo + rng.randrange(256, 2048))
+            adds = EventSet.of([f"shares{i:03d}"], ["CAP_CHOWN"] if i % 50 == 0 else [])
+            rules.append(BehaviorRule(OptionValueInRange("cpu-shares", lo, hi), adds))
+        model = SyntheticContainerModel(
+            "ranges", EventSet.of(["read", "close"], ["CAP_SETUID"]), tuple(rules)
+        )
+        spec = default_catalog()["cpu-shares"]
+        result = mutate_option_values(
+            baseline_environment(), MutationConfig(0, 4095, seed=3), model_probe(model, spec)
+        )
+        assert len(result.log) > 10
+        swept = EventSet.empty()
+        for entry in result.log:
+            env = compose_environment([validate_value(spec, str(entry.value))])
+            events = evaluate(model, env)
+            assert events == fold_evaluate(model, env)
+            swept = swept | events
+        assert swept == result.events
 
 
 class TestTraceEmission:
