@@ -12,10 +12,12 @@ errors quote input values through `quoted`, which names a value by its
 length when its repr is long.
 `quoted` lives in `events`, which imports no other module, so event
 names are quoted the same way.  Plans, models and policies are YAML
-read by `load_yaml` and written by `dump_yaml`; every output file is
-written through `replacing`, so a failed write leaves the old file as
-it was.  `discard_stdout` sends stdout to devnull once its reader has
-gone.
+read by `load_yaml` and written by `dump_yaml`, which writes SafeDumper's
+bytes, through libyaml's emitter where PyYAML has it, every string in
+the document is printable ASCII and every key is short; every output
+file is written through `replacing`, so a failed write leaves the old
+file as it was.
+`discard_stdout` sends stdout to devnull once its reader has gone.
 
 `load_yaml` parses a file once: one loop over its events checks each
 against the depth, alias and long-integer limits and builds the document
@@ -299,9 +301,53 @@ def _mapping(items: list, mark) -> dict:
 
 
 def dump_yaml(doc, path) -> None:
-    """Write doc as block YAML, keys in insertion order, replacing path."""
+    """Write doc as block YAML, keys in insertion order, replacing path.
+
+    SafeDumper's bytes are the written form.  libyaml's emitter writes the
+    same bytes in about a quarter of the time for a document
+    `_libyaml_matches` accepts, so it writes those where PyYAML has
+    libyaml; SafeDumper writes every other document, and all of them where
+    PyYAML has no libyaml.
+    """
+    libyaml = yaml.__with_libyaml__ and _libyaml_matches(doc)
+    dumper = yaml.CSafeDumper if libyaml else yaml.SafeDumper
     with replacing(path) as handle:
-        yaml.dump(doc, handle, Dumper=yaml.SafeDumper, sort_keys=False)
+        yaml.dump(doc, handle, Dumper=dumper, sort_keys=False)
+
+
+# SafeDumper writes a `? ` key once the key and its tag (`!!str`, 5
+# characters) reach 128 characters; libyaml counts the key alone.
+_SIMPLE_KEY = 128 - len("!!str")
+
+
+def _libyaml_matches(doc) -> bool:
+    """Whether doc is a mapping or list whose every str, key or value at
+    any depth, is printable ASCII, and whose every key is a str of 1 to
+    _SIMPLE_KEY - 1 characters.
+
+    Only there does libyaml write SafeDumper's bytes.  It leaves a
+    double-quoted scalar, which only a str with another character gets,
+    on one line past column 80 where SafeDumper folds it; it writes an
+    empty key, or one of 123 to 128 characters, as a plain key where
+    SafeDumper writes `? `; and it ends a document of one scalar without
+    SafeDumper's `...` line.
+    """
+    if not isinstance(doc, (dict, list)):
+        return False
+    pending = [doc]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, str):
+            if not (node.isascii() and node.isprintable()):
+                return False
+        elif isinstance(node, dict):
+            if not all(isinstance(key, str) and 0 < len(key) < _SIMPLE_KEY for key in node):
+                return False
+            pending.extend(node)
+            pending.extend(node.values())
+        elif isinstance(node, list):
+            pending.extend(node)
+    return True
 
 
 @contextlib.contextmanager

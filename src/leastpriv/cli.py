@@ -456,7 +456,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         discard_stdout()
         return 141  # 128 + SIGPIPE
     except (ValueError, OSError) as exc:
-        message = str(exc).replace("\n", " ")
+        message = str(exc)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # str(exc) repeats each path whole
+            message = f"[Errno {exc.errno}] {exc.strerror}: {quoted(exc.filename)}"
+            if exc.filename2 is not None:
+                message += f" -> {quoted(exc.filename2)}"
+        message = message.replace("\n", " ")
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1
 

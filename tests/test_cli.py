@@ -1,6 +1,7 @@
 """Command line behaviors, end to end through main(argv)."""
 
 import contextlib
+import errno
 import io
 import os
 import subprocess
@@ -1029,6 +1030,9 @@ class TestErrorReporting:
         assert len(err.encode()) < 200
 
     WEB_TRACE = "beacon-trace v1\n100 7 SYS unshare\n110 7 SYS prctl\n200 7 SYS read\n"
+    # the temporary file `synthesize --out` writes under a 300-character
+    # directory name is 322 characters long
+    TOO_LONG = f"OSError: [Errno {errno.ENAMETOOLONG}] File name too long: of 5000 characters\n"
     SPACED = "a b" + "x" * 5000
     # 40 characters, 151 bytes of UTF-8
     WIDE = "a b" + "\U0001f600" * 37
@@ -1061,9 +1065,21 @@ class TestErrorReporting:
          "[0, 262143] of option 'cpu-shares'"),
         (["sweep", "web.obs", CVEDB, "--targets", ","], "CliError: no targets given"),
         (["explore", "cmd:", "cpu-shares"], "ProbeError: empty probe command"),
+        (["ingest", LONG, "--env-id", "e", "--store", "web.obs"], TOO_LONG),
+        (["synthesize", LONG, CVEDB, "--security-min", "0", "--functionality-min", "1"],
+         TOO_LONG),
+        (["emit", LONG, "--seccomp", "s.json"], TOO_LONG),
+        (["check", LONG, CVEDB], TOO_LONG),
+        (["validate-inference", "redis", LONG], TOO_LONG),
+        (["synthesize", "web.obs", CVEDB, "--security-min", "0", "--functionality-min", "1",
+          "--out", "d" * 300 + "/p.policy"], TOO_LONG.replace("5000", "322")),
+        (["check", "missing.policy", CVEDB],
+         "error: FileNotFoundError: [Errno 2] No such file or directory: 'missing.policy'\n"),
     ], ids=["option-value", "option-integer", "target", "target-integer", "env-id",
             "container-mismatch", "wide-container-mismatch", "container-name", "config-integer", "config-window",
-            "command-config-window", "no-targets", "empty-command"])
+            "command-config-window", "no-targets", "empty-command", "ingest-path",
+            "synthesize-path", "emit-path", "check-path", "validate-inference-path",
+            "out-directory", "short-path"])
     def test_an_argument_echo_is_bounded(self, tmp_path, monkeypatch, capsys, argv, shown):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "web.trace").write_text(self.WEB_TRACE)
@@ -1075,6 +1091,27 @@ class TestErrorReporting:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert shown in err
         assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("name,shown", [
+        ("p.tmp", "'p.tmp' -> 'p.tmp'"),
+        (LONG, "of 5000 characters -> of 5000 characters"),
+    ], ids=["short", "long"])
+    def test_both_names_of_a_failed_rename_are_bounded(self, tmp_path, monkeypatch, capsys,
+                                                       name, shown):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "web.trace").write_text(self.WEB_TRACE)
+        assert main(["ingest", "web.trace", "--env-id", "w", "--store", "web.obs"]) == 0
+        capsys.readouterr()
+
+        def fail(source, target):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), name, None, name)
+
+        monkeypatch.setattr(os, "replace", fail)
+        assert main(["synthesize", "web.obs", CVEDB, "--security-min", "0",
+                     "--functionality-min", "1", "--out", "p.policy"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: OSError: [Errno {errno.EXDEV}] {os.strerror(errno.EXDEV)}: {shown}\n"
+        )
 
     def test_an_unknown_option_name_is_bounded(self, capsys):
         assert main(["explore", "redis", self.LONG]) == 1

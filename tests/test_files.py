@@ -1,6 +1,6 @@
-"""File input and output: the YAML loader's limits, atomic output files,
-and the rule that only `leastpriv._files` reads YAML or opens a file for
-writing."""
+"""File input and output: the YAML loader's limits, the YAML writer's
+bytes with and without libyaml, atomic output files, and the rule that
+only `leastpriv._files` reads YAML or opens a file for writing."""
 
 import ast
 import os
@@ -195,6 +195,139 @@ def test_dump_writes_the_golden_plan_bytes(tmp_path):
     golden = Path(__file__).parent / "golden" / "plan-noncanonical.yaml"
     _files.dump_yaml(yaml.safe_load(golden.read_text()), tmp_path / "plan.yaml")
     assert (tmp_path / "plan.yaml").read_bytes() == golden.read_bytes()
+
+
+# -- the YAML writer ---------------------------------------------------------
+
+# Printable ASCII strings as a written file holds them: YAML indicators,
+# number, bool and null lookalikes, spaces, and strings around column 80.
+INDICATORS = "-?:#'\"{}[]!&*%@`,|>="
+LOOKALIKES = ["010", "1e3", "yes", "no", "~", ".inf", "-.inf", ".nan", "null", "true", "0x1f",
+              "1_000", "2001-12-14", "-", "? a", ": b", "#c", "a #b", "a: b", "- a", "'", '"',
+              " ", " a", "a ", "a  b", "<<", ""]
+PRINTABLE = st.characters(min_codepoint=0x20, max_codepoint=0x7E)
+ascii_text = st.one_of(
+    st.sampled_from(LOOKALIKES),
+    st.text(st.sampled_from(INDICATORS + " ab1."), max_size=12),
+    st.text(PRINTABLE, max_size=12),
+    st.text(PRINTABLE, min_size=79, max_size=200),
+    st.text(st.sampled_from(INDICATORS + " " * 6 + "ab"), min_size=79, max_size=200),
+)
+names = st.lists(ascii_text, max_size=6)
+event_block = st.fixed_dictionaries({}, optional={"syscalls": names, "capabilities": names})
+score = st.floats(0, 1) | st.sampled_from([0.0, 1.0, 0.5, 1e-7])
+policy_doc = st.fixed_dictionaries({
+    "policy_version": st.just(1) | st.integers(),
+    "container": ascii_text,
+    "achieved_security": score,
+    "achieved_functionality": score,
+    "allowed": event_block,
+    "classes": st.fixed_dictionaries({"always": event_block, "sporadic_included": event_block,
+                                      "sporadic_excluded": event_block}),
+}, optional={"targets": st.fixed_dictionaries({"security_min": score,
+                                               "functionality_min": score})})
+environment_doc = st.fixed_dictionaries({
+    "options": st.lists(st.fixed_dictionaries({"name": ascii_text, "value": ascii_text}),
+                        max_size=3),
+    "workload": st.none() | st.dictionaries(
+        st.sampled_from(["read_ops", "update_ops", "field_count", "field_length"]),
+        st.integers(0, 10**6), max_size=4),
+})
+plan_doc = st.fixed_dictionaries({
+    "plan_version": st.just(1),
+    "baseline": environment_doc,
+    "factors": st.lists(st.builds(lambda factor_id, env: {"id": factor_id, **env},
+                                  ascii_text, environment_doc), max_size=3),
+    "pairs": st.lists(st.lists(ascii_text, min_size=2, max_size=2), max_size=3),
+})
+# any nesting of printable ASCII: keys of any length, empty containers
+free_doc = st.recursive(
+    st.none() | st.booleans() | st.integers() | score | ascii_text,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(ascii_text, children, max_size=4),
+    max_leaves=12,
+)
+
+
+def safe_dumper_bytes(doc, dump=yaml.dump) -> bytes:
+    """SafeDumper's bytes for doc, from yaml.dump as it was before any test patched it."""
+    return dump(doc, Dumper=yaml.SafeDumper, sort_keys=False).encode()
+
+
+@pytest.fixture
+def dumpers(monkeypatch):
+    """The Dumper of each yaml.dump call that dump_yaml makes."""
+    used = []
+    real = yaml.dump
+
+    def recording(doc, stream, **kwargs):
+        used.append(kwargs["Dumper"])
+        return real(doc, stream, **kwargs)
+
+    monkeypatch.setattr(_files.yaml, "dump", recording)
+    return used
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+class TestDumpThroughLibyaml:
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=policy_doc | plan_doc)
+    def test_a_policy_or_plan_is_written_as_safe_dumper_writes_it(self, tmp_path, dumpers, doc):
+        _files.dump_yaml(doc, tmp_path / "doc.yaml")
+        assert (tmp_path / "doc.yaml").read_bytes() == safe_dumper_bytes(doc)
+        assert dumpers[-1] is yaml.CSafeDumper
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=free_doc)
+    def test_any_printable_ascii_document_is_written_as_safe_dumper_writes_it(self, tmp_path,
+                                                                              doc):
+        _files.dump_yaml(doc, tmp_path / "doc.yaml")
+        assert (tmp_path / "doc.yaml").read_bytes() == safe_dumper_bytes(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"syscalls": ["x" * 90 + "é" + "x" * 10]},
+        {"syscalls": ["a\tb"]},
+        {"container": "\x7f"},
+        {"": 1},
+        {"k" * 123: 1},
+        {"k" * 128: 1},
+        {1: "a"},
+        [{"a": {None: []}}],
+    ], ids=["non-ascii", "tab", "delete", "empty-key", "key-123", "key-128", "int-key",
+            "null-key"])
+    def test_any_other_document_is_written_by_safe_dumper(self, tmp_path, dumpers, doc):
+        _files.dump_yaml(doc, tmp_path / "doc.yaml")
+        assert (tmp_path / "doc.yaml").read_bytes() == safe_dumper_bytes(doc)
+        assert dumpers == [yaml.SafeDumper]
+
+    def test_a_key_short_of_the_limit_goes_through_libyaml(self, tmp_path, dumpers):
+        doc = {"k" * 122: ["x" * 200], "k": ""}
+        _files.dump_yaml(doc, tmp_path / "doc.yaml")
+        assert (tmp_path / "doc.yaml").read_bytes() == safe_dumper_bytes(doc)
+        assert dumpers == [yaml.CSafeDumper]
+
+
+class TestDumpWithoutLibyaml:
+    @pytest.fixture(autouse=True)
+    def no_libyaml(self, monkeypatch):
+        monkeypatch.setattr(_files.yaml, "__with_libyaml__", False)
+
+    def test_the_golden_plan_is_written_by_safe_dumper(self, tmp_path, dumpers):
+        golden = Path(__file__).parent / "golden" / "plan-noncanonical.yaml"
+        _files.dump_yaml(yaml.safe_load(golden.read_text()), tmp_path / "plan.yaml")
+        assert (tmp_path / "plan.yaml").read_bytes() == golden.read_bytes()
+        assert dumpers == [yaml.SafeDumper]
+
+    @pytest.mark.parametrize("doc", [
+        {"policy_version": 1, "container": "web", "allowed": {"syscalls": ["read", "x" * 200]}},
+        {"syscalls": ["x" * 90 + "é" + "x" * 10]},
+    ], ids=["printable-ascii", "non-ascii"])
+    def test_every_document_is_written_by_safe_dumper(self, tmp_path, dumpers, doc):
+        _files.dump_yaml(doc, tmp_path / "doc.yaml")
+        assert (tmp_path / "doc.yaml").read_bytes() == safe_dumper_bytes(doc)
+        assert dumpers == [yaml.SafeDumper]
 
 
 # -- line formats ------------------------------------------------------------
