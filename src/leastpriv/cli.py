@@ -22,7 +22,7 @@ from typing import Optional
 # decision and emitter load with this module, though not every handler uses
 # them: perfbench's tracer imports this module and explorer, then wraps every
 # stage module it finds loaded.
-from ._files import discard_stdout, replacing
+from ._files import MAX_DIGITS, discard_stdout, replacing
 from .decision import (
     ContainerMismatchError,
     DecisionError,
@@ -42,7 +42,7 @@ from .decision import (
     synthesize_policy,
 )
 from .emitter import emit_capability_flags, emit_seccomp_profile
-from .events import EventSet, quoted
+from .events import EventSet, listed, os_error_text, quoted
 from .monitor import event_set_for, replay_file
 
 __all__ = ["main"]
@@ -350,11 +350,44 @@ def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
     return flags, options
 
 
+# argparse's own error texts repeat a value whole.  These give its bytes for
+# a value quoted() shows whole, and name a longer one by its length.
+
+
+def _invalid_choice(text: str, choices) -> str:
+    return f"invalid choice: {quoted(text)} (choose from {', '.join(map(repr, choices))})"
+
+
+def _typed(convert, limit: Optional[int] = None):
+    """type=convert, refusing text longer than limit before convert sees it."""
+
+    def parse(text: str):
+        if limit is None or len(text) <= limit:
+            try:
+                return convert(text)
+            except ValueError:
+                pass
+        raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {quoted(text)}")
+
+    return parse
+
+
+_FORMATS = ("human", "tsv")
+
+
+def _format(text: str) -> str:
+    if text not in _FORMATS:
+        raise argparse.ArgumentTypeError(_invalid_choice(text, _FORMATS))
+    return text
+
+
 _STORE = _arg("store", help="observation store file")
 _CVEDB = _arg("cvedb", help="CVE database file")
 _POLICY = _arg("policy", help="policy file")
 _CATALOG = _arg("--catalog", help="option catalog file (default: shipped)")
-_FORMAT = _arg("--format", choices=("human", "tsv"), default="human")
+_FORMAT = _arg("--format", type=_format, default="human", metavar="{human,tsv}")
+_INT = _typed(int, MAX_DIGITS)
+_FLOAT = _typed(float)
 
 # name -> (help, handler, arguments), in the order top-level help lists them
 _COMMANDS = {
@@ -362,7 +395,7 @@ _COMMANDS = {
         _arg("trace", help="beacon-trace v1 file"),
         _arg("--env-id", required=True, help="environment id to record under"),
         _arg("--store", required=True, help="observation store file (created or appended)"),
-        _arg("--namespace", type=int, help="namespace id (default: the only tracked one)"),
+        _arg("--namespace", type=_INT, help="namespace id (default: the only tracked one)"),
         _arg("--container", help="container name for a new store"),
     )),
     "plan": ("plan single-factor environments and inferred pairs", _cmd_plan, (
@@ -374,7 +407,7 @@ _COMMANDS = {
         _arg("model", help="fixture name, model file, or `cmd:<probe command>`"),
         _arg("option", help="catalog option to mutate"),
         _CATALOG,
-        _arg("--seed", type=int, default=0),
+        _arg("--seed", type=_INT, default=0),
         _arg("--config", action="append", default=[], metavar="K=V",
              help="mutation config override, repeatable"),
         _arg("--log", help="write the exploration log here"),
@@ -396,8 +429,8 @@ _COMMANDS = {
     "synthesize": ("synthesize a policy meeting both targets", _cmd_synthesize, (
         _STORE,
         _CVEDB,
-        _arg("--security-min", type=float, required=True),
-        _arg("--functionality-min", type=float, required=True),
+        _arg("--security-min", type=_FLOAT, required=True),
+        _arg("--functionality-min", type=_FLOAT, required=True),
         _arg("--out", help="policy file to write"),
         _FORMAT,
     )),
@@ -445,9 +478,13 @@ def _build_parser(argv: list[str]) -> _Parser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        # argparse would echo an unknown subcommand word whole
+        if argv[:1] and not argv[0].startswith("-") and argv[0] not in _COMMANDS:
+            raise CliError(f"argument command: {_invalid_choice(argv[0], _COMMANDS)}")
+        args, extras = _build_parser(argv).parse_known_args(argv)
+        if extras:
+            raise CliError(listed(extras, "unrecognized argument"))
         return args.func(args)
     except BrokenPipeError:
         # The reader closed stdout (`leastpriv check ... | head -1`): the
@@ -456,12 +493,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         discard_stdout()
         return 141  # 128 + SIGPIPE
     except (ValueError, OSError) as exc:
-        message = str(exc)
-        if isinstance(exc, OSError) and exc.filename is not None:
-            # str(exc) repeats each path whole
-            message = f"[Errno {exc.errno}] {exc.strerror}: {quoted(exc.filename)}"
-            if exc.filename2 is not None:
-                message += f" -> {quoted(exc.filename2)}"
+        message = os_error_text(exc) if isinstance(exc, OSError) else str(exc)
         message = message.replace("\n", " ")
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1

@@ -548,10 +548,6 @@ class Infeasible:
     best_functionality: float
 
 
-def _event_label(event: tuple[str, str]) -> str:
-    return event[1]  # capability names carry their CAP_ prefix already
-
-
 def synthesize_policy(
     store: ObservationStore,
     database: CveDatabase,
@@ -642,7 +638,7 @@ def _synthesizer(store: ObservationStore, database: CveDatabase):
                 sporadic_excluded=classes.sporadic - included,
                 targets=targets,
             )
-        names = ", ".join(_event_label(event) for event in blocking)
+        names = ", ".join(name for _, name in blocking)
         # the best pair is that of the maximal admissible candidate
         candidate = classes.always | EventSet.from_events(e for e in order if cvss[e] <= ceiling)
         return Infeasible(f"{reason}: {names}", tuple(blocking),
@@ -670,10 +666,7 @@ def check_mitigation(allowed: EventSet, database: CveDatabase) -> tuple[Mitigati
     """
     rows = []
     for entry in database.entries:
-        missing = tuple(
-            event for event in entry.events.events()
-            if not allowed.contains_event(*event)
-        )
+        missing = tuple((entry.events - allowed).events())
         rows.append(MitigationRow(entry.cve_id, entry.cvss, bool(missing), missing))
     return tuple(rows)
 
@@ -725,13 +718,13 @@ def policy_from_doc(doc) -> Policy:
     if stray:
         raise DecisionError(
             "allowed must equal always + sporadic_included; they differ in "
-            + listed([_event_label(event) for event in stray.events()], "event")
+            + listed([name for _, name in stray.events()], "event")
         )
     shared = (always & included) | (always & excluded) | (included & excluded)
     if shared:
         raise DecisionError(
             "event classes overlap in "
-            + listed([_event_label(event) for event in shared.events()], "event")
+            + listed([name for _, name in shared.events()], "event")
         )
     targets_doc = doc.get("targets")
     targets = None

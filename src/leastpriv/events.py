@@ -109,6 +109,18 @@ def quoted(value: object, limit: int = MAX_QUOTED) -> str:
         return f"{type(value).__name__} of {len(text)} characters"
 
 
+def os_error_text(exc: OSError) -> str:
+    """str(exc) with each path it names through quoted(), as
+    `[Errno 2] No such file or directory: 'p'`; str(exc) repeats a path whole.
+    """
+    if exc.filename is None:
+        return str(exc)
+    text = f"[Errno {exc.errno}] {exc.strerror}: {quoted(exc.filename)}"
+    if exc.filename2 is not None:
+        text += f" -> {quoted(exc.filename2)}"
+    return text
+
+
 # A list in an error message shows its length and at most MAX_LISTED of its
 # items, each through quoted() with LISTED_LIMIT, so the message stays one
 # short line however many items the list holds.
@@ -255,13 +267,6 @@ class EventSet:
             yield (KIND_SYSCALL, name)
         for name in sorted(self.capabilities):
             yield (KIND_CAPABILITY, name)
-
-    def contains_event(self, kind: str, name: str) -> bool:
-        if kind == KIND_SYSCALL:
-            return name in self.syscalls
-        if kind == KIND_CAPABILITY:
-            return name in self.capabilities
-        raise EventNameError(f"unknown event kind {kind!r}")
 
 
 @dataclass(frozen=True)

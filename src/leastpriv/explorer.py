@@ -24,7 +24,7 @@ from typing import Callable, Optional, get_type_hints
 
 from ._files import MAX_DIGITS, replacing, too_long
 from .environment import Environment, compose_environment, compose_pair
-from .events import EventSet, quoted
+from .events import EventSet, os_error_text, quoted
 from .monitor import _replay_lines
 from .options import OptionSpec, validate_value
 from .simharness import evaluate as evaluate_model
@@ -176,7 +176,8 @@ class EventProbe:
         except ProbeError:
             raise
         except Exception as exc:
-            raise ProbeError(f"{quoted(self.name)}: probe failed: {exc}") from exc
+            detail = os_error_text(exc) if isinstance(exc, OSError) else exc
+            raise ProbeError(f"{quoted(self.name)}: probe failed: {detail}") from exc
         if not isinstance(result, EventSet):
             raise ProbeError(
                 f"{quoted(self.name)}: probe returned {type(result).__name__}, not an event set"
@@ -223,12 +224,7 @@ def command_probe(command: list[str]) -> EventProbe:
             )
             for arg in command
         ]
-        try:
-            proc = subprocess.run(argv, capture_output=True, text=True)
-        except OSError as exc:
-            # str(exc) repeats the command's path whole
-            path = "" if exc.filename is None else f": {quoted(exc.filename)}"
-            raise OSError(f"[Errno {exc.errno}] {exc.strerror}{path}") from None
+        proc = subprocess.run(argv, capture_output=True, text=True)
         if proc.returncode != 0:
             raise ProbeError(
                 f"probe command {quoted(argv[0])} exited {proc.returncode}: "

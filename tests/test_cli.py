@@ -132,6 +132,29 @@ class TestPipeline:
         ).encode()
         assert load_policy(out).allowed.syscalls == {"read", name}
 
+    def test_a_hand_written_store_synthesizes_as_its_canonical_form(self, tmp_path,
+                                                                    monkeypatch, capsys):
+        # CRLF line ends, a comment after CONTAINER, upper-case names, a 007 count
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "hand.obs").write_bytes(
+            b"beacon-observations v1\r\nCONTAINER app\r\n# written by hand\r\nENV base\r\n"
+            b"SYS READ 007\r\nSYS Socket 2\r\nCAP net_raw 1\r\nENV web\r\nSYS read 1\r\n"
+            b"SYS OPENAT 3\r\n"
+        )
+        canonical = ("beacon-observations v1\nCONTAINER app\nENV base\nSYS read 7\n"
+                     "SYS socket 2\nCAP CAP_NET_RAW 1\nENV web\nSYS openat 3\nSYS read 1\n")
+        (tmp_path / "canonical.obs").write_text(canonical)
+        save_store(load_store("hand.obs"), "saved.obs")
+        assert (tmp_path / "saved.obs").read_text() == canonical
+        outputs = []
+        for form in ("hand", "canonical"):
+            assert main(["synthesize", f"{form}.obs", CVEDB, "--security-min", "0",
+                         "--functionality-min", "1", "--format", "tsv",
+                         "--out", f"{form}.policy"]) == 0
+            outputs.append((capsys.readouterr().out, (tmp_path / f"{form}.policy").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].startswith("status\tok\ncontainer\tapp\nsize\t4\n")
+
     def test_emit_produces_profile_and_flags(self, redis_store_path, tmp_path, capsys):
         policy_path = tmp_path / "policy.yaml"
         main([
@@ -322,6 +345,19 @@ class TestPlanAndInference:
         assert lines[0].split("\t") == ["factor_a", "factor_b", "exact", "delta", "size_delta"]
         assert len(lines) == 2
 
+    def test_validate_inference_reports_an_inexact_pair(self, tmp_path, monkeypatch, capsys):
+        # one interaction rule ties the plan's two factors: the pair is off by one event
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pair.yaml").write_text(
+            "model_version: 1\nname: pair\nbase_events: {syscalls: [read]}\n"
+            "interaction_rules:\n  - when: [{option_present: tty}, {option_present: init}]\n"
+            "    adds: {syscalls: [pipe2]}\n"
+        )
+        assert main(["plan", "default", "tty", "init", "--out", "pair.plan"]) == 0
+        capsys.readouterr()
+        assert main(["validate-inference", "pair.yaml", "pair.plan"]) == 0
+        assert capsys.readouterr().out == "pairs 1 exact 0 rate 0.0\ndelta histogram: 1:1\n"
+
     def test_plan_ids_are_pinned_for_non_canonical_spellings(self, tmp_path):
         # Environment ids hash the canonical value text; the golden file
         # pins the ids of these non-canonical spellings byte for byte.
@@ -431,6 +467,49 @@ class TestExplore:
             "--config", "it_max=3",
         ])
         assert code == 0
+
+    def test_command_probe_substitutes_the_option_value(self, tmp_path, monkeypatch, capsys):
+        # the collector reports one syscall named after the value it runs with
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "probe.py").write_text(
+            "import sys\nprint('beacon-trace v1')\n"
+            "for ts, name in enumerate(['unshare', 'prctl', 'read', 'call' + sys.argv[1]]):\n"
+            "    print(ts, 1, 'SYS', name)\n"
+        )
+        assert main(["explore", f"cmd:{sys.executable} probe.py {{option_value}}", "cpu-shares",
+                     "--config", "it_max=3"]) == 0
+        head, *rows = capsys.readouterr().out.splitlines()
+        assert head.endswith(": 3 probes, 4 events")
+        calls = [row for row in rows if row.startswith("SYS\tcall")]
+        assert len(calls) == 3 and all(row[len("SYS\tcall"):].isdigit() for row in calls)
+
+    MERGED = ("model_version: 1\nname: merged\nbase_events: &base {syscalls: [read, write]}\n"
+              "rules:\n"
+              "  - when: {option_value_in_range: &range {option: cpu-shares, lo: 3, hi: 8}}\n"
+              "    adds: {syscalls: [shares]}\n"
+              "  - when: {option_value_in_range: {<<: *range, lo: 6}}\n"
+              "    adds: {<<: *base, capabilities: [CAP_CHOWN]}\n")
+    WRITTEN_OUT = ("model_version: 1\nname: merged\nbase_events: {syscalls: [read, write]}\n"
+                   "rules:\n"
+                   "  - when: {option_value_in_range: {option: cpu-shares, lo: 3, hi: 8}}\n"
+                   "    adds: {syscalls: [shares]}\n"
+                   "  - when: {option_value_in_range: {option: cpu-shares, lo: 6, hi: 8}}\n"
+                   "    adds: {syscalls: [read, write], capabilities: [CAP_CHOWN]}\n")
+
+    def test_a_model_with_anchors_aliases_and_merge_keys_reads_as_written_out(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for name, text in (("merged.yaml", self.MERGED), ("plain.yaml", self.WRITTEN_OUT)):
+            (tmp_path / name).write_text(text)
+            assert main(["explore", name, "cpu-shares", "--config", "v_min=1",
+                         "--config", "v_max=9"]) == 0
+            outputs.append(capsys.readouterr().out)
+        head, *rows = outputs[0].splitlines()
+        assert head.endswith(": 1 probes, 4 events")
+        assert rows[-1] == "CAP\tCAP_CHOWN"
+        assert outputs[0] == outputs[1]
 
     def test_command_probe_splits_lines_like_a_trace_file(self, tmp_path, monkeypatch, capsys):
         # \034 (FS) ends a line for str.splitlines() but not in a file;
@@ -744,7 +823,8 @@ class TestErrorReporting:
     @pytest.mark.parametrize("count,shown", [
         ("x" * 4000, "bad count of 4000 characters"),
         ("-" + "9" * 4299, "negative count int of 4300 characters"),
-    ], ids=["not-a-number", "negative"])
+        ("x" * 5000, "bad count: integer of 5000 digits is too long"),
+    ], ids=["not-a-number", "negative", "too-long-for-int"])
     def test_a_store_count_echo_is_bounded(self, tmp_path, monkeypatch, capsys, count, shown):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "s.obs").write_text(
@@ -1075,11 +1155,34 @@ class TestErrorReporting:
           "--out", "d" * 300 + "/p.policy"], TOO_LONG.replace("5000", "322")),
         (["check", "missing.policy", CVEDB],
          "error: FileNotFoundError: [Errno 2] No such file or directory: 'missing.policy'\n"),
+        (["explore", "cmd:/no/such/probe", "cpu-shares"],
+         "error: ExplorationError: iteration 0: '/no/such/probe': probe failed: "
+         "[Errno 2] No such file or directory: '/no/such/probe'\n"),
+        # 126 bytes: the probe's name and the path it could not run, by their length
+        (["explore", "cmd:" + "/no" * 100, "cpu-shares"],
+         "error: ExplorationError: iteration 0: of 300 characters: probe failed: "
+         "[Errno 2] No such file or directory: of 300 characters\n"),
+        (["ingest", "web.trace", "--env-id", "e", "--store", "web.obs", "--namespace", "9" * 5000],
+         "CliError: argument --namespace: invalid int value: of 5000 characters\n"),
+        (["explore", "redis", "cpu-shares", "--seed", LONG],
+         "CliError: argument --seed: invalid int value: of 5000 characters\n"),
+        (["synthesize", "web.obs", CVEDB, "--security-min", LONG, "--functionality-min", "1"],
+         "CliError: argument --security-min: invalid float value: of 5000 characters\n"),
+        (["synthesize", "web.obs", CVEDB, "--security-min", "0", "--functionality-min", LONG],
+         "CliError: argument --functionality-min: invalid float value: of 5000 characters\n"),
+        (["check", "p.policy", CVEDB, "--format", LONG],
+         "CliError: argument --format: invalid choice: of 5000 characters "
+         "(choose from 'human', 'tsv')\n"),
+        ([LONG, "web.obs"],
+         "CliError: argument command: invalid choice: of 5000 characters (choose from 'ingest', "),
+        (["check", "p.policy", CVEDB, LONG, "y"],
+         "CliError: 2 unrecognized arguments: of 5000 characters, 'y'\n"),
     ], ids=["option-value", "option-integer", "target", "target-integer", "env-id",
             "container-mismatch", "wide-container-mismatch", "container-name", "config-integer", "config-window",
             "command-config-window", "no-targets", "empty-command", "ingest-path",
             "synthesize-path", "emit-path", "check-path", "validate-inference-path",
-            "out-directory", "short-path"])
+            "out-directory", "short-path", "probe-path", "long-probe-path", "namespace", "seed",
+            "security-min", "functionality-min", "format", "command", "extra-arguments"])
     def test_an_argument_echo_is_bounded(self, tmp_path, monkeypatch, capsys, argv, shown):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "web.trace").write_text(self.WEB_TRACE)
@@ -1091,6 +1194,34 @@ class TestErrorReporting:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert shown in err
         assert len(err.encode()) < 200
+
+    # what argparse declares for --namespace/--seed, the two scores and --format
+    NATIVE = {"int": {"type": int}, "float": {"type": float},
+              "format": {"choices": ("human", "tsv"), "default": "human"}}
+    BOUNDED = {"int": {"type": cli._INT}, "float": {"type": cli._FLOAT}, "format": cli._FORMAT[1]}
+
+    @pytest.mark.parametrize("kind", ["int", "float", "format"])
+    def test_a_short_argument_value_error_has_argparse_bytes(self, kind):
+        parsers = []
+        for options in (self.NATIVE[kind], self.BOUNDED[kind]):
+            parser = cli._Parser(prog="leastpriv")
+            parser.add_argument("--format", **options)
+            parsers.append(parser)
+        assert parsers[0].format_help() == parsers[1].format_help()
+        for value in ["bogus", "", "é", "'", "0x10", "x" * 40]:
+            errors = []
+            for parser in parsers:
+                with pytest.raises(cli.CliError) as info:
+                    parser.parse_args(["--format", value])
+                errors.append(str(info.value))
+            assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("word", ["bogus", "Ingest", "é", "x" * 40])
+    def test_an_unknown_command_word_has_argparse_bytes(self, capsys, word):
+        with pytest.raises(cli.CliError) as info:
+            cli._build_parser([]).parse_args([word, "x"])
+        assert main([word, "x"]) == 1
+        assert capsys.readouterr().err == f"error: CliError: {info.value}\n"
 
     @pytest.mark.parametrize("name,shown", [
         ("p.tmp", "'p.tmp' -> 'p.tmp'"),
