@@ -2,7 +2,9 @@
 
 Each input file is opened by `reading`, so a byte that is not UTF-8
 raises the reader's own error with the file's path first, as every other
-fault in it does.
+fault in it does.  The one exception is `whole_text`, which reads a
+store that `ingest` may copy unparsed in one read and leaves a byte that
+is not UTF-8 to the store's own reader, which reports the first fault.
 
 The line formats read (traces, CVE databases, observation stores) share
 the lazy `decode_lines`, or only its header check `read_header` where a
@@ -64,11 +66,6 @@ _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 MAX_DEPTH = 32
 MAX_ALIAS_NODES = 10_000
 
-# A catalog syntax or an environment's text is quoted whole up to this many
-# characters, which the shipped `publish` syntax (90) and every workload
-# factor's text (at most 115) fit, and named by its length beyond.
-MAX_QUOTED_TEXT = 120
-
 # An integer written with more digits than this, in any input, is refused
 # before int() meets it, so no interpreter's own limit on int() decides.
 MAX_DIGITS = 4300
@@ -115,6 +112,15 @@ def reading(path, error: type[ValueError]) -> Iterator:
             yield handle
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from None
+
+
+def whole_text(path) -> Optional[str]:
+    """The text of the file at path with its newlines as written, or None if it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        return None
 
 
 def read_header(lines: Iterator[str], header: str, source: str, error: type[ValueError]) -> None:

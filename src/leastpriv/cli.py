@@ -15,6 +15,7 @@ loads them.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from collections import Counter
 from typing import Optional
@@ -350,44 +351,21 @@ def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
     return flags, options
 
 
-# argparse's own error texts repeat a value whole.  These give its bytes for
-# a value quoted() shows whole, and name a longer one by its length.
-
-
-def _invalid_choice(text: str, choices) -> str:
-    return f"invalid choice: {quoted(text)} (choose from {', '.join(map(repr, choices))})"
-
-
-def _typed(convert, limit: Optional[int] = None):
-    """type=convert, refusing text longer than limit before convert sees it."""
-
-    def parse(text: str):
-        if limit is None or len(text) <= limit:
-            try:
-                return convert(text)
-            except ValueError:
-                pass
-        raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {quoted(text)}")
-
-    return parse
-
-
-_FORMATS = ("human", "tsv")
-
-
-def _format(text: str) -> str:
-    if text not in _FORMATS:
-        raise argparse.ArgumentTypeError(_invalid_choice(text, _FORMATS))
-    return text
+def _int(text: str) -> int:
+    """type=int, but more than MAX_DIGITS characters are refused before int() sees them."""
+    if len(text) <= MAX_DIGITS:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 _STORE = _arg("store", help="observation store file")
 _CVEDB = _arg("cvedb", help="CVE database file")
 _POLICY = _arg("policy", help="policy file")
 _CATALOG = _arg("--catalog", help="option catalog file (default: shipped)")
-_FORMAT = _arg("--format", type=_format, default="human", metavar="{human,tsv}")
-_INT = _typed(int, MAX_DIGITS)
-_FLOAT = _typed(float)
+_FORMAT = _arg("--format", choices=("human", "tsv"), default="human")
 
 # name -> (help, handler, arguments), in the order top-level help lists them
 _COMMANDS = {
@@ -395,7 +373,7 @@ _COMMANDS = {
         _arg("trace", help="beacon-trace v1 file"),
         _arg("--env-id", required=True, help="environment id to record under"),
         _arg("--store", required=True, help="observation store file (created or appended)"),
-        _arg("--namespace", type=_INT, help="namespace id (default: the only tracked one)"),
+        _arg("--namespace", type=_int, help="namespace id (default: the only tracked one)"),
         _arg("--container", help="container name for a new store"),
     )),
     "plan": ("plan single-factor environments and inferred pairs", _cmd_plan, (
@@ -407,7 +385,7 @@ _COMMANDS = {
         _arg("model", help="fixture name, model file, or `cmd:<probe command>`"),
         _arg("option", help="catalog option to mutate"),
         _CATALOG,
-        _arg("--seed", type=_INT, default=0),
+        _arg("--seed", type=_int, default=0),
         _arg("--config", action="append", default=[], metavar="K=V",
              help="mutation config override, repeatable"),
         _arg("--log", help="write the exploration log here"),
@@ -429,8 +407,8 @@ _COMMANDS = {
     "synthesize": ("synthesize a policy meeting both targets", _cmd_synthesize, (
         _STORE,
         _CVEDB,
-        _arg("--security-min", type=_FLOAT, required=True),
-        _arg("--functionality-min", type=_FLOAT, required=True),
+        _arg("--security-min", type=float, required=True),
+        _arg("--functionality-min", type=float, required=True),
         _arg("--out", help="policy file to write"),
         _FORMAT,
     )),
@@ -476,12 +454,35 @@ def _build_parser(argv: list[str]) -> _Parser:
     return parser
 
 
+# An error line this long or longer names each long command-line value by its length.
+MAX_LINE = 200
+
+
+def _error_line(exc: Exception, argv: list[str]) -> str:
+    """`error: Class: message` for exc, on one line.
+
+    argparse, the file readers and a failed probe repeat a command-line
+    value whole, so in a line of MAX_LINE bytes or more each value that
+    quoted() would not show whole is replaced by quoted()'s name for it,
+    longest first: each argument, its part after a short option's letter,
+    and each of its pieces between whitespace, `:` and `=`.
+    """
+    name = type(exc).__name__
+    message = os_error_text(exc) if isinstance(exc, OSError) else str(exc)
+    if len(f"error: {name}: {message}\n".encode()) >= MAX_LINE:
+        short = (arg[2:] for arg in argv if arg[:1] == "-" and arg[1:2] != "-")
+        pieces = (piece for arg in argv for piece in re.split(r"[\s:=]", arg))
+        values = {*argv, *short, *pieces}
+        for value in sorted(values, key=lambda value: (-len(value), value)):
+            if (shown := quoted(value)) != repr(value):
+                message = message.replace(repr(value), shown).replace(value, shown)
+    message = message.replace("\n", " ")
+    return f"error: {name}: {message}\n"
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        # argparse would echo an unknown subcommand word whole
-        if argv[:1] and not argv[0].startswith("-") and argv[0] not in _COMMANDS:
-            raise CliError(f"argument command: {_invalid_choice(argv[0], _COMMANDS)}")
         args, extras = _build_parser(argv).parse_known_args(argv)
         if extras:
             raise CliError(listed(extras, "unrecognized argument"))
@@ -493,9 +494,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         discard_stdout()
         return 141  # 128 + SIGPIPE
     except (ValueError, OSError) as exc:
-        message = os_error_text(exc) if isinstance(exc, OSError) else str(exc)
-        message = message.replace("\n", " ")
-        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        sys.stderr.write(_error_line(exc, argv))
         return 1
 
 

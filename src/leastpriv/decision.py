@@ -33,6 +33,7 @@ from typing import Iterable, Optional, Union
 
 from ._files import (
     MAX_DIGITS, decode_lines, dump_yaml, load_yaml, read_header, reading, replacing, too_long,
+    whole_text,
 )
 from .events import (
     KIND_CAPABILITY,
@@ -204,7 +205,8 @@ def default_cvedb() -> CveDatabase:
     import importlib.resources
 
     resource = importlib.resources.files("leastpriv").joinpath("data/cves.cvedb")
-    return parse_cvedb(resource.read_text(encoding="utf-8").splitlines(), source="cves.cvedb")
+    with importlib.resources.as_file(resource) as path:
+        return load_cvedb(path)
 
 
 # -- observation store -------------------------------------------------------
@@ -326,10 +328,8 @@ def _read_written(path) -> Optional[tuple[str, str, int]]:
     unparsed, and text[end - 1] the newline that ends its CONTAINER line.
     load_store reads such a store to exactly the counts of its blocks.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            text = handle.read()
-    except UnicodeDecodeError:  # load_store may report an earlier line first
+    text = whole_text(path)
+    if text is None:  # not UTF-8: load_store may report an earlier line first
         return None
     start = len(OBSERVATIONS_HEADER) + 1
     at = text.find("\nCONTAINER ", start - 1) + 1

@@ -15,8 +15,8 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from ._files import MAX_QUOTED_TEXT, dump_yaml, load_yaml
-from .events import quoted
+from ._files import dump_yaml, load_yaml
+from .events import MAX_QUOTED_TEXT, quoted
 from .options import (
     OptionCatalog,
     OptionError,

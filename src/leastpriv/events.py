@@ -109,15 +109,22 @@ def quoted(value: object, limit: int = MAX_QUOTED) -> str:
         return f"{type(value).__name__} of {len(text)} characters"
 
 
+# A catalog syntax, an environment's text or a file name is quoted whole up
+# to this many characters, which the shipped `publish` syntax (90), every
+# workload factor's text (at most 115) and an ordinary path fit, and named
+# by its length beyond.
+MAX_QUOTED_TEXT = 120
+
+
 def os_error_text(exc: OSError) -> str:
-    """str(exc) with each path it names through quoted(), as
-    `[Errno 2] No such file or directory: 'p'`; str(exc) repeats a path whole.
+    """str(exc) with each path it names through quoted() up to MAX_QUOTED_TEXT,
+    as `[Errno 2] No such file or directory: 'p'`; str(exc) repeats a path whole.
     """
     if exc.filename is None:
         return str(exc)
-    text = f"[Errno {exc.errno}] {exc.strerror}: {quoted(exc.filename)}"
+    text = f"[Errno {exc.errno}] {exc.strerror}: {quoted(exc.filename, MAX_QUOTED_TEXT)}"
     if exc.filename2 is not None:
-        text += f" -> {quoted(exc.filename2)}"
+        text += f" -> {quoted(exc.filename2, MAX_QUOTED_TEXT)}"
     return text
 
 

@@ -82,9 +82,7 @@ class TraceFormatError(ValueError):
 
 
 class TraceOrderError(TraceFormatError):
-    def __init__(self, message: str, record_index: int):
-        super().__init__(message)
-        self.record_index = record_index
+    pass
 
 
 class UnknownNamespaceError(ValueError):
@@ -163,9 +161,8 @@ def replay_trace(records: Iterable[TraceRecord]) -> dict[int, NamespaceState]:
 
     Each record is written as its own trace line and checked and
     canonicalised as a file's line is, so a bad record raises
-    TraceFormatError with a `<memory>:lineno:` prefix.  A record whose
-    timestamp is below its namespace's last one raises TraceOrderError
-    with its index among the records.
+    TraceFormatError, and a record whose timestamp is below its
+    namespace's last one TraceOrderError, with a `<memory>:lineno:` prefix.
     """
     return _replay_lines(_trace_lines(records), "<memory>")
 
@@ -187,9 +184,9 @@ def _replay_lines(lines: Iterable[str], source: str) -> dict[int, NamespaceState
     then.  Any other line, blank, new tail or fault, goes to
     `_decode_record`, which checks it in full, so the first fault in line
     order is the one raised.  Both memos hold at most MEMO_NAMES texts.
-    A TraceOrderError's index counts records, not lines.  A namespace's
-    state is made at its first record, its entry at its first `unshare`,
-    and the states are returned in the order of those unshares.
+    A namespace's state is made at its first record, its entry at its
+    first `unshare`, and the states are returned in the order of those
+    unshares.
     """
     tails: dict[str, tuple[bool, str, int]] = {}  # tail -> (is a syscall, name, marker code)
     # namespace -> [last timestamp, namespace, entry]; the entry is None until
@@ -198,7 +195,6 @@ def _replay_lines(lines: Iterable[str], source: str) -> dict[int, NamespaceState
     states: dict[int, list] = {}
     spaces: dict[str, list] = {}  # namespace text -> its namespace's state
     entries: dict[int, list] = {}  # namespace -> entry, in the order of their unshares
-    blanks = 0  # blank lines read, so that a record's index is its line's less these
     lines = iter(lines)
     read_header(lines, TRACE_HEADER, source, TraceFormatError)
     for lineno, line in enumerate(lines, start=2):
@@ -217,7 +213,6 @@ def _replay_lines(lines: Iterable[str], source: str) -> dict[int, NamespaceState
                 raise ValueError
         except (ValueError, KeyError):
             if line.isspace():
-                blanks += 1
                 continue
             try:
                 timestamp, namespace, kind, name = _decode_record(line)
@@ -236,11 +231,9 @@ def _replay_lines(lines: Iterable[str], source: str) -> dict[int, NamespaceState
             if len(spaces) < MEMO_NAMES:
                 spaces[ns_text] = state
         if timestamp < state[0]:
-            index = lineno - 2 - blanks
             raise TraceOrderError(
-                f"record {index}: timestamp {quoted(timestamp)} goes backwards "
-                f"in namespace {quoted(state[1])}",
-                record_index=index,
+                f"{source}:{lineno}: timestamp {quoted(timestamp)} goes backwards "
+                f"in namespace {quoted(state[1])}"
             )
         state[0] = timestamp
         entry = state[2]

@@ -39,8 +39,8 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterator, Optional
 
-from ._files import MAX_DIGITS, MAX_QUOTED_TEXT, reading, too_long
-from .events import quoted
+from ._files import MAX_DIGITS, reading, too_long
+from .events import MAX_QUOTED_TEXT, quoted
 
 __all__ = [
     "OptionError",
@@ -557,8 +557,9 @@ def load_catalog(path) -> OptionCatalog:
 
 @lru_cache(maxsize=1)
 def default_catalog() -> OptionCatalog:
-    text = resources.files("leastpriv").joinpath("data/options.catalog").read_text("utf-8")
-    return parse_catalog(text, source="options.catalog")
+    resource = resources.files("leastpriv").joinpath("data/options.catalog")
+    with resources.as_file(resource) as path:
+        return load_catalog(path)
 
 
 # --- value operations ------------------------------------------------------

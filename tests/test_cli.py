@@ -3,6 +3,7 @@
 import contextlib
 import errno
 import io
+import json
 import os
 import subprocess
 import sys
@@ -626,7 +627,7 @@ class TestErrorReporting:
 
     @pytest.mark.parametrize("fault,error", [
         ("4 1 SYS write\nbad line\n",
-         "TraceOrderError: record 3: timestamp 4 goes backwards in namespace 1"),
+         "TraceOrderError: {trace}:5: timestamp 4 goes backwards in namespace 1"),
         ("bad line\n4 1 SYS write\n", "TraceFormatError: {trace}:5: expected 4 fields, got 2"),
     ])
     def test_first_fault_in_file_order_is_reported(self, tmp_path, capsys, fault, error):
@@ -842,7 +843,7 @@ class TestErrorReporting:
         (f"5 -{'9' * 4290} SYS read\n",
          "TraceFormatError: t.trace:3: negative namespace id int of 4291 characters"),
         (f"5 {'9' * 4290} SYS unshare\n4 {'9' * 4290} SYS read\n",
-         "TraceOrderError: record 2: timestamp 4 goes backwards in namespace int of 4290 "
+         "TraceOrderError: t.trace:4: timestamp 4 goes backwards in namespace int of 4290 "
          "characters"),
     ], ids=["negative-timestamp", "negative-namespace", "backwards"])
     def test_a_trace_integer_echo_is_bounded(self, tmp_path, monkeypatch, capsys, records,
@@ -1114,6 +1115,8 @@ class TestErrorReporting:
     # directory name is 322 characters long
     TOO_LONG = f"OSError: [Errno {errno.ENAMETOOLONG}] File name too long: of 5000 characters\n"
     SPACED = "a b" + "x" * 5000
+    ORDINARY_PATH = "/home/operator/projects/containers/policies/web-frontend.policy"
+    IGNORED = "argument -h/--help: ignored explicit argument of 5000 characters\n"
     # 40 characters, 151 bytes of UTF-8
     WIDE = "a b" + "\U0001f600" * 37
 
@@ -1177,12 +1180,30 @@ class TestErrorReporting:
          "CliError: argument command: invalid choice: of 5000 characters (choose from 'ingest', "),
         (["check", "p.policy", CVEDB, LONG, "y"],
          "CliError: 2 unrecognized arguments: of 5000 characters, 'y'\n"),
+        (["check", ORDINARY_PATH, "cves.cvedb"],
+         f"error: FileNotFoundError: [Errno 2] No such file or directory: {ORDINARY_PATH!r}\n"),
+        (["-x", LONG],
+         "CliError: argument command: invalid choice: of 5000 characters (choose from 'ingest', "),
+        (["-h" + LONG], f"CliError: {IGNORED}"),
+        (["--help=" + LONG], f"CliError: {IGNORED}"),
+        (["ingest", "--help=" + LONG], f"CliError: {IGNORED}"),
+        (["check", "-h" + LONG], f"CliError: {IGNORED}"),
+        (["check", "p.policy", CVEDB, "-x", LONG],
+         "CliError: 2 unrecognized arguments: '-x', of 5000 characters\n"),
+        (["explore", "redis", "cpu-shares", "--c=" + LONG],
+         "CliError: ambiguous option: of 5004 characters could match --catalog, --config\n"),
+        # the program of a probe command is a piece of its argument
+        (["explore", "cmd:/no/" + "p" * 116 + " {option_value}", "cpu-shares"],
+         "probe failed: [Errno 2] No such file or directory: of 120 characters\n"),
     ], ids=["option-value", "option-integer", "target", "target-integer", "env-id",
             "container-mismatch", "wide-container-mismatch", "container-name", "config-integer", "config-window",
             "command-config-window", "no-targets", "empty-command", "ingest-path",
             "synthesize-path", "emit-path", "check-path", "validate-inference-path",
             "out-directory", "short-path", "probe-path", "long-probe-path", "namespace", "seed",
-            "security-min", "functionality-min", "format", "command", "extra-arguments"])
+            "security-min", "functionality-min", "format", "command", "extra-arguments",
+            "ordinary-path", "command-after-option", "glued-help", "help-value",
+            "command-help-value", "command-glued-help", "command-extra-option",
+            "ambiguous-option", "probe-program"])
     def test_an_argument_echo_is_bounded(self, tmp_path, monkeypatch, capsys, argv, shown):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "web.trace").write_text(self.WEB_TRACE)
@@ -1195,26 +1216,36 @@ class TestErrorReporting:
         assert shown in err
         assert len(err.encode()) < 200
 
-    # what argparse declares for --namespace/--seed, the two scores and --format
-    NATIVE = {"int": {"type": int}, "float": {"type": float},
-              "format": {"choices": ("human", "tsv"), "default": "human"}}
-    BOUNDED = {"int": {"type": cli._INT}, "float": {"type": cli._FLOAT}, "format": cli._FORMAT[1]}
+    # five nested 200-character directories: every reader puts a file's path
+    # first in its errors
+    DEEP_DIR = "/".join(["d" * 200] * 5)
 
-    @pytest.mark.parametrize("kind", ["int", "float", "format"])
-    def test_a_short_argument_value_error_has_argparse_bytes(self, kind):
-        parsers = []
-        for options in (self.NATIVE[kind], self.BOUNDED[kind]):
-            parser = cli._Parser(prog="leastpriv")
-            parser.add_argument("--format", **options)
-            parsers.append(parser)
-        assert parsers[0].format_help() == parsers[1].format_help()
-        for value in ["bogus", "", "é", "'", "0x10", "x" * 40]:
-            errors = []
-            for parser in parsers:
-                with pytest.raises(cli.CliError) as info:
-                    parser.parse_args(["--format", value])
-                errors.append(str(info.value))
-            assert errors[0] == errors[1]
+    @pytest.mark.parametrize("files,argv,length", [
+        ({"s.obs": f"{GOOD_STORE}SYS write x\n"},
+         ["synthesize", f"{DEEP_DIR}/s.obs", CVEDB, "--security-min", "0", "--functionality-min",
+          "1"], 1010),
+        ({"t.trace": "beacon-trace v1\nbad line\n"},
+         ["ingest", f"{DEEP_DIR}/t.trace", "--env-id", "a", "--store", "s.obs"], 1012),
+        ({"p.policy": "allowed: [\n"}, ["emit", f"{DEEP_DIR}/p.policy", "--caps", "c.txt"], 1013),
+        ({"s.obs": GOOD_STORE, "c.cvedb": "beacon-cvedb v1\nbad\n"},
+         ["synthesize", f"{DEEP_DIR}/s.obs", f"{DEEP_DIR}/c.cvedb", "--security-min", "0",
+          "--functionality-min", "1"], 1012),
+        ({"o.catalog": "nonsense\n"}, ["plan", f"{DEEP_DIR}/o.catalog", "--out", "p.yaml"], 1014),
+        ({"p.plan": "plan_version: [\n"}, ["validate-inference", "redis", f"{DEEP_DIR}/p.plan"],
+         1011),
+        ({"m.yaml": "a: b: c\n"}, ["explore", f"{DEEP_DIR}/m.yaml", "cpu-shares"], 1011),
+    ], ids=["store", "trace", "policy", "cvedb", "catalog", "plan", "model"])
+    def test_a_malformed_file_at_a_long_path_is_one_short_line(self, tmp_path, monkeypatch,
+                                                                capsys, files, argv, length):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / self.DEEP_DIR).mkdir(parents=True)
+        for name, text in files.items():
+            (tmp_path / self.DEEP_DIR / name).write_text(text, encoding="utf-8")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"of {length} characters" in err
+        assert len(err.encode()) < 200
 
     @pytest.mark.parametrize("word", ["bogus", "Ingest", "é", "x" * 40])
     def test_an_unknown_command_word_has_argparse_bytes(self, capsys, word):
@@ -1413,3 +1444,21 @@ class TestParserPerSubcommand:
         status, out, _ = self.run(["-h"])
         assert status == ("SystemExit", 0)
         assert "{" + ",".join(self.COMMANDS) + "}" in out
+
+
+# What main printed, and its status, for each argv of a help request or a
+# usage error with short values: argparse's own help, usage and error
+# bytes, which the one error-line rule leaves as they are.  A status of
+# ["SystemExit", code] is argparse's exit after help.
+SHORT_VALUES = json.loads((GOLDEN / "cli-short-values.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("row", SHORT_VALUES, ids=lambda row: " ".join(row["argv"]))
+def test_argparse_bytes(row, tmp_path, monkeypatch):
+    """argparse's own help, usage and error bytes, short values echoed whole."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    status, out, err = TestParserPerSubcommand.run(list(row["argv"]))
+    assert (json.loads(json.dumps(status)), out, err) == (
+        row["status"], row["stdout"], row["stderr"]
+    )
