@@ -21,10 +21,11 @@ file is written through `replacing`, so a failed write leaves the old
 file as it was.
 `discard_stdout` sends stdout to devnull once its reader has gone.
 
-`load_yaml` parses a file once: one loop over its events checks each
-against the depth, alias and long-integer limits and builds the document
-in the same pass, as SafeLoader would build it, with no node tree and
-no second parse.
+`load_yaml` parses a file once: it pulls each event straight from one
+loader's `get_event`, and one loop over them checks each against the
+depth, alias and long-integer limits and builds the document in the
+same pass, as SafeLoader would build it, with no node tree and no
+second parse.
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ MAX_ALIAS_NODES = 10_000
 MAX_DIGITS = 4300
 # A plain or `!!int` YAML scalar that long, which PyYAML would give to int().
 _LONG_NUMBER = re.compile(rf"[-+]?[0-9][0-9_:]{{{MAX_DIGITS},}}")
+# An integer that int() reads as SafeConstructor does: no `_`, `:`, base or leading 0.
+_DECIMAL = re.compile(r"[-+]?(?:0|[1-9][0-9]*)")
 
 
 # How `_build` resolves and constructs scalars: SafeLoader's resolver and
@@ -167,7 +170,11 @@ def load_yaml(source, error: type[ValueError]):
     """The one YAML document in the file at source; malformed or too large raises `error`."""
     with reading(source, error) as handle:
         try:
-            return _build(yaml.parse(handle, Loader=_LOADER))
+            loader = _LOADER(handle)  # the pure reader checks the first bytes here
+            try:
+                return _build(iter(loader.get_event, None))
+            finally:
+                loader.dispose()
         except yaml.YAMLError as exc:
             raise error(f"{source}: {exc}") from None
 
@@ -203,10 +210,16 @@ def _build(events):
                 tag = resolved.get(value) if event.implicit[0] else _STR_TAG
                 if tag is None:
                     tag = resolved[value] = _RESOLVE(ScalarNode, value, event.implicit)
-            if tag != _STR_TAG:
+            if tag == _INT_TAG and _DECIMAL.fullmatch(value):
+                value = int(value)
+            elif tag != _STR_TAG:
                 value = _scalar(tag, event, top[4] is not None and not len(top[3]) % 2)
-            height, size = 0, 1
-        elif kind is MappingStartEvent or kind is SequenceStartEvent:
+            if anchor is not None:  # no height, so no depth to check
+                named[anchor] = (0, 1, value)
+            top[2] += 1
+            top[3].append(value)
+            continue
+        if kind is MappingStartEvent or kind is SequenceStartEvent:
             anchor = event.anchor
             if anchor is not None and anchor in named:
                 raise _duplicate(event)

@@ -8,13 +8,15 @@ being applied, or a workload field clearing a threshold.  Interaction
 rules fire only when two triggers match at once; they exist to exercise
 code paths where a combined environment is not the union of its factors.
 
-Evaluating a model is one pass over its rules and one union per probe:
-the adds of every matched rule are collected, then joined onto the base
-events with one union per event kind, so a probe's cost grows with the
-rule count, not with matched rules times the size of the set.  That
-keeps the whole pipeline at desk scale: emit_trace turns an evaluation
-into a collector stream that replays through the monitor to exactly the
-evaluated set.
+Evaluating a model is one union per probe: the adds of every matched rule
+are collected, then joined onto the base events with one union per event
+kind, so a probe copies the event set once, however many rules match.
+A model groups its integer-range rules by option once, when it is first
+evaluated, so a probe looks each such option up in the environment once
+and compares its value with plain integers; only the other rules are
+asked to match one by one.  That keeps the whole pipeline at desk scale:
+emit_trace turns an evaluation into a collector stream that replays
+through the monitor to exactly the evaluated set.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import importlib.resources
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union, get_type_hints
 
 from ._files import load_yaml
@@ -161,15 +164,36 @@ class SyntheticContainerModel:
     rules: tuple[BehaviorRule, ...] = ()
     interaction_rules: tuple[InteractionRule, ...] = ()
 
+    @cached_property
+    def _grouped(self) -> tuple[dict[str, list[tuple[int, int, EventSet]]], list[BehaviorRule]]:
+        """The `(lo, hi, adds)` of each range rule by option, and every other rule."""
+        ranges: dict[str, list[tuple[int, int, EventSet]]] = {}
+        others = []
+        for rule in self.rules:
+            trigger = rule.trigger
+            if type(trigger) is OptionValueInRange:
+                ranges.setdefault(trigger.option, []).append((trigger.lo, trigger.hi, rule.adds))
+            else:
+                others.append(rule)
+        return ranges, others
+
 
 def evaluate(model: SyntheticContainerModel, env: Environment) -> EventSet:
     """Deterministic event set: base plus the adds of every matched rule and
     matched interaction rule.
 
-    One pass collects the matched adds, then one union per kind builds the
-    result, so a probe copies the event set once however many rules match.
+    Each option with range rules is looked up once and its integer value
+    compared with their bounds; every other rule is matched on its own.
+    One union per kind then builds the result, so a probe copies the event
+    set once however many rules match.
     """
-    adds = [rule.adds for rule in model.rules if rule.trigger.matches(env)]
+    ranges, others = model._grouped
+    adds = []
+    for option, group in ranges.items():
+        bound = env.option_value(option)
+        if bound is not None and (number := bound.number) is not None:
+            adds += [added for lo, hi, added in group if lo <= number <= hi]
+    adds += [rule.adds for rule in others if rule.trigger.matches(env)]
     adds += [
         rule.adds
         for rule in model.interaction_rules

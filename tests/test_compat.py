@@ -1,11 +1,13 @@
 """The package keeps to the oldest Python that pyproject.toml promises (3.10).
 
 Newer `re` syntax such as possessive quantifiers and atomic groups
-compiles on 3.11 and fails on 3.10 at import.  This test compiles every
-module-level pattern of the package under a Python 3.10 interpreter when
-one is found, on PATH as `python3.10` or in a pyenv install, and skips
-otherwise.  Only the patterns go across, as (pattern, flags) pairs, so
-the interpreter needs no third-party packages.
+compiles on 3.11 and fails on 3.10 at import, and so does newer Python
+syntax such as `except*`.  These tests compile every module-level
+pattern and every source file of the package under a Python 3.10
+interpreter when one is found, on PATH as `python3.10` or in a pyenv
+install, and skip otherwise.  Only the patterns, as (pattern, flags)
+pairs, and the file paths go across, and the interpreter compiles with
+the standard library alone, so it needs no third-party packages.
 """
 
 import glob
@@ -16,6 +18,7 @@ import pkgutil
 import re
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +31,18 @@ for module, name, pattern, flags in json.load(sys.stdin):
         re.compile(pattern, flags)
     except re.error as exc:
         sys.exit(f"{module}.{name}: {exc}")
+print(sys.version_info[:2] == (3, 10))
+"""
+
+_COMPILE_SOURCES = """
+import json, sys
+for path in json.load(sys.stdin):
+    with open(path, encoding="utf-8") as handle:
+        source = handle.read()
+    try:
+        compile(source, path, "exec", dont_inherit=True)
+    except SyntaxError as exc:
+        sys.exit(f"{path}:{exc.lineno}: {exc.msg}")
 print(sys.version_info[:2] == (3, 10))
 """
 
@@ -45,6 +60,17 @@ def _python310():
         if probe.returncode == 0 and probe.stdout.strip() == "(3, 10)":
             return candidate
     return None
+
+
+def _passes_on_python_3_10(script, items):
+    """Run script under Python 3.10 with items as JSON on stdin; skip when there is none."""
+    python = _python310()
+    if python is None:
+        pytest.skip("no Python 3.10 interpreter found")
+    result = subprocess.run([python, "-c", script], input=json.dumps(items),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "True"
 
 
 def _module_patterns():
@@ -65,10 +91,10 @@ def test_module_patterns_compile_on_python_3_10():
     patterns = _module_patterns()
     for module in ("leastpriv.decision", "leastpriv.options"):
         assert any(name == module for name, *_ in patterns)
-    python = _python310()
-    if python is None:
-        pytest.skip("no Python 3.10 interpreter found")
-    result = subprocess.run([python, "-c", _COMPILE_ALL], input=json.dumps(patterns),
-                            capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "True"
+    _passes_on_python_3_10(_COMPILE_ALL, patterns)
+
+
+def test_package_sources_compile_on_python_3_10():
+    sources = sorted(str(path) for path in Path(leastpriv.__file__).parent.rglob("*.py"))
+    assert any(path.endswith("cli.py") for path in sources)
+    _passes_on_python_3_10(_COMPILE_SOURCES, sources)

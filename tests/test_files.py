@@ -121,12 +121,18 @@ class TestLoadYaml:
         "{<<: [{a: 1}, 1]}",
         "{&m <<: {a: 1}, b: *m}",
         "a: &x 1\nb: &x 2\n",
+        "0", "-0", "+0", "+12", "007", "010", "0o17", "0x1F", "0b101", "1_000", "1:30",
+        "!!int 12", '!!int "12"', "{1: a, -2: b, 0: c, +3: d}", "a: &n 12\nb: *n\nc: [*n, -0]\n",
+        "b: &b {1: x, 2: y}\nm: {<<: *b, 2: z, 3: w}\n",
     ], ids=["empty", "merge", "merge-order", "aliased-merge-key", "merge-equal-keys",
             "shared-alias", "scalars", "timestamps", "numbers", "keys", "binary",
             "flow-unhashable", "block-unhashable", "bad-bool", "bad-timestamp", "bad-int",
             "unknown-scalar-tag", "unknown-collection-tag", "str-collection", "map-sequence",
             "seq-scalar", "value-tag", "merge-value", "merge-scalar", "merge-list-of-scalar",
-            "merge-key-as-value", "duplicate-anchor"])
+            "merge-key-as-value", "duplicate-anchor", "int-zero", "int-minus-zero",
+            "int-plus-zero", "int-plus", "int-octal-7", "int-octal-8", "int-0o", "int-hex",
+            "int-binary", "int-underscore", "int-sexagesimal", "int-tagged", "int-tagged-quoted",
+            "int-keys", "int-alias", "int-keys-merge"])
     def test_same_document_as_safe_loader(self, tmp_path, text):
         expected = safe_load_or_raise(text)
         if expected is None:
@@ -162,6 +168,18 @@ class TestLoadYaml:
             load_text(tmp_path, f"a: !!int {digits}\n")
         assert load_text(tmp_path, f"a: !!str {digits}\n") == {"a": digits}
 
+    def test_a_plain_int_too_long_for_int_is_refused_before_int(self, tmp_path, monkeypatch):
+        def checked_int(value, *base):
+            assert len(str(value)) <= _files.MAX_DIGITS, "int() met a long integer"
+            return int(value, *base)
+
+        for module in (_files, yaml.constructor):
+            monkeypatch.setattr(module, "int", checked_int, raising=False)
+        digits = "9" * (_files.MAX_DIGITS + 1)
+        with pytest.raises(Malformed, match=f"integer of {len(digits)} digits is too long$"):
+            load_text(tmp_path, f"a: {digits}\n")
+        assert load_text(tmp_path, f"a: {digits[1:]}\n") == {"a": int(digits[1:])}
+
     def test_the_first_fault_in_the_stream_is_reported(self, tmp_path):
         with pytest.raises(Malformed, match="cannot read 'maybe' as tag:yaml.org,2002:bool"):
             load_text(tmp_path, "a: !!bool maybe\nb: [\n")
@@ -175,12 +193,22 @@ class TestLoadYaml:
                 return real(*args, **kwargs)
             return call
 
+        class Loader(_files._LOADER):
+            def __init__(self, stream):
+                calls["stream"] += 1
+                super().__init__(stream)
+
+            def dispose(self):
+                calls["dispose"] += 1
+                super().dispose()
+
         for name in ("parse", "load", "safe_load", "compose", "compose_all", "load_all"):
             monkeypatch.setattr(yaml, name, counting(name, getattr(yaml, name)))
+        monkeypatch.setattr(_files, "_LOADER", Loader)
         assert load_text(tmp_path, "a: &a {b: [1, 2]}\nc: {<<: *a}\n") == {
             "a": {"b": [1, 2]}, "c": {"b": [1, 2]},
         }
-        assert calls == {"parse": 1}
+        assert calls == {"stream": 1, "dispose": 1}
 
     @pytest.mark.parametrize("name", ["fixtures/redis.yaml", "fixtures/nginx.yaml"])
     def test_same_document_as_the_pure_python_loader(self, name):

@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from leastpriv.environment import (
     _WORKLOAD_FIELDS,
     WORKLOAD_PRESETS,
+    Environment,
     baseline_environment,
     compose_environment,
     compose_pair,
+    plan_environments,
 )
 from leastpriv.events import EventSet
 from leastpriv.explorer import MutationConfig, model_probe, mutate_option_values
@@ -223,6 +225,51 @@ def _environments(draw):
     return compose_environment(bound, workload)
 
 
+# Small integer domains, so range rules overlap and hit often; an enum
+# (network) and a flag (tty) bind values whose number is None.
+_SMALL_VALUES = {
+    "cpu-shares": st.integers(0, 8).map(str),
+    "oom-score-adj": st.integers(-6, 6).map(str),
+    "memory": st.sampled_from(["0", "8", "1k"]),
+    "network": st.sampled_from(["bridge", "host"]),
+    "tty": st.just(""),
+}
+_ranges = st.builds(
+    lambda option, lo, width: OptionValueInRange(option, lo, lo + width),
+    st.sampled_from(sorted(_SMALL_VALUES)),
+    st.integers(-8, 8),
+    st.sampled_from([0, 0, 1, 3, 2000]),
+)
+_range_models = st.builds(
+    SyntheticContainerModel,
+    st.just("ranges"),
+    _adds,
+    # each rule also adds an event of its own, so any rule that fires shows
+    st.lists(st.builds(BehaviorRule, _ranges | _ranges | _predicates, _adds),
+             min_size=8, max_size=24).map(lambda rules: tuple(
+                 BehaviorRule(rule.trigger, rule.adds | EventSet.of([f"rule_{i}"]))
+                 for i, rule in enumerate(rules))),
+    st.lists(st.builds(InteractionRule, _ranges | _predicates, _ranges | _predicates, _adds),
+             max_size=4).map(tuple),
+)
+
+
+@st.composite
+def _range_environments(draw):
+    """Composed environments, or built directly with one integer option bound twice."""
+    names = draw(st.lists(st.sampled_from(sorted(_SMALL_VALUES)), unique=True))
+    bound = [opt(name, draw(_SMALL_VALUES[name])) for name in names]
+    workload = draw(st.none() | st.sampled_from(sorted(WORKLOAD_PRESETS)).map(
+        WORKLOAD_PRESETS.__getitem__))
+    numbered = [value for value in bound if value.number is not None]
+    if not numbered or not draw(st.booleans()):
+        return compose_environment(bound, workload)
+    first = draw(st.sampled_from(numbered))
+    bound.append(opt(first.name, draw(_SMALL_VALUES[first.name].filter(
+        lambda text: opt(first.name, text).number != first.number))))
+    return Environment(tuple(draw(st.permutations(bound))), workload)
+
+
 class TestEvaluateMatchesTheFold:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(model=_models, env=_environments())
@@ -252,6 +299,35 @@ class TestEvaluateMatchesTheFold:
             assert events == fold_evaluate(model, env)
             swept = swept | events
         assert swept == result.events
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(model=_range_models, envs=st.lists(_range_environments(), min_size=1, max_size=4))
+    def test_range_heavy_models(self, model, envs):
+        # several environments per model, so its grouping is reused across probes
+        for env in envs:
+            assert evaluate(model, env) == fold_evaluate(model, env)
+
+    def test_an_option_bound_twice_reads_its_first_binding(self):
+        model = SyntheticContainerModel("twice", EventSet.empty(), (
+            BehaviorRule(OptionValueInRange("cpu-shares", 0, 10), EventSet.of(["low"])),
+            BehaviorRule(OptionValueInRange("cpu-shares", 40, 60), EventSet.of(["high"])),
+        ))
+        low, high = opt("cpu-shares", "5"), opt("cpu-shares", "50")
+        assert evaluate(model, Environment((low, high))) == EventSet.of(["low"])
+        assert evaluate(model, Environment((high, low))) == EventSet.of(["high"])
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures_at_every_planned_environment(self, name):
+        factors = [env_of((option, value)) for option, value in (
+            ("init", ""), ("publish", "80:8080"), ("tty", ""), ("network", "host"),
+            ("cpu-shares", "512"), ("memory", "512m"),
+        )] + [env_of(workload=workload) for workload in WORKLOAD_PRESETS.values()]
+        plan = plan_environments(factors)
+        model = load_fixture(name)
+        envs = [plan.baseline, *plan.factors, *(compose_pair(a, b) for a, b in plan.pairs)]
+        assert len(envs) == 1 + 14 + 91
+        for env in envs:
+            assert evaluate(model, env) == fold_evaluate(model, env)
 
 
 class TestTraceEmission:
