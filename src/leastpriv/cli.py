@@ -126,10 +126,10 @@ def _cmd_ingest(args) -> int:
         environments = append_observation(args.store, observation, args.container)
     except ContainerMismatchError as exc:
         raise CliError(str(exc)) from None
-    events = observation.events
     print(
         f"recorded {args.env_id} (namespace {namespace}): "
-        f"{len(events.syscalls)} syscalls, {len(events.capabilities)} capabilities "
+        f"{len(observation.syscall_counts)} syscalls, "
+        f"{len(observation.capability_counts)} capabilities "
         f"-> {args.store} ({environments} environments)"
     )
     return 0

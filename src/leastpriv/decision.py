@@ -181,8 +181,6 @@ def _decode_cve(line: str) -> Optional[CveEntry]:
     if not math.isfinite(cvss):
         raise DbFormatError(f"bad CVSS value {quoted(cvss_text)}")
     names = [piece.strip() for piece in events_text.split(",") if piece.strip()]
-    if not names:
-        raise DbFormatError(f"{quoted(cve_id)}: empty attack vector")
     return CveEntry(cve_id, cvss, parse_event_list(names))
 
 
@@ -246,8 +244,8 @@ class ObservationStore:
                   ((name, 1) for name in events.capabilities))
 
     def record_observation(self, observation: Observation) -> None:
-        self._add(observation.environment_id, observation.syscall_counts,
-                  observation.capability_counts)
+        self._add(observation.environment_id, observation.syscall_counts.items(),
+                  observation.capability_counts.items())
 
     def environments(self) -> tuple[str, ...]:
         return tuple(sorted(self._counts))
@@ -282,7 +280,7 @@ class ObservationStore:
 
 
 def _block_text(environment_id: str, syscall_counts, capability_counts) -> str:
-    """One ENV block as a store holds it, names sorted within each kind."""
+    """One ENV block as a store holds it: each kind's names sorted here, so maps come unsorted."""
     lines = [f"ENV {environment_id}\n"]
     for tag, counts in (("SYS", syscall_counts), ("CAP", capability_counts)):
         lines.extend(f"{tag} {name} {counts[name]}\n" for name in sorted(counts))
@@ -293,11 +291,15 @@ def _store_text(container: str, body: str) -> str:
     return f"{OBSERVATIONS_HEADER}\nCONTAINER {container}\n{body}"
 
 
+def _blocks(store: ObservationStore) -> str:
+    """A store's canonical ENV blocks: one per environment, in id order."""
+    return "".join(_block_text(e, *store._counts[e]) for e in store.environments())
+
+
 def save_store(store: ObservationStore, path) -> None:
     """Write the canonical form: one block per environment, in id order."""
-    body = "".join(_block_text(e, *store._counts[e]) for e in store.environments())
     with replacing(path) as handle:
-        handle.write(_store_text(store.container, body))
+        handle.write(_store_text(store.container, _blocks(store)))
 
 
 # The form the writers here produce, which append_observation copies
@@ -321,12 +323,12 @@ _CONTAINER_LINE = re.compile(r"CONTAINER (\S+)\n")
 _ENV_ID = re.compile(r"\nENV (\S+)")
 
 
-def _read_written(path) -> Optional[tuple[str, str, int]]:
-    """(container, text, end) of a store in the written form, else None.
+def _read_written(path) -> Optional[tuple[str, str]]:
+    """(container, blocks) of a store in the written form, else None.
 
-    text[end:] is its ENV blocks, which append_observation copies
-    unparsed, and text[end - 1] the newline that ends its CONTAINER line.
-    load_store reads such a store to exactly the counts of its blocks.
+    blocks is the text after its CONTAINER line, its ENV blocks, which
+    append_observation copies unparsed.  load_store reads such a store to
+    exactly the counts of its blocks.
     """
     text = whole_text(path)
     if text is None:  # not UTF-8: load_store may report an earlier line first
@@ -341,45 +343,39 @@ def _read_written(path) -> Optional[tuple[str, str, int]]:
     end = line.end()
     if not text.startswith("ENV ", end) or _OFF_BODY.search(text, end - 1):
         return None
-    return line[1], text, end
+    return line[1], text[end:]
 
 
 def append_observation(path, observation: Observation, container: Optional[str] = None) -> int:
-    """Add one environment's counts to the store at path; return its environment count.
+    """Append one environment's block to the store at path; return its environment count.
 
     A missing store is created for `container` (default "container"); an
-    existing one must be for `container` when it is given.  A store in the
-    form this module writes is checked in one pass and copied unparsed,
-    comments dropped, and the new ENV block goes after its blocks: blocks
-    stay in ingest order and an id seen before gets a second block, which
-    load_store merges.  Any other store, such as a hand-written one, is
-    read by load_store, so it fails with load_store's error, and is
-    written by save_store with the observation merged in, like a new store.
+    existing one must be for `container` when it is given.  Every store is
+    written the same way: the header, the CONTAINER line, the old blocks,
+    then the new ENV block, so an id seen before gets a second block,
+    which load_store merges.  A store in the form this module writes is
+    checked in one pass and its blocks are copied unparsed, comments
+    dropped.  Any other store, such as a hand-written one, is read by
+    load_store, so it fails with load_store's error, and its old blocks
+    are the ones save_store would write for it.
     """
     found = None
     if not os.path.exists(path):
         store = ObservationStore("container" if container is None else container)
     elif (found := _read_written(path)) is None:
         store = load_store(path)
-    name = store.container if found is None else found[0]
+    name, blocks = found or (store.container, _blocks(store))
     if container is not None and container != name:
         raise ContainerMismatchError(
             f"store {path} is for container {quoted(name)}, not {quoted(container)}"
         )
-    if found is None:
-        store.record_observation(observation)
-        save_store(store, path)
-        return len(store)
-    _, text, end = found
     environment_id = observation.environment_id
     _check_name("environment id", environment_id)
-    block = _block_text(
-        environment_id, dict(observation.syscall_counts), dict(observation.capability_counts)
-    )
+    block = _block_text(environment_id, observation.syscall_counts, observation.capability_counts)
+    text = _store_text(name, blocks + block)
     with replacing(path) as handle:
-        handle.write(_store_text(name, text[end:]))
-        handle.write(block)
-    return len(set(_ENV_ID.findall(text, end - 1)) | {environment_id})
+        handle.write(text)
+    return len(set(_ENV_ID.findall(text)))
 
 
 def load_store(path) -> ObservationStore:

@@ -13,7 +13,7 @@ while the memo holds fewer than MEMO_NAMES texts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "KIND_SYSCALL",
@@ -278,19 +278,12 @@ class EventSet:
 
 @dataclass(frozen=True)
 class Observation:
-    """One environment's recorded behavior: sorted (name, count) pairs per kind.
+    """One environment's recorded behavior: a name -> count map per kind.
 
-    Trace replay labels one namespace's counts with it, and the
-    observation store adds its counts to that environment's.
+    Trace replay labels one namespace's count maps with it, unsorted, and
+    the observation store adds their counts to that environment's.
     """
 
     environment_id: str
-    syscall_counts: tuple[tuple[str, int], ...] = ()
-    capability_counts: tuple[tuple[str, int], ...] = ()
-
-    @property
-    def events(self) -> EventSet:
-        return EventSet(
-            frozenset(name for name, _ in self.syscall_counts),
-            frozenset(name for name, _ in self.capability_counts),
-        )
+    syscall_counts: Mapping[str, int] = field(default_factory=dict)
+    capability_counts: Mapping[str, int] = field(default_factory=dict)

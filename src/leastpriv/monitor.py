@@ -272,7 +272,7 @@ def event_set_for(
     states: dict[int, NamespaceState],
     namespace_id: Optional[int] = None,
 ) -> Observation:
-    """Label one namespace's replayed state (by default the only one) with its environment."""
+    """Label one namespace's count maps (default: the only one's), unsorted, with its env id."""
     if not states:
         raise UnknownNamespaceError(
             "trace tracks no namespace: it has no `unshare` record, "
@@ -288,8 +288,4 @@ def event_set_for(
         raise UnknownNamespaceError(
             f"namespace {quoted(namespace_id)} not present in trace, which tracks {known}"
         )
-    return Observation(
-        environment_id,
-        tuple(sorted(state.syscall_counts.items())),
-        tuple(sorted(state.capability_counts.items())),
-    )
+    return Observation(environment_id, state.syscall_counts, state.capability_counts)

@@ -25,7 +25,7 @@ import importlib.resources
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union, get_type_hints
+from typing import Union, get_type_hints
 
 from ._files import load_yaml
 from .environment import (
@@ -37,12 +37,7 @@ from .environment import (
 )
 from .events import KIND_SYSCALL, EventSet, quoted
 from .monitor import TraceRecord, format_trace
-from .options import (
-    OptionCatalog,
-    default_catalog,
-    integer_bounds,
-    validate_value,
-)
+from .options import default_catalog, integer_bounds, validate_value
 
 __all__ = [
     "ModelError",
@@ -348,9 +343,7 @@ _EXTRA_BASE_POOL = (
 )
 
 
-def build_pair_corpus(
-    seed: int = 20240601, catalog: Optional[OptionCatalog] = None
-) -> list[PairCase]:
+def build_pair_corpus(seed: int = 20240601) -> list[PairCase]:
     """Corpus of 384 (model, factor, factor) cases for inference validation.
 
     64 models cross 4 single-change factors (tty, interactive, W1, W2)
@@ -359,7 +352,7 @@ def build_pair_corpus(
     environment, so exactly 240 of the 384 cases are union-exact and the
     144 interacting cases differ by that single event.
     """
-    catalog = catalog or default_catalog()
+    catalog = default_catalog()
     rng = random.Random(seed)
 
     tty = compose_environment([validate_value(catalog["tty"], "true")])
@@ -422,23 +415,16 @@ class ProbePlan:
     hi: int
     cut_values: tuple[int, ...]
 
-    def ground_truth(self, base_env: Optional[Environment] = None) -> EventSet:
-        catalog = default_catalog()
-        spec = catalog[self.option]
+    def ground_truth(self) -> EventSet:
+        spec = default_catalog()[self.option]
         truth = EventSet.empty()
         for value in sorted({self.lo, *self.cut_values}):
-            bound = validate_value(spec, str(value))
-            env = compose_environment(
-                [*(base_env.options if base_env else ()), bound],
-                base_env.workload if base_env else None,
-            )
+            env = compose_environment([validate_value(spec, str(value))])
             truth = truth | evaluate(self.model, env)
         return truth
 
 
-def build_threshold_probe(
-    seed: int, catalog: Optional[OptionCatalog] = None
-) -> ProbePlan:
+def build_threshold_probe(seed: int) -> ProbePlan:
     """Random stepped probe over the cpu-shares domain, max 5 breakpoints.
 
     Nested thresholds each add a unique event from their breakpoint
@@ -448,10 +434,9 @@ def build_threshold_probe(
     or past a breakpoint finds it, and the band is wide and high enough
     that a pass across the upper half lands inside.
     """
-    catalog = catalog or default_catalog()
     rng = random.Random(seed)
     option = "cpu-shares"
-    lo, hi = integer_bounds(catalog[option].syntax)
+    lo, hi = integer_bounds(default_catalog()[option].syntax)
     span = hi - lo
 
     with_band = rng.random() < 0.3

@@ -1,4 +1,18 @@
+from pathlib import Path
+
 import pytest
+
+TESTS = Path(__file__).resolve().parent
+
+
+def pytest_collection_modifyitems(config, items):
+    """Fail a test under tests/ that leaves a file open or an exception unraised."""
+    for item in items:
+        if TESTS in item.path.resolve().parents:
+            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+            item.add_marker(
+                pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+            )
 
 
 @pytest.fixture

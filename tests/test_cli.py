@@ -305,6 +305,13 @@ class TestOutputBytes:
         )
         assert log_path.exists() == log
 
+    def test_explore_warns_of_a_degenerate_step(self, capsys):
+        argv = ["explore", "redis", "cpu-shares", "--config", "r=1e308", "--config", "it_max=3"]
+        assert self.run(capsys, argv) == (0, (
+            "explored cpu-shares in [0, 262143]: 3 probes, 16 events\n"
+            "warning: iteration 2: degenerate step inf clamped to 1\n"
+        ) + REDIS_CPU_SHARES_EVENTS)
+
 
 class TestInfeasibleExit:
     def test_exit_code_2_with_reason(self, tmp_path, capsys):
@@ -1038,12 +1045,19 @@ class TestErrorReporting:
         ({**MODEL, "rules": [{"when": {"option_value_in_range":
                                        {"option": "cpu-shares", "lo": 5, "hi": 1}}}]},
          ["explore", "p.yaml", "cpu-shares"], "ModelError: empty range [5, 1]"),
+        ([], ["explore", "p.yaml", "cpu-shares"],
+         "ModelError: model document must be a mapping"),
+        ({"model_version": 1}, ["explore", "p.yaml", "cpu-shares"],
+         "ModelError: model needs a non-empty name"),
+        ({**MODEL, "rules": [{"when": {"option_present": 5}}]},
+         ["explore", "p.yaml", "cpu-shares"], "ModelError: option_present takes an option name"),
     ], ids=["event-block", "event-names", "event-name-list", "classes", "targets",
             "score", "policy-version", "rule", "trigger", "trigger-kind", "equals-body",
             "range-body", "workload-body", "interaction", "model-version", "rule-list",
             "plan-entry", "option-entry", "option-value", "workload-entry", "workload-field",
             "pair", "policy-list", "policy-container", "plan-version", "pair-list",
-            "thread-count", "read-ops-float", "one-trigger", "model-range"])
+            "thread-count", "read-ops-float", "one-trigger", "model-range", "model-list",
+            "model-name", "option-present"])
     def test_a_whole_value_echo_is_bounded(self, tmp_path, monkeypatch, capsys, doc, argv,
                                            shown):
         monkeypatch.chdir(tmp_path)

@@ -539,11 +539,22 @@ class TestCveDbFiles:
         with pytest.raises(Exception):
             parse_cvedb([CVEDB_HEADER, "CVE-X\t1.0\t"])
 
+    @pytest.mark.parametrize("line,shown", [
+        ("\t7.5\tread", "<memory>:2: entry needs a CVE id"),
+        ("CVE-X\t1.0\t", "<memory>:2: 'CVE-X': attack vector must name at least one event"),
+        ("CVE-X\t1.0\t , ,", "<memory>:2: 'CVE-X': attack vector must name at least one event"),
+    ], ids=["no-id", "empty-vector", "blank-names"])
+    def test_a_bad_entry_is_reported_with_its_line(self, line, shown):
+        with pytest.raises(DbFormatError) as raised:
+            parse_cvedb([CVEDB_HEADER, line])
+        assert type(raised.value) is DbFormatError
+        assert str(raised.value) == shown
+
 
 class TestStoreFiles:
     def test_round_trip_with_counts(self, tmp_path):
         store = ObservationStore("redis")
-        store.record_observation(Observation("e" * 32, (("read", 5),), (("CAP_CHOWN", 2),)))
+        store.record_observation(Observation("e" * 32, {"read": 5}, {"CAP_CHOWN": 2}))
         path = tmp_path / "obs.store"
         save_store(store, path)
         text = path.read_text()
@@ -558,8 +569,8 @@ class TestStoreFiles:
 
     def test_merging_repeated_environments(self):
         store = ObservationStore("app")
-        store.record_observation(Observation("x1", (("a", 2),)))
-        store.record_observation(Observation("x1", (("a", 1), ("b", 4))))
+        store.record_observation(Observation("x1", {"a": 2}))
+        store.record_observation(Observation("x1", {"a": 1, "b": 4}))
         assert store.events_for("x1") == parse_event_list(["a", "b"])
         assert store.counts_for("x1")[0] == {"a": 3, "b": 4}
         assert len(store) == 1
@@ -578,7 +589,7 @@ class TestStoreFiles:
 
     def test_events_are_the_counted_names(self):
         store = ObservationStore("app")
-        store.record_observation(Observation("x1", (("a", 2), ("ghost", 0)), (("CAP_CHOWN", 1),)))
+        store.record_observation(Observation("x1", {"a": 2, "ghost": 0}, {"CAP_CHOWN": 1}))
         sys_counts, cap_counts = store.counts_for("x1")
         assert store.events_for("x1") == EventSet(frozenset(sys_counts), frozenset(cap_counts))
         assert store.events_for("x1") == parse_event_list(["a", "ghost", "CAP_CHOWN"])

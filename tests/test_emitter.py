@@ -69,7 +69,10 @@ class TestSeccompProfile:
         ({"defaultAction": "SCMP_ACT_ERRNO", "architectures": [],
           "syscalls": [{"action": "SCMP_ACT_ALLOW", "names": [""] * 2000}]},
          "malformed names in rule dict of length 2"),
-    ], ids=["default-action", "rule", "names"])
+        ({"defaultAction": "SCMP_ACT_ERRNO"}, "profile needs an architectures list"),
+        ({"defaultAction": "SCMP_ACT_ERRNO", "architectures": []},
+         "profile needs a syscalls list"),
+    ], ids=["default-action", "rule", "names", "architectures", "syscalls"])
     def test_parse_quotes_what_it_rejects(self, doc, shown):
         with pytest.raises(EmitError) as raised:
             parse_seccomp_profile(json.dumps(doc))

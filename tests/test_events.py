@@ -35,6 +35,12 @@ def test_characters_that_are_not_whitespace_stay_in_the_name(canonical, name):
     assert canonical(name).lower().endswith(name.lower())
 
 
+def test_an_unknown_event_kind_is_refused():
+    with pytest.raises(EventNameError) as raised:
+        EventSet.from_events([("NET", "x")])
+    assert str(raised.value) == "unknown event kind 'NET'"
+
+
 def test_set_operators_work_per_kind():
     a = EventSet.of(["read", "openat"], ["chown"])
     b = EventSet.of(["read"], ["net_raw"])

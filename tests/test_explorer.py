@@ -257,6 +257,12 @@ class TestProbes:
         assert message.startswith("iteration 0: of 5000 characters: probe failed: ")
         assert len(message) < 200
 
+    def test_a_probe_that_returns_no_event_set_is_refused(self):
+        probe = EventProbe(lambda env, value: ["read"], name="listy")
+        with pytest.raises(ProbeError) as raised:
+            probe.evaluate(BASE, 1)
+        assert str(raised.value) == "'listy': probe returned list, not an event set"
+
     def test_model_probe_without_option_rejects_values(self):
         probe = model_probe(piecewise_model())
         with pytest.raises(ProbeError):

@@ -367,9 +367,10 @@ def test_store_scans_match_the_anchored_scans(text, environment_id):
     assert (found is None) == (expected is None)
     if found is None:
         return
-    container, found_text, end = found
-    assert (container, found_text[end:]) == expected
-    ids = set(decision._ENV_ID.findall(found_text, end - 1)) | {environment_id}
+    assert found == expected
+    container, blocks = found
+    ids = set(decision._ENV_ID.findall(decision._store_text(container, blocks)))
+    ids |= {environment_id}
     assert len(ids) == len(set(_REFERENCE_ENV_ID.findall(expected[1])) | {environment_id})
 
 
@@ -379,7 +380,8 @@ def test_store_scans_match_the_anchored_scans(text, environment_id):
 def test_ingest_appends_or_fails_like_load_store(text, environment_id):
     """ingest into any store: load_store's error line with the file untouched,
     or a store that loads to the old counts plus the trace's.  A store not
-    in the written form ends as save_store writes those counts."""
+    in the written form ends as save_store writes its old counts, followed
+    by the trace's block."""
     with tempfile.TemporaryDirectory() as directory:
         store, trace = os.path.join(directory, "s.obs"), os.path.join(directory, "t.trace")
         with open(store, "w", encoding="utf-8", newline="") as handle:
@@ -387,7 +389,8 @@ def test_ingest_appends_or_fails_like_load_store(text, environment_id):
         with open(trace, "w", encoding="utf-8") as handle:
             handle.write("\n".join(_TRACE) + "\n")
         try:
-            expected, error = _counts(load_store(store)), None
+            old = load_store(store)
+            expected, error = _counts(old), None
         except ValueError as exc:
             expected, error = None, f"error: {type(exc).__name__}: {exc}\n"
         before, written = Path(store).read_bytes(), _read_written(store) is not None
@@ -409,8 +412,10 @@ def test_ingest_appends_or_fails_like_load_store(text, environment_id):
         assert not re.search(r"^(SYS \S*[A-Z]|CAP \S*[a-z])", Path(store).read_text("utf-8"), re.M)
         assert out.getvalue().endswith(f"({len(result)} environments)\n")
         if not written:
-            save_store(result, os.path.join(directory, "canonical.obs"))
-            assert Path(store).read_bytes() == Path(directory, "canonical.obs").read_bytes()
+            save_store(old, os.path.join(directory, "canonical.obs"))
+            block = f"ENV {environment_id}\nSYS openat 1\nSYS read 2\nCAP CAP_CHOWN 1\n"
+            canonical = Path(directory, "canonical.obs").read_bytes()
+            assert Path(store).read_bytes() == canonical + block.encode()
 
 
 # -- load_store against a per-line decoder -----------------------------------

@@ -240,7 +240,7 @@ def test_observation_labels_namespace():
     states = replay_trace([sys(1, 3, "unshare"), sys(2, 3, "prctl"), sys(3, 3, "read")])
     obs = event_set_for("env-a", states, 3)
     assert obs.environment_id == "env-a"
-    assert obs.syscall_counts == (("read", 1),)
+    assert obs.syscall_counts == {"read": 1}
     with pytest.raises(UnknownNamespaceError):
         event_set_for("env-a", states, 9)
 

@@ -85,6 +85,12 @@ class TestSyntaxParsing:
         ("(5, 6, 7)", "expected ')' but found ',' in '(5, 6, 7)'"),
         ("(1, 4", "unexpected end of syntax in '(1, 4'"),
         ("<Continuous_range>:(5)", "expected ',' but found ')' in '<Continuous_range>:(5)'"),
+        # and syntax errors outside an integer
+        ("<U8> )", "trailing tokens after syntax: ')' in '<U8> )'"),
+        ('"a" <List>:(<U8>)', "lists cannot nest inside compounds"),
+        ('""', "empty literal"),
+        ("5", "unexpected token '5' in '5'"),
+        ("<List>:(<Bool>)", "unsupported list element syntax"),
     ])
     def test_integer_syntax_errors(self, expression, message):
         with pytest.raises(CatalogError) as excinfo:
@@ -183,6 +189,15 @@ class TestValidation:
         assert validate_value(spec, "false").text == "false"
         with pytest.raises(ValueParseError):
             validate_value(spec, "yes")
+
+    def test_a_bool_flag_in_an_alternation_takes_only_its_words(self):
+        (spec,) = parse_catalog('x\tstring\t<Bool> | "auto"\n')
+        assert [validate_value(spec, raw).text for raw in ("true", "false", "auto")] == [
+            "true", "false", "auto"
+        ]
+        with pytest.raises(ValueParseError) as excinfo:
+            validate_value(spec, "")
+        assert str(excinfo.value) == """option 'x': '' does not match '<Bool> | "auto"'"""
 
     def test_unsigned_range_checked(self):
         spec = spec_for("<U8>", "int")
