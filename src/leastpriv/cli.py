@@ -462,31 +462,21 @@ def _error_line(exc: Exception, argv: list[str]) -> str:
     """`error: Class: message` for exc, on one line.
 
     argparse, the file readers and a failed probe repeat a command-line
-    value whole, so in a line of MAX_LINE bytes or more each value that
-    quoted() would not show whole is replaced by quoted()'s name for it,
-    longest first: each argument, its part after a short option's letter,
-    and each of its pieces between whitespace, `:` and `=`.  While the
-    line still reaches MAX_LINE, the other values, longest first, are
-    named by their length too, each where that name is the shorter.
+    value whole, so while the line reaches MAX_LINE bytes the value left
+    whose repr, quotes aside, takes the most UTF-8 bytes is named by its
+    length (`of 5000 characters`) wherever that name is the shorter.
+    The values are each argument, its part after a short option's
+    letter, and each of its pieces between whitespace, `:` and `=`.
     """
     name = type(exc).__name__
     message = os_error_text(exc) if isinstance(exc, OSError) else str(exc)
-
-    def too_long() -> bool:
-        return len(f"error: {name}: {message}\n".encode()) >= MAX_LINE
-
-    if too_long():
-        short = (arg[2:] for arg in argv if arg[:1] == "-" and arg[1:2] != "-")
-        pieces = (piece for arg in argv for piece in re.split(r"[\s:=]", arg))
-        values = sorted({*argv, *short, *pieces}, key=lambda value: (-len(value), value))
-        for value in values:
-            if (shown := quoted(value)) != repr(value):
-                message = message.replace(repr(value), shown).replace(value, shown)
-        for value in values:
-            if not too_long():
-                break
-            if len(shown := f"of {len(value)} characters") < len(value):
-                message = message.replace(repr(value), shown).replace(value, shown)
+    short = (arg[2:] for arg in argv if arg[:1] == "-" and arg[1:2] != "-")
+    pieces = (piece for arg in argv for piece in re.split(r"[\s:=]", arg))
+    for value in sorted({*argv, *short, *pieces}, key=lambda v: (-len(repr(v).encode()), v)):
+        if len(f"error: {name}: {message}\n".encode()) < MAX_LINE:
+            break
+        if len(shown := f"of {len(value)} characters") + 2 < len(repr(value).encode()):
+            message = message.replace(repr(value), shown).replace(value, shown)
     message = message.replace("\n", " ")
     return f"error: {name}: {message}\n"
 

@@ -36,6 +36,7 @@ from ._files import (
     whole_text,
 )
 from .events import (
+    CAP_PREFIX,
     KIND_CAPABILITY,
     KIND_SYSCALL,
     MEMO_NAMES,
@@ -157,7 +158,7 @@ class CveDatabase:
 
 
 def _parse_event_name(name: str) -> tuple[str, str]:
-    if name.upper().startswith("CAP_"):
+    if name.upper().startswith(CAP_PREFIX):
         return KIND_CAPABILITY, canonical_capability(name)
     return KIND_SYSCALL, canonical_syscall(name)
 
@@ -212,7 +213,7 @@ def default_cvedb() -> CveDatabase:
 
 def _check_name(label: str, name: str) -> None:
     """A container name or environment id: non-empty, no whitespace."""
-    if not name or any(ch.isspace() for ch in name):
+    if name.split() != [name]:  # empty, or whitespace inside
         raise StoreError(f"bad {label} {quoted(name)}")
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .events import CANONICAL_CAPABILITIES, EventSet, listed, quoted
+from .events import CANONICAL_CAPABILITIES, CAP_PREFIX, EventSet, listed, quoted
 
 __all__ = [
     "EmitError",
@@ -76,5 +76,5 @@ def emit_capability_flags(allowed: EventSet) -> list[str]:
         raise EmitError(f"not Linux capabilities: {listed(unknown, 'name')}")
     flags = ["--cap-drop=ALL"]
     for name in sorted(allowed.capabilities):
-        flags.append(f"--cap-add={name[len('CAP_'):]}")
+        flags.append(f"--cap-add={name[len(CAP_PREFIX):]}")
     return flags

@@ -2,12 +2,13 @@
 
 Two kinds of security-relevant events exist: system calls and capability
 exercises.  Syscall names are lower-case; capability names are upper-case
-and carry the CAP_ prefix.  Every module canonicalizes names through the
-helpers here so that set algebra downstream never has to worry about case
-or prefix variants.  A reader of a trace or a store canonicalises each
-distinct text once per read: it looks the text up in a memo of the read
-first and canonicalises only a text the memo lacks, keeping the result
-while the memo holds fewer than MEMO_NAMES texts.
+and carry the CAP_ prefix.  A name from outside is canonicalized once, by
+the helpers here or EventSet.of and from_doc, so that set algebra
+downstream never has to worry about case or prefix variants.  A reader
+of a trace or a store canonicalises each distinct text once per read: it
+looks the text up in a memo of the read first and canonicalises only a
+text the memo lacks, keeping the result while the memo holds fewer than
+MEMO_NAMES texts.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ KIND_CAPABILITY = "CAP"
 
 CAP_PREFIX = "CAP_"
 
-# The 38 capabilities of the kernel generation this tool targets, in
-# numbering order (CAP_CHOWN = 0 .. CAP_AUDIT_READ = 37).
+# The 41 capabilities of the kernel generation this tool targets, in
+# numbering order (CAP_CHOWN = 0 .. CAP_CHECKPOINT_RESTORE = 40).
 CANONICAL_CAPABILITIES: frozenset[str] = frozenset(
     {
         "CAP_CHOWN",
@@ -74,6 +75,9 @@ CANONICAL_CAPABILITIES: frozenset[str] = frozenset(
         "CAP_WAKE_ALARM",
         "CAP_BLOCK_SUSPEND",
         "CAP_AUDIT_READ",
+        "CAP_PERFMON",
+        "CAP_BPF",
+        "CAP_CHECKPOINT_RESTORE",
     }
 )
 
@@ -208,7 +212,8 @@ class EventSet:
 
     @classmethod
     def from_events(cls, events: Iterable[tuple[str, str]]) -> "EventSet":
-        """Build from (kind, name) pairs as produced by events()."""
+        """Build from (kind, name) pairs, names taken as given: canonical
+        ones, as events() yields.  of() and from_doc() canonicalize."""
         syscalls = []
         capabilities = []
         for kind, name in events:
@@ -218,7 +223,7 @@ class EventSet:
                 capabilities.append(name)
             else:
                 raise EventNameError(f"unknown event kind {kind!r}")
-        return cls.of(syscalls, capabilities)
+        return cls(frozenset(syscalls), frozenset(capabilities))
 
     @classmethod
     def from_doc(cls, doc) -> "EventSet":

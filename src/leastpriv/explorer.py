@@ -224,14 +224,16 @@ def command_probe(command: list[str]) -> EventProbe:
             )
             for arg in command
         ]
-        proc = subprocess.run(argv, capture_output=True, text=True)
+        proc = subprocess.run(argv, capture_output=True)
         if proc.returncode != 0:
             raise ProbeError(
                 f"probe command {quoted(argv[0])} exited {proc.returncode}: "
-                f"{quoted(proc.stderr.strip())}"
+                f"{quoted(proc.stderr.decode('utf-8', 'replace').strip())}"
             )
+        # UTF-8 whatever the locale, as a trace file is read
+        lines = io.StringIO(proc.stdout.decode("utf-8"), newline=None)
         combined = EventSet.empty()
-        for state in _replay_lines(io.StringIO(proc.stdout), quoted(argv[0])).values():
+        for state in _replay_lines(lines, quoted(argv[0])).values():
             combined = combined | EventSet(state.syscalls, state.capabilities)
         return combined
 

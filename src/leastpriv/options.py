@@ -8,12 +8,12 @@ with ``#`` comment lines.  The syntax-expression notation:
     (1000, 1000000)            integer range, inclusive low, exclusive high
     <Continuous_range>:(0, U16)  same, U16 denoting 2**16 as the high bound (U1..U64)
     "tcp"                      literal text
-    a | b | c                  alternation (all-literal alternation is an enum)
+    a | b | c                  alternation (literals are tried longest first)
     [ x ]                      optional part
     x y z                      concatenation
     <List>:( x )               comma-separated list of x, at most four elements
-    <Signals>                  enum over the standard signal names
-    <HVPath>, <CVPath>         enum over configured host / container path pools
+    <Signals>                  alternation of the standard signal names
+    <HVPath>, <CVPath>         alternation of configured host / container path pools
 
 The parser checks every syntax rule as it builds each node, and an error
 names an over-long value by its length; the nodes are plain frozen data.
@@ -39,7 +39,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterator, Optional
 
-from ._files import MAX_DIGITS, reading, too_long
+from ._files import MAX_DEPTH, MAX_DIGITS, reading, too_long
 from .events import MAX_QUOTED_TEXT, quoted
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "ValueRangeError",
     "BoolFlag",
     "IntRange",
-    "Enum",
     "ListOf",
     "Literal",
     "Compound",
@@ -105,17 +104,13 @@ SIGNAL_NAMES: tuple[str, ...] = (
 
 # The mount paths <HVPath> and <CVPath> accept.  Values are never checked
 # against the real filesystem; the pools just have to be stable and
-# prefix-free within themselves, so an enum parse is never ambiguous.
+# prefix-free within themselves, so an alternation of them is never ambiguous.
 HOST_PATH_POOL: tuple[str, ...] = ("/srv/export", "/tmp/scratch", "/var/lib/shared")
 CONTAINER_PATH_POOL: tuple[str, ...] = ("/data", "/mnt/ingest", "/var/cache/app")
 
 LIST_MAX = 4
 
 CATEGORIES = frozenset({"bool", "int", "string", "bytes", "list"})
-
-# Brackets in a syntax expression nest at most this deep, the bound
-# _files.MAX_DEPTH puts on YAML documents; the parser recurses per level.
-MAX_NESTING = 32
 
 
 class ValueSyntax:
@@ -170,18 +165,6 @@ class IntRange(ValueSyntax):
             value = int(m.group())
             if self.lo <= value < self.hi:
                 yield str(value), value, True, m.end()
-
-
-@dataclass(frozen=True)
-class Enum(ValueSyntax):
-    choices: tuple[str, ...]
-
-    def match(self, text: str, pos: int):
-        # Longest choices first so one choice cannot shadow an extension
-        # of another ("SIGTT..." family, for instance).
-        for choice in sorted(self.choices, key=len, reverse=True):
-            if text.startswith(choice, pos):
-                yield choice, None, True, pos + len(choice)
 
 
 @dataclass(frozen=True)
@@ -266,7 +249,8 @@ class ListOf(ValueSyntax):
 
 @dataclass(frozen=True)
 class OneOf(ValueSyntax):
-    """Alternation whose branches are not all literals; always binds a leaf."""
+    """Alternation; always binds a leaf.  The parser puts the branches of
+    an all-literal one longest first (_literals)."""
 
     branches: tuple[ValueSyntax, ...]
 
@@ -345,9 +329,10 @@ class _Parser:
 
     def group(self, close: str) -> ValueSyntax:
         """The alternation inside brackets whose opener was just taken."""
+        # as deep as YAML collections nest: the parser recurses per level
         self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise CatalogError(f"brackets nest deeper than {MAX_NESTING} levels")
+        if self.depth > MAX_DEPTH:
+            raise CatalogError(f"brackets nest deeper than {MAX_DEPTH} levels")
         inner = self.alternation()
         self.take(close)
         self.depth -= 1
@@ -361,10 +346,7 @@ class _Parser:
         if len(branches) == 1:
             return branches[0]
         if all(isinstance(b, Literal) for b in branches):
-            choices = tuple(b.text for b in branches)
-            if len(set(choices)) != len(choices):
-                raise CatalogError(f"enum choices not unique: {quoted(choices)}")
-            return Enum(choices)
+            return _literals(tuple(b.text for b in branches))
         if any(isinstance(b, ListOf) for b in branches):
             raise CatalogError("lists cannot nest inside alternations")
         return OneOf(tuple(branches))
@@ -413,11 +395,11 @@ class _Parser:
         if name == "Bool":
             return BoolFlag()
         if name == "Signals":
-            return Enum(SIGNAL_NAMES)
+            return _literals(SIGNAL_NAMES)
         if name == "HVPath":
-            return Enum(HOST_PATH_POOL)
+            return _literals(HOST_PATH_POOL)
         if name == "CVPath":
-            return Enum(CONTAINER_PATH_POOL)
+            return _literals(CONTAINER_PATH_POOL)
         if name == "List":
             self.take(":")
             self.take("(")
@@ -454,6 +436,14 @@ class _Parser:
         if lo >= hi:
             raise CatalogError(f"empty range ({quoted(lo)}, {quoted(hi)})")
         return IntRange(lo, hi)
+
+
+def _literals(choices: tuple[str, ...]) -> OneOf:
+    """The alternation of literal choices, longest first so one choice
+    cannot shadow an extension of another ("SIGTT..." family, for instance)."""
+    if len(set(choices)) != len(choices):
+        raise CatalogError(f"enum choices not unique: {quoted(choices)}")
+    return OneOf(tuple(Literal(choice) for choice in sorted(choices, key=len, reverse=True)))
 
 
 def _integer(text: str) -> int:

@@ -315,7 +315,7 @@ def load_fixture(name: str) -> SyntheticContainerModel:
         f"data/fixtures/{name}.yaml"
     )
     with importlib.resources.as_file(resource) as path:
-        return model_from_doc(load_yaml(path, ModelError))
+        return load_model(path)
 
 
 # -- generated corpora ------------------------------------------------------

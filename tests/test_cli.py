@@ -173,6 +173,20 @@ class TestPipeline:
         assert lines[0] == "--cap-drop=ALL"
         assert all(line.startswith("--cap-add=") for line in lines[1:])
 
+    def test_emit_caps_adds_the_newest_capabilities(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("t.trace").write_text("beacon-trace v1\n1 5 SYS unshare\n2 5 SYS capset\n"
+                                   "3 5 SYS prctl\n4 5 CAP bpf\n5 5 CAP perfmon\n"
+                                   "6 5 CAP checkpoint_restore\n")
+        assert main(["ingest", "t.trace", "--env-id", "e", "--store", "s.obs"]) == 0
+        assert main(["synthesize", "s.obs", CVEDB, "--security-min", "0",
+                     "--functionality-min", "1", "--out", "p.yaml"]) == 0
+        assert main(["emit", "p.yaml", "--caps", "c.txt"]) == 0
+        assert Path("c.txt").read_text().splitlines() == [
+            "--cap-drop=ALL", "--cap-add=BPF", "--cap-add=CHECKPOINT_RESTORE",
+            "--cap-add=PERFMON",
+        ]
+
     def test_emit_requires_an_output(self, redis_store_path, tmp_path):
         policy_path = tmp_path / "policy.yaml"
         main([
@@ -547,6 +561,31 @@ class TestExplore:
         }))
         assert main(["explore", str(model), option, "--config", "it_max=5"]) == 0
         assert "SYS\trange_hit" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("command", ["explore", "ingest"])
+    def test_a_probe_or_trace_is_utf_8_in_any_locale(self, tmp_path, command):
+        # the C locale without coercion or UTF-8 mode reads text as ASCII;
+        # PYTHONIOENCODING only sets the CLI's own stdout, which prints names
+        trace = "beacon-trace v1\n1 1 SYS unshare\n2 1 SYS prctl\n3 1 SYS réad\n"
+        (tmp_path / "t.trace").write_bytes(trace.encode())
+        (tmp_path / "probe.py").write_text(
+            "import sys\nsys.stdout.buffer.write(open('t.trace', 'rb').read())\n")
+        argv = {
+            "explore": ["explore", f"cmd:{sys.executable} probe.py", "cpu-shares",
+                        "--config", "it_max=2"],
+            "ingest": ["ingest", "t.trace", "--env-id", "e", "--store", "s.obs"],
+        }[command]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+               "PYTHONIOENCODING": "utf-8",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "leastpriv.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        if command == "explore":
+            assert proc.stdout.decode().endswith("SYS\tréad\n")
+        else:
+            assert load_store(tmp_path / "s.obs").counts_for("e")[0] == {"réad": 1}
 
     def test_unknown_option_rejected(self, capsys):
         assert main(["explore", "redis", "no-such-option"]) == 1
@@ -1300,6 +1339,27 @@ class TestErrorReporting:
         assert capsys.readouterr().err == (
             "error: UnknownOptionError: unknown option of 5000 characters\n"
         )
+
+    def test_an_error_line_names_the_longest_values_until_it_is_short(self):
+        first, second = "a" * 150, "b" * 45
+        exc = cli.CliError(f"bad {first!r} and {second!r}")
+        assert len(f"error: CliError: {exc}\n") >= cli.MAX_LINE
+        # naming the longer value is enough: the shorter one stays whole
+        assert cli._error_line(exc, ["x", first, second]) == (
+            f"error: CliError: bad of 150 characters and {second!r}\n")
+        first, second = "a" * 200, "b" * 190
+        exc = cli.CliError(f"bad {first!r} and {second!r}")
+        assert cli._error_line(exc, ["x", first, second]) == (
+            "error: CliError: bad of 200 characters and of 190 characters\n")
+
+    def test_an_error_line_counts_a_value_in_bytes(self, capsys):
+        # 9 characters, 36 bytes: quoted() shows it whole, but the line
+        # argparse makes of it reaches 200 bytes
+        assert main(["\U0001f600" * 9]) == 1
+        assert capsys.readouterr().err == (
+            "error: CliError: argument command: invalid choice: of 9 characters (choose from "
+            "'ingest', 'plan', 'explore', 'validate-inference', 'score', 'synthesize', 'sweep', "
+            "'emit', 'check')\n")
 
     def test_bad_targets_string(self, redis_store_path, capsys):
         code = main(["sweep", str(redis_store_path), CVEDB, "--targets", "nonsense"])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import leastpriv
-from leastpriv import _files
+from leastpriv import _files, decision
 from leastpriv.decision import (
     CVEDB_HEADER,
     CveDatabase,
@@ -611,6 +611,33 @@ class TestStoreFiles:
         path.write_text(f"{OBSERVATIONS_HEADER}\nCONTAINER app\nENV e1\nSYS read -3\n")
         with pytest.raises(StoreFormatError, match=f"^{path}:4: negative count -3$"):
             load_store(path)
+
+    # Every BMP character str.isspace() holds for, \x1c-\x1f, \x85, \xa0,
+    # \u2028 and \u3000 among them, plus letters.
+    BMP_SPACES = [chr(code) for code in range(0x10000) if chr(code).isspace()]
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(name=st.text(st.sampled_from(BMP_SPACES + list("aZé_"))))
+    @example(name="")
+    def test_a_name_is_checked_by_the_one_whitespace_rule(self, name):
+        assert {"\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"} <= set(self.BMP_SPACES)
+        # the rule _check_name stated before it took canonical_syscall's form
+        accepted = bool(name) and not any(ch.isspace() for ch in name)
+        try:
+            decision._check_name("environment id", name)
+        except StoreError:
+            assert not accepted
+        else:
+            assert accepted
+
+    def test_a_store_of_raw_names_synthesizes_with_them(self):
+        # from_events takes names as given, so the ranking keys the names
+        # the store holds
+        store = ObservationStore("app")
+        store.record("a", EventSet(frozenset({"READ", "Open"})))
+        store.record("b", EventSet(frozenset({"READ"})))
+        policy = synthesize_policy(store, db_of(), ScoreTargets(0.0, 1.0))
+        assert policy.allowed == EventSet(frozenset({"READ", "Open"}))
 
     def test_container_mismatch_on_merge_is_an_error(self):
         store = ObservationStore("redis")

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -12,7 +13,13 @@ import pytest
 
 import leastpriv
 from leastpriv.cli import main
-from leastpriv.events import EventNameError, EventSet, canonical_capability, canonical_syscall
+from leastpriv.events import (
+    CANONICAL_CAPABILITIES,
+    EventNameError,
+    EventSet,
+    canonical_capability,
+    canonical_syscall,
+)
 
 SPACES = [chr(code) for code in range(sys.maxunicode + 1) if chr(code).isspace()]
 SRC = str(Path(leastpriv.__file__).resolve().parents[1])
@@ -39,6 +46,17 @@ def test_an_unknown_event_kind_is_refused():
     with pytest.raises(EventNameError) as raised:
         EventSet.from_events([("NET", "x")])
     assert str(raised.value) == "unknown event kind 'NET'"
+
+
+CAPABILITY_HEADER = Path("/usr/include/linux/capability.h")
+
+
+@pytest.mark.skipif(not CAPABILITY_HEADER.exists(), reason="no linux/capability.h")
+def test_the_capabilities_are_the_kernel_headers():
+    defines = re.findall(r"^#define\s+(CAP_\w+)\s+(\d+)\s*$", CAPABILITY_HEADER.read_text(),
+                         re.MULTILINE)
+    assert CANONICAL_CAPABILITIES == {name for name, _ in defines}
+    assert sorted(int(number) for _, number in defines) == list(range(len(defines)))
 
 
 def test_set_operators_work_per_kind():

@@ -10,7 +10,6 @@ from leastpriv.options import (
     Compound,
     CompoundPart,
     DuplicateOptionError,
-    Enum,
     IntRange,
     ListOf,
     Literal,
@@ -99,14 +98,15 @@ class TestSyntaxParsing:
 
     def test_enum_alternation_of_literals(self):
         node = parse_syntax('"bridge" | "host" | "none"')
-        assert isinstance(node, Enum)
-        assert node.choices == ("bridge", "host", "none")
+        assert node == OneOf((Literal("bridge"), Literal("host"), Literal("none")))
+        # longest first, so one literal cannot shadow its own extension
+        assert parse_syntax('"a" | "ab"') == OneOf((Literal("ab"), Literal("a")))
 
     def test_byte_size_is_a_compound_with_its_integer_window(self):
         node = parse_syntax('<U32> [("b" | "k" | "m" | "g")]')
         assert node == Compound((
             CompoundPart(IntRange(0, 1 << 32, signed=False), False),
-            CompoundPart(Enum(("b", "k", "m", "g")), True),
+            CompoundPart(OneOf(tuple(map(Literal, "bkmg"))), True),
         ))
         assert integer_bounds(node) == (0, (1 << 32) - 1)
 
@@ -410,8 +410,6 @@ def spellings(node):
             st.integers(node.lo, node.hi - 1), st.integers(0, 2),
             st.booleans() if node.lo < 0 else st.just(False),
         )
-    if isinstance(node, Enum):
-        return st.sampled_from(node.choices)
     if isinstance(node, Literal):
         return st.just(node.text)
     if isinstance(node, Compound):
