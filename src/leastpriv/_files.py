@@ -19,6 +19,8 @@ bytes, through libyaml's emitter where PyYAML has it, every string in
 the document is printable ASCII and every key is short; every output
 file is written through `replacing`, so a failed write leaves the old
 file as it was.
+`packaged` finds the shipped data files (the CVE database, the option
+catalog, the model fixtures) and hands each one's path to its reader.
 `discard_stdout` sends stdout to devnull once its reader has gone.
 
 `load_yaml` parses a file once: it pulls each event straight from one
@@ -383,6 +385,15 @@ def replacing(path):
     except BaseException:
         os.unlink(temporary)
         raise
+
+
+def packaged(name: str, load: Callable[..., T]) -> T:
+    """`load(path)` for the package data file `data/<name>`."""
+    import importlib.resources  # only a call that reads package data pays for it
+
+    resource = importlib.resources.files("leastpriv").joinpath(f"data/{name}")
+    with importlib.resources.as_file(resource) as path:
+        return load(path)
 
 
 def discard_stdout() -> None:

@@ -25,7 +25,6 @@ from typing import Optional
 # stage module it finds loaded.
 from ._files import MAX_DIGITS, discard_stdout, replacing
 from .decision import (
-    ContainerMismatchError,
     DecisionError,
     Infeasible,
     Policy,
@@ -43,7 +42,7 @@ from .decision import (
     synthesize_policy,
 )
 from .emitter import emit_capability_flags, emit_seccomp_profile
-from .events import EventSet, listed, os_error_text, quoted
+from .events import listed, os_error_text, quoted
 from .monitor import event_set_for, replay_file
 
 __all__ = ["main"]
@@ -110,10 +109,6 @@ def _parse_targets(text: str) -> list[ScoreTargets]:
     return targets
 
 
-def _event_rows(events: EventSet) -> list[str]:
-    return [f"{kind}\t{name}" for kind, name in events.events()]
-
-
 # -- subcommand bodies -------------------------------------------------------
 
 
@@ -122,10 +117,7 @@ def _cmd_ingest(args) -> int:
     states = replay_file(args.trace)
     observation = event_set_for(args.env_id, states, args.namespace)
     namespace = args.namespace if args.namespace is not None else next(iter(states))
-    try:
-        environments = append_observation(args.store, observation, args.container)
-    except ContainerMismatchError as exc:
-        raise CliError(str(exc)) from None
+    environments = append_observation(args.store, observation, args.container)
     print(
         f"recorded {args.env_id} (namespace {namespace}): "
         f"{len(observation.syscall_counts)} syscalls, "
@@ -191,8 +183,8 @@ def _cmd_explore(args) -> int:
         )
         for warning in result.warnings:
             print(f"warning: {warning}")
-    for row in _event_rows(result.events):
-        print(row)
+    for kind, name in result.events.events():
+        print(f"{kind}\t{name}")
     if human and args.log:
         print(f"log -> {args.log}")
     return 0
@@ -482,7 +474,11 @@ def _error_line(exc: Exception, argv: list[str]) -> str:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    if argv is None:  # the process's own entry: print UTF-8 whatever the locale
+        argv = sys.argv[1:]
+        for stream, errors in ((sys.stdout, "surrogateescape"), (sys.stderr, "backslashreplace")):
+            if hasattr(stream, "reconfigure"):
+                stream.reconfigure(encoding="utf-8", errors=errors)
     try:
         args, extras = _build_parser(argv).parse_known_args(argv)
         if extras:

@@ -23,7 +23,6 @@ across call sites; the reported achieved scores are the exact formulas.
 
 from __future__ import annotations
 
-import math
 import os
 import re
 from collections import Counter
@@ -32,8 +31,8 @@ from itertools import chain
 from typing import Iterable, Optional, Union
 
 from ._files import (
-    MAX_DIGITS, decode_lines, dump_yaml, load_yaml, read_header, reading, replacing, too_long,
-    whole_text,
+    MAX_DIGITS, decode_lines, dump_yaml, load_yaml, packaged, read_header, reading, replacing,
+    too_long, whole_text,
 )
 from .events import (
     CAP_PREFIX,
@@ -139,12 +138,11 @@ class CveDatabase:
     def __init__(self, entries: Iterable[CveEntry]):
         self.entries = tuple(entries)
         seen: set[str] = set()
+        self._worst: dict[tuple[str, str], float] = {}
         for entry in self.entries:
             if entry.cve_id in seen:
                 raise DecisionError(f"duplicate database entry {quoted(entry.cve_id)}")
             seen.add(entry.cve_id)
-        self._worst: dict[tuple[str, str], float] = {}
-        for entry in self.entries:
             for event in entry.events.events():
                 if entry.cvss > self._worst.get(event, -1.0):
                     self._worst[event] = entry.cvss
@@ -179,8 +177,6 @@ def _decode_cve(line: str) -> Optional[CveEntry]:
         cvss = float(cvss_text)
     except ValueError:
         raise DbFormatError(f"bad CVSS value {quoted(cvss_text)}") from None
-    if not math.isfinite(cvss):
-        raise DbFormatError(f"bad CVSS value {quoted(cvss_text)}")
     names = [piece.strip() for piece in events_text.split(",") if piece.strip()]
     return CveEntry(cve_id, cvss, parse_event_list(names))
 
@@ -201,11 +197,7 @@ def load_cvedb(path) -> CveDatabase:
 
 def default_cvedb() -> CveDatabase:
     """The shipped attack-vector database."""
-    import importlib.resources
-
-    resource = importlib.resources.files("leastpriv").joinpath("data/cves.cvedb")
-    with importlib.resources.as_file(resource) as path:
-        return load_cvedb(path)
+    return packaged("cves.cvedb", load_cvedb)
 
 
 # -- observation store -------------------------------------------------------

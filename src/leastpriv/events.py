@@ -270,9 +270,6 @@ class EventSet:
     def __len__(self) -> int:
         return len(self.syscalls) + len(self.capabilities)
 
-    def __bool__(self) -> bool:
-        return bool(self.syscalls) or bool(self.capabilities)
-
     def events(self) -> Iterator[tuple[str, str]]:
         """Yield (kind, name) pairs in a stable sorted order."""
         for name in sorted(self.syscalls):

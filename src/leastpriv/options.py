@@ -36,10 +36,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import resources
 from typing import Iterator, Optional
 
-from ._files import MAX_DEPTH, MAX_DIGITS, reading, too_long
+from ._files import MAX_DEPTH, MAX_DIGITS, packaged, reading, too_long
 from .events import MAX_QUOTED_TEXT, quoted
 
 __all__ = [
@@ -547,9 +546,7 @@ def load_catalog(path) -> OptionCatalog:
 
 @lru_cache(maxsize=1)
 def default_catalog() -> OptionCatalog:
-    resource = resources.files("leastpriv").joinpath("data/options.catalog")
-    with resources.as_file(resource) as path:
-        return load_catalog(path)
+    return packaged("options.catalog", load_catalog)
 
 
 # --- value operations ------------------------------------------------------

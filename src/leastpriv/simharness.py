@@ -21,13 +21,12 @@ through the monitor to exactly the evaluated set.
 
 from __future__ import annotations
 
-import importlib.resources
 import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union, get_type_hints
 
-from ._files import load_yaml
+from ._files import load_yaml, packaged
 from .environment import (
     _WORKLOAD_FIELDS,
     WORKLOAD_PRESETS,
@@ -311,11 +310,7 @@ def load_fixture(name: str) -> SyntheticContainerModel:
     """Load one of the shipped models (redis, nginx) from package data."""
     if name not in FIXTURE_NAMES:
         raise ModelError(f"unknown fixture {quoted(name)}, have {', '.join(FIXTURE_NAMES)}")
-    resource = importlib.resources.files("leastpriv").joinpath(
-        f"data/fixtures/{name}.yaml"
-    )
-    with importlib.resources.as_file(resource) as path:
-        return load_model(path)
+    return packaged(f"fixtures/{name}.yaml", load_model)
 
 
 # -- generated corpora ------------------------------------------------------

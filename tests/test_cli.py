@@ -562,25 +562,32 @@ class TestExplore:
         assert main(["explore", str(model), option, "--config", "it_max=5"]) == 0
         assert "SYS\trange_hit" in capsys.readouterr().out.splitlines()
 
-    @pytest.mark.parametrize("command", ["explore", "ingest"])
+    @pytest.mark.parametrize("command", ["explore", "ingest", "missing"])
     def test_a_probe_or_trace_is_utf_8_in_any_locale(self, tmp_path, command):
-        # the C locale without coercion or UTF-8 mode reads text as ASCII;
-        # PYTHONIOENCODING only sets the CLI's own stdout, which prints names
+        # the C locale without coercion or UTF-8 mode reads and writes text as ASCII
         trace = "beacon-trace v1\n1 1 SYS unshare\n2 1 SYS prctl\n3 1 SYS réad\n"
         (tmp_path / "t.trace").write_bytes(trace.encode())
         (tmp_path / "probe.py").write_text(
             "import sys\nsys.stdout.buffer.write(open('t.trace', 'rb').read())\n")
+        # in UTF-8 mode, this probe fails naming a missing trace in UTF-8
+        (tmp_path / "missing.py").write_text(
+            "import sys\ntry:\n    open('lög.trace')\n"
+            "except OSError as exc:\n    sys.exit(f'no trace {exc.filename}')\n", encoding="utf-8")
         argv = {
             "explore": ["explore", f"cmd:{sys.executable} probe.py", "cpu-shares",
                         "--config", "it_max=2"],
             "ingest": ["ingest", "t.trace", "--env-id", "e", "--store", "s.obs"],
+            "missing": ["explore", f"cmd:{sys.executable} -X utf8 missing.py", "cpu-shares"],
         }[command]
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
-               "PYTHONIOENCODING": "utf-8",
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-m", "leastpriv.cli", *argv], cwd=tmp_path,
                               env=env, capture_output=True, timeout=60)
+        if command == "missing":
+            assert (proc.returncode, proc.stdout) == (1, b"")
+            assert proc.stderr.decode().endswith(" exited 1: 'no trace lög.trace'\n")
+            return
         assert (proc.returncode, proc.stderr) == (0, b"")
         if command == "explore":
             assert proc.stdout.decode().endswith("SYS\tréad\n")
@@ -633,7 +640,7 @@ class TestErrorReporting:
         code = main(["ingest", str(trace), "--env-id", "b", "--store", str(store),
                      "--container", "nginx"])
         assert code == 1
-        assert "error: CliError:" in capsys.readouterr().err
+        assert "error: ContainerMismatchError:" in capsys.readouterr().err
 
     def test_empty_container_name_is_rejected(self, tmp_path, capsys):
         trace = tmp_path / "t.trace"
@@ -1185,9 +1192,9 @@ class TestErrorReporting:
         (["ingest", "web.trace", "--env-id", SPACED, "--store", "web.obs"],
          "StoreError: bad environment id of 5003 characters"),
         (["ingest", "web.trace", "--env-id", "e", "--store", "web.obs", "--container", SPACED],
-         "CliError: store web.obs is for container 'web', not of 5003 characters"),
+         "ContainerMismatchError: store web.obs is for container 'web', not of 5003 characters"),
         (["ingest", "web.trace", "--env-id", "e", "--store", "web.obs", "--container", WIDE],
-         "CliError: store web.obs is for container 'web', not of 40 characters"),
+         "ContainerMismatchError: store web.obs is for container 'web', not of 40 characters"),
         (["ingest", "web.trace", "--env-id", "e", "--store", "new.obs", "--container", SPACED],
          "StoreError: bad container name of 5003 characters"),
         (["explore", "redis", "cpu-shares", "--config", "v_min=" + "9" * 4300],

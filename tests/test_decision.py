@@ -543,7 +543,10 @@ class TestCveDbFiles:
         ("\t7.5\tread", "<memory>:2: entry needs a CVE id"),
         ("CVE-X\t1.0\t", "<memory>:2: 'CVE-X': attack vector must name at least one event"),
         ("CVE-X\t1.0\t , ,", "<memory>:2: 'CVE-X': attack vector must name at least one event"),
-    ], ids=["no-id", "empty-vector", "blank-names"])
+        ("CVE-X\tnan\tread", "<memory>:2: 'CVE-X': CVSS nan outside [0,10]"),
+        ("CVE-X\tinf\tread", "<memory>:2: 'CVE-X': CVSS inf outside [0,10]"),
+        ("CVE-X\t1e999\tread", "<memory>:2: 'CVE-X': CVSS inf outside [0,10]"),
+    ], ids=["no-id", "empty-vector", "blank-names", "nan", "inf", "overflow"])
     def test_a_bad_entry_is_reported_with_its_line(self, line, shown):
         with pytest.raises(DbFormatError) as raised:
             parse_cvedb([CVEDB_HEADER, line])

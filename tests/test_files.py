@@ -1,6 +1,7 @@
 """File input and output: the YAML loader's limits, the YAML writer's
 bytes with and without libyaml, atomic output files, and the rule that
-only `leastpriv._files` reads YAML or opens, reads or writes a file."""
+only `leastpriv._files` reads YAML, finds package data or opens, reads or
+writes a file."""
 
 import ast
 import os
@@ -496,4 +497,22 @@ def test_only_the_files_module_reads_yaml_or_opens_for_writing():
                 offenders.append(f"{path.name}:{node.lineno}: imports yaml")
             if isinstance(node, ast.Call) and _opens_a_file(node):
                 offenders.append(f"{path.name}:{node.lineno}: opens a file")
+    assert offenders == []
+
+
+def test_only_the_files_module_finds_package_data():
+    """No module but `_files` imports importlib; the test above holds `open`."""
+    offenders = []
+    for path in sorted(Path(leastpriv.__file__).parent.glob("*.py")):
+        if path.name == "_files.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "importlib" for module in modules):
+                offenders.append(f"{path.name}:{node.lineno}: imports importlib")
     assert offenders == []
