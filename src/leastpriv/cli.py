@@ -42,7 +42,7 @@ from .decision import (
     synthesize_policy,
 )
 from .emitter import emit_capability_flags, emit_seccomp_profile
-from .events import listed, os_error_text, quoted
+from .events import decoded, listed, os_error_text, quoted
 from .monitor import event_set_for, replay_file
 
 __all__ = ["main"]
@@ -353,6 +353,20 @@ def _int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
+def _utf8(text: str) -> str:
+    """A value that ingest writes into a store, as the UTF-8 text of its bytes.
+
+    Under a C locale Python hands each non-ASCII byte of an argument on
+    as a surrogate escape, which no UTF-8 file can hold; bytes that are
+    not UTF-8 are refused.
+    """
+    data = text.encode("utf-8", "surrogateescape")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise argparse.ArgumentTypeError(f"not UTF-8: {quoted(data)}") from None
+
+
 _STORE = _arg("store", help="observation store file")
 _CVEDB = _arg("cvedb", help="CVE database file")
 _POLICY = _arg("policy", help="policy file")
@@ -363,10 +377,10 @@ _FORMAT = _arg("--format", choices=("human", "tsv"), default="human")
 _COMMANDS = {
     "ingest": ("replay a trace into an observation store", _cmd_ingest, (
         _arg("trace", help="beacon-trace v1 file"),
-        _arg("--env-id", required=True, help="environment id to record under"),
+        _arg("--env-id", type=_utf8, required=True, help="environment id to record under"),
         _arg("--store", required=True, help="observation store file (created or appended)"),
         _arg("--namespace", type=_int, help="namespace id (default: the only tracked one)"),
-        _arg("--container", help="container name for a new store"),
+        _arg("--container", type=_utf8, help="container name for a new store"),
     )),
     "plan": ("plan single-factor environments and inferred pairs", _cmd_plan, (
         _arg("catalog", help="option catalog file, or `default`"),
@@ -422,27 +436,36 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv: list[str]) -> _Parser:
-    """The parser for argv: only its subcommand when argv[0] names one.
+def _build_parser(argv: list[str]) -> tuple[_Parser, list[str]]:
+    """The parser for argv, and the arguments it reads.
 
-    argparse builds a help formatter for each argument it registers, so
-    registering all nine subcommands cost a third of a small ingest.
-    Any other argv (none, -h, an unknown word, a leading option) gets
-    every subcommand, so top-level help and errors list them all.  The
-    parser refers to handlers only, so building it imports nothing; a
-    handler imports the modules of its stage when it runs.
+    When argv[0] names a subcommand, that subcommand's parser alone, with
+    prog `leastpriv <command>`, reads argv[1:], as the full parser's
+    subparsers action would hand them on, and prints the same bytes.
+    Any other argv (none, -h, an unknown word, a leading option) is read
+    whole by the full parser, with every subcommand, so top-level help
+    and errors list them all.  A parser refers to handlers only, so
+    building it imports nothing; a handler imports the modules of its
+    stage when it runs.
     """
+    if argv[:1] and argv[0] in _COMMANDS:
+        return _command_parser(_Parser(prog=f"leastpriv {argv[0]}"), argv[0]), argv[1:]
     parser = _Parser(
         prog="leastpriv",
         description="Generate least-privilege container policies from event traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS:
-        help_text, handler, arguments = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        for flags, options in arguments:
-            p.add_argument(*flags, **options)
-        p.set_defaults(func=handler)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _command_parser(sub.add_parser(name, help=help_text), name)
+    return parser, argv
+
+
+def _command_parser(parser: _Parser, name: str) -> _Parser:
+    """parser with subcommand name's arguments and handler added."""
+    _, handler, arguments = _COMMANDS[name]
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(func=handler)
     return parser
 
 
@@ -459,13 +482,16 @@ def _error_line(exc: Exception, argv: list[str]) -> str:
     length (`of 5000 characters`) wherever that name is the shorter.
     The values are each argument, its part after a short option's
     letter, and each of its pieces between whitespace, `:` and `=`.
+    The message and the values are shown `decoded`, and a surrogate left
+    in them counts as the escape that stderr writes.
     """
     name = type(exc).__name__
-    message = os_error_text(exc) if isinstance(exc, OSError) else str(exc)
+    message = decoded(os_error_text(exc) if isinstance(exc, OSError) else str(exc))
+    argv = [decoded(arg) for arg in argv]
     short = (arg[2:] for arg in argv if arg[:1] == "-" and arg[1:2] != "-")
     pieces = (piece for arg in argv for piece in re.split(r"[\s:=]", arg))
     for value in sorted({*argv, *short, *pieces}, key=lambda v: (-len(repr(v).encode()), v)):
-        if len(f"error: {name}: {message}\n".encode()) < MAX_LINE:
+        if len(f"error: {name}: {message}\n".encode(errors="backslashreplace")) < MAX_LINE:
             break
         if len(shown := f"of {len(value)} characters") + 2 < len(repr(value).encode()):
             message = message.replace(repr(value), shown).replace(value, shown)
@@ -480,7 +506,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             if hasattr(stream, "reconfigure"):
                 stream.reconfigure(encoding="utf-8", errors=errors)
     try:
-        args, extras = _build_parser(argv).parse_known_args(argv)
+        parser, arguments = _build_parser(argv)
+        args, extras = parser.parse_known_args(arguments)
         if extras:
             raise CliError(listed(extras, "unrecognized argument"))
         return args.func(args)

@@ -375,15 +375,19 @@ def load_store(path) -> ObservationStore:
     """Read a store, merging its ENV blocks: any order, an id repeated adds its counts.
 
     One loop over the file's lines, in the shape of monitor's trace replay:
-    a `TAG name count` line whose name its kind's memo already holds is
-    decoded inline; any other line, blank, comment, CONTAINER or ENV, new
-    name or fault, goes to `decode`, which checks it in full and keeps a
-    new name in the memo while it holds fewer than MEMO_NAMES names.  A
+    a count line is cut at its last space, and when the head, `TAG name`,
+    is one the memo holds, only the count is decoded inline.  Any other
+    line, blank, comment, CONTAINER or ENV, new head or fault, goes to
+    `decode`, which checks it in full and, while the memo holds fewer
+    than MEMO_NAMES heads, keeps the head of a count line it passed.  A
     bad line is reported as decode_lines reports it, `path:lineno:` first.
     """
     store: Optional[ObservationStore] = None
     current: dict[str, dict[str, int]] = {}  # tag -> the store's counts for the ENV being read
-    memos: dict[str, dict[str, str]] = {"SYS": {}, "CAP": {}}  # name -> canonical, this read
+    # `TAG name` of a checked count line -> (TAG, canonical name), this read.  A
+    # head it holds ends in a name, one space before the count text, so a line
+    # with that head whose tail int() reads splits into exactly three tokens.
+    heads: dict[str, tuple[str, str]] = {}
 
     def decode(line: str) -> Optional[tuple[dict[str, int], str, int]]:
         """The full check of one line: the (counts, name, count) it adds, or None."""
@@ -412,8 +416,8 @@ def load_store(path) -> ObservationStore:
             if count < 0:
                 raise StoreFormatError(f"negative count {quoted(count)}")
             name = (canonical_syscall if tag == "SYS" else canonical_capability)(parts[1])
-            if len(memos[tag]) < MEMO_NAMES:
-                memos[tag][parts[1]] = name
+            if len(heads) < MEMO_NAMES:
+                heads[f"{tag} {parts[1]}"] = tag, name
             return current[tag], name, count
         else:
             raise StoreFormatError(f"unknown tag {quoted(tag)}")
@@ -425,8 +429,9 @@ def load_store(path) -> ObservationStore:
             try:  # the common line; any other raises to the full check below
                 if len(line) > MAX_DIGITS:
                     raise ValueError  # it may hold a too-long count
-                tag, name, text = line.split()
-                counts, name, count = current[tag], memos[tag][name], int(text)
+                head, _, text = line.rpartition(" ")
+                tag, name = heads[head]
+                counts, count = current[tag], int(text)
                 if count < 0:
                     raise ValueError
             except (ValueError, KeyError):

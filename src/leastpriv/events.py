@@ -120,16 +120,33 @@ def quoted(value: object, limit: int = MAX_QUOTED) -> str:
 MAX_QUOTED_TEXT = 120
 
 
+def decoded(text: str) -> str:
+    """text for display, its surrogate escapes read back as UTF-8 when their bytes are UTF-8.
+
+    Under a C locale Python hands each non-ASCII byte of an argument on
+    as a surrogate escape, so a path `lög.policy` arrives as
+    `l\\udcc3\\udcb6g.policy`; the path itself keeps its bytes.
+    """
+    try:
+        return text.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeError:
+        return text
+
+
 def os_error_text(exc: OSError) -> str:
-    """str(exc) with each path it names through quoted() up to MAX_QUOTED_TEXT,
+    """str(exc) with each path it names decoded and through quoted() up to MAX_QUOTED_TEXT,
     as `[Errno 2] No such file or directory: 'p'`; str(exc) repeats a path whole.
     """
     if exc.filename is None:
         return str(exc)
-    text = f"[Errno {exc.errno}] {exc.strerror}: {quoted(exc.filename, MAX_QUOTED_TEXT)}"
+    text = f"[Errno {exc.errno}] {exc.strerror}: {_path_text(exc.filename)}"
     if exc.filename2 is not None:
-        text += f" -> {quoted(exc.filename2, MAX_QUOTED_TEXT)}"
+        text += f" -> {_path_text(exc.filename2)}"
     return text
+
+
+def _path_text(path: object) -> str:
+    return quoted(decoded(path) if isinstance(path, str) else path, MAX_QUOTED_TEXT)
 
 
 # A list in an error message shows its length and at most MAX_LISTED of its

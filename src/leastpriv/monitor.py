@@ -115,13 +115,18 @@ def _decode_record(line: str) -> tuple[int, int, str, str]:
         raise TraceFormatError(f"negative timestamp {quoted(timestamp)}")
     if namespace < 0:
         raise TraceFormatError(f"negative namespace id {quoted(namespace)}")
+    return timestamp, namespace, kind, _decode_tail(f"{kind} {name}")[1]
+
+
+def _decode_tail(tail: str) -> tuple[bool, str, int]:
+    """A record's `kind name` tail, checked: (is a syscall, canonical name, marker code)."""
+    kind, name = tail.split()
     if kind == KIND_SYSCALL:
         name = canonical_syscall(name)
-    elif kind == KIND_CAPABILITY:
-        name = canonical_capability(name)
-    else:
-        raise TraceFormatError(f"unknown kind {quoted(kind)}")
-    return timestamp, namespace, kind, name
+        return True, name, _MARKERS.get(name, 0)
+    if kind == KIND_CAPABILITY:
+        return False, canonical_capability(name), 0
+    raise TraceFormatError(f"unknown kind {quoted(kind)}")
 
 
 def parse_trace(lines: Iterable[str], source: str = "<memory>") -> list[TraceRecord]:
@@ -179,11 +184,13 @@ def _replay_lines(lines: Iterable[str], source: str) -> dict[int, NamespaceState
     A line is split once, into its timestamp, its namespace and its raw
     tail (`SYS read\n`).  A tail that an earlier line of this read
     decoded is looked up in a memo of its kind, canonical name and marker
-    code, and a namespace text in a memo of its namespace's one state;
-    a namespace text the memo lacks is converted with int() there and
-    then.  Any other line, blank, new tail or fault, goes to
-    `_decode_record`, which checks it in full, so the first fault in line
-    order is the one raised.  Both memos hold at most MEMO_NAMES texts.
+    code, and a namespace text in a memo of its namespace's one state.
+    A tail the memo lacks is decoded alone by `_decode_tail`, and a
+    namespace text the memo lacks is converted with int(), there and
+    then.  Any other line, blank, too long or faulty, goes to `_decode_record`,
+    which checks it in full, so the first fault in line order is the one
+    raised, its timestamp before its kind.  Both memos hold at most
+    MEMO_NAMES texts.
     A namespace's state is made at its first record, its entry at its
     first `unshare`, and the states are returned in the order of those
     unshares.
@@ -202,7 +209,12 @@ def _replay_lines(lines: Iterable[str], source: str) -> dict[int, NamespaceState
             if len(line) > MAX_DIGITS:
                 raise ValueError  # it may hold a too-long integer
             ts_text, ns_text, tail = line.split(None, 2)
-            is_syscall, name, marker = tails[tail]
+            try:
+                is_syscall, name, marker = tails[tail]
+            except KeyError:
+                is_syscall, name, marker = _decode_tail(tail)
+                if len(tails) < MEMO_NAMES:
+                    tails[tail] = is_syscall, name, marker
             timestamp = int(ts_text)
             state = spaces.get(ns_text)
             if state is None:
@@ -211,18 +223,15 @@ def _replay_lines(lines: Iterable[str], source: str) -> dict[int, NamespaceState
                     raise ValueError
             if timestamp < 0:
                 raise ValueError
-        except (ValueError, KeyError):
+        except ValueError:
             if line.isspace():
                 continue
             try:
-                timestamp, namespace, kind, name = _decode_record(line)
+                timestamp, namespace, _, _ = _decode_record(line)
             except ValueError as exc:
                 raise TraceFormatError(f"{source}:{lineno}: {exc}") from None
-            is_syscall = kind == KIND_SYSCALL
-            marker = _MARKERS.get(name, 0) if is_syscall else 0
             ts_text, ns_text, tail = line.split(None, 2)
-            if len(tails) < MEMO_NAMES:
-                tails[tail] = is_syscall, name, marker
+            is_syscall, name, marker = _decode_tail(tail)
             state = None
         if state is None:
             state = states.get(namespace)

@@ -594,6 +594,37 @@ class TestExplore:
         else:
             assert load_store(tmp_path / "s.obs").counts_for("e")[0] == {"réad": 1}
 
+    # An argument's non-ASCII bytes reach main as surrogate escapes in the C
+    # locale: a value written into a store is its UTF-8 text, bytes that are
+    # not UTF-8 are refused, and a path keeps its bytes but is shown decoded.
+    @pytest.mark.parametrize("argv,status,out,err", [
+        (["ingest", "t.trace", "--env-id", "café", "--store", "s.obs", "--container", "app"],
+         0, "recorded café (namespace 1): 1 syscalls, 0 capabilities -> s.obs "
+            "(1 environments)\n", ""),
+        (["ingest", "t.trace", "--env-id", b"caf\xe9", "--store", "s.obs"],
+         1, "", "error: CliError: argument --env-id: not UTF-8: b'caf\\xe9'\n"),
+        (["check", "lög.policy", "c.cvedb"],
+         1, "", "error: FileNotFoundError: [Errno 2] No such file or directory: 'lög.policy'\n"),
+        (["score", "lög.obs", "c.cvedb", "--policy", "read"],
+         1, "", "error: StoreFormatError: lög.obs:2: unknown tag 'bad'\n"),
+    ], ids=["utf-8-value", "non-utf-8-value", "missing-path", "bad-file-path"])
+    def test_a_non_ascii_argument_in_the_c_locale(self, tmp_path, argv, status, out, err):
+        (tmp_path / "t.trace").write_text("beacon-trace v1\n1 1 SYS unshare\n2 1 SYS prctl\n"
+                                          "3 1 SYS read\n")
+        (tmp_path / "lög.obs").write_text("beacon-observations v1\nbad\n", encoding="utf-8")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "leastpriv.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (status, out, err)
+        if status == 0:
+            assert (tmp_path / "s.obs").read_bytes() == "\n".join((
+                "beacon-observations v1", "CONTAINER app", "ENV café", "SYS read 1", "",
+            )).encode()
+        else:
+            assert not (tmp_path / "s.obs").exists()
+
     def test_unknown_option_rejected(self, capsys):
         assert main(["explore", "redis", "no-such-option"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -1315,7 +1346,7 @@ class TestErrorReporting:
     def test_an_unknown_command_word_has_argparse_bytes(self, capsys, word, shown):
         """argparse's line, with a word that would take it to 200 bytes named by its length."""
         with pytest.raises(cli.CliError) as info:
-            cli._build_parser([]).parse_args([word, "x"])
+            cli._build_parser([])[0].parse_args([word, "x"])
         expected = f"error: CliError: {info.value}\n"
         assert main([word, "x"]) == 1
         assert capsys.readouterr().err == expected.replace(repr(word), shown or repr(word))
@@ -1495,6 +1526,11 @@ class TestParserPerSubcommand:
         [], ["-h"], ["--help"], ["bogus"], ["-x", "ingest"], ["--", "ingest"],
         ["Ingest", "t.trace"], ["ingest", "--bogus"], ["ingest", "t.trace", "--env-id"],
         ["explore", "redis", "cpu-shares", "--seed", "x"], ["check", "p.policy", "c", "--format", "x"],
+        # abbreviations, `--opt=value`, `--`, help after a value, an extra positional
+        ["ingest", "t", "--env", "e", "--sto", "s"], ["ingest", "t", "--env-id=e", "--store=s"],
+        ["ingest", "--", "t", "--env-id", "e"], ["ingest", "-h", "junk"],
+        ["score", "s", "c", "--policy", "read", "--help"],
+        ["ingest", "t", "--env-id", "e", "--store", "s", "extra"],
     ]
 
     @staticmethod
@@ -1511,7 +1547,7 @@ class TestParserPerSubcommand:
     def test_output_matches_the_full_parser(self, argv, monkeypatch):
         got = self.run(list(argv))
         build = cli._build_parser
-        monkeypatch.setattr(cli, "_build_parser", lambda _argv: build([]))
+        monkeypatch.setattr(cli, "_build_parser", lambda argv: (build([])[0], argv))
         assert got == self.run(list(argv))
 
     def test_main_reads_sys_argv_when_given_none(self, monkeypatch):
@@ -1524,8 +1560,9 @@ class TestParserPerSubcommand:
 
     def test_a_named_subcommand_gets_only_its_own_parser(self):
         for command in self.COMMANDS:
-            usage = cli._build_parser([command, "x"]).format_usage()
-            assert usage == f"usage: leastpriv [-h] {{{command}}} ...\n"
+            parser, arguments = cli._build_parser([command, "x"])
+            assert parser.format_usage().startswith(f"usage: leastpriv {command} [-h]")
+            assert arguments == ["x"]
 
     def test_top_level_help_lists_every_command(self):
         status, out, _ = self.run(["-h"])

@@ -518,6 +518,19 @@ _INLINE_EDGE_EXAMPLES = [
     f"{_H}\nCONTAINER app\nENV x1\n"
     + "".join(f"SYS n{i} 1\nCAP c{i} 1\n" for i in range(MEMO_NAMES + 2))
     + f"ENV x2\nSYS n{MEMO_NAMES + 1} 3\nSYS N{MEMO_NAMES + 1} 4\nSYS n0 5\nCAP C0 6\n",
+    # a known head, `SYS read`, before a count after a tab, after two spaces,
+    # before a trailing space or \x0b, and with two spaces after the tag
+    f"{_H}\nCONTAINER app\nENV x1\nSYS read 1\nSYS read\t2\nSYS read \t3\nSYS read  4\n"
+    "SYS read 5 \nSYS read 6\x0b\nSYS  read 7\n",
+    f"{_H}\nCONTAINER app\nENV x1\nSYS read 1\nSYS read 2\x0b3\n",
+    # two heads, one name
+    f"{_H}\nCONTAINER app\nENV x1\nCAP CAP_CHOWN 1\nCAP chown 1\nENV x2\nCAP chown 2\n"
+    "CAP CAP_CHOWN 3\n",
+    # heads past the memo's capacity, read again in a second block, then a bad count
+    f"{_H}\nCONTAINER app\nENV x1\n"
+    + "".join(f"SYS n{i} 1\n" for i in range(MEMO_NAMES + 2))
+    + "ENV x2\n" + "".join(f"SYS n{i} 2\n" for i in range(MEMO_NAMES + 2))
+    + f"SYS n{MEMO_NAMES + 1} -1\n",
 ]
 
 

@@ -458,6 +458,13 @@ _trace_lines = st.lists(
 )
 
 
+_MEMO_PAST_FULL = (
+    ["0 1 SYS unshare", "0 1 SYS prctl", "0 1 SYS capset"]
+    + [f"{round_} 1 SYS Call{i}" for round_ in (1, 2) for i in range(MEMO_NAMES + 2)]
+    + [f"3 1 CAP cap{i}" for i in range(2)]
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(body=_trace_lines)
 @example(body=["1 1 SYS unshare", "2 1 SYS prctl", "1 1 SYS read"])
@@ -480,6 +487,16 @@ _trace_lines = st.lists(
 @example(body=["1 1 SYS unshare", "2 2 SYS unshare", "3 1 SYS prctl", "3 2 SYS prctl",
                "4 3 SYS prctl", "5 1 SYS write", "6 2 SYS write", "7 3 SYS unshare",
                "8 3 CAP chown"])
+# a new tail on a line with a bad timestamp: the timestamp's fault is the one raised
+@example(body=["1 1 SYS unshare", "x 1 SYS openat"])
+@example(body=["1 1 SYS unshare", "-1 1 FOO read"])
+# a tail of three tokens, and an unknown kind in a negative namespace
+@example(body=["1 1 SYS unshare", "2 1 SYS read extra"])
+@example(body=["1 1 SYS unshare", "2 -1 FOO read"])
+# more tails than the memo holds, so the last ones are decoded alone on every
+# line, read whole and then with one of them going backwards
+@example(body=_MEMO_PAST_FULL)
+@example(body=[*_MEMO_PAST_FULL, f"2 1 SYS Call{MEMO_NAMES + 1}"])
 def test_file_replay_matches_the_record_at_a_time_reference(tmp_path_factory, body):
     path = tmp_path_factory.mktemp("trace") / "t.trace"
     path.write_text("\n".join([TRACE_HEADER, *body]) + "\n", encoding="utf-8")
