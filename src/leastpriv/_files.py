@@ -2,9 +2,8 @@
 
 Each input file is opened by `reading`, so a byte that is not UTF-8
 raises the reader's own error with the file's path first, as every other
-fault in it does.  The one exception is `whole_text`, which reads a
-store that `ingest` may copy unparsed in one read and leaves a byte that
-is not UTF-8 to the store's own reader, which reports the first fault.
+fault in it does.  `not_utf8` words that error once, for files and for
+a `cmd:` probe's output alike.
 
 The line formats read (traces, CVE databases, observation stores) share
 the lazy `decode_lines`, or only its header check `read_header` where a
@@ -105,27 +104,23 @@ def too_long(digits: str) -> str:
     return f"integer of {len(digits)} digits is too long"
 
 
+def not_utf8(exc: UnicodeDecodeError) -> str:
+    """The error for text that is not UTF-8: the byte, not the decoder's position,
+    which counts from the start of the chunk being decoded."""
+    return f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
+
+
 @contextlib.contextmanager
 def reading(path, error: type[ValueError]) -> Iterator:
     """Open path as UTF-8 text; a byte that is not UTF-8, met while reading, raises `error`.
 
-    The error names the file and the byte, not the decoder's position,
-    which counts from the start of the chunk being decoded.
+    The error is the path, then `not_utf8`'s message.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             yield handle
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from None
-
-
-def whole_text(path) -> Optional[str]:
-    """The text of the file at path with its newlines as written, or None if it is not UTF-8."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            return handle.read()
-    except UnicodeDecodeError:
-        return None
+        raise error(f"{path}: {not_utf8(exc)}") from None
 
 
 def read_header(lines: Iterator[str], header: str, source: str, error: type[ValueError]) -> None:

@@ -306,9 +306,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_emit(args) -> int:
-    allowed = load_policy(args.policy).allowed
     if not args.seccomp and not args.caps:
         raise CliError("nothing to emit: pass --seccomp and/or --caps")
+    allowed = load_policy(args.policy).allowed
     # both artifacts are built before either is written
     outputs = []
     if args.seccomp:

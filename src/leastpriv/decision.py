@@ -32,7 +32,7 @@ from typing import Iterable, Optional, Union
 
 from ._files import (
     MAX_DIGITS, decode_lines, dump_yaml, load_yaml, packaged, read_header, reading, replacing,
-    too_long, whole_text,
+    too_long,
 )
 from .events import (
     CAP_PREFIX,
@@ -295,69 +295,63 @@ def save_store(store: ObservationStore, path) -> None:
         handle.write(_store_text(store.container, _blocks(store)))
 
 
-# The form the writers here produce, which append_observation copies
-# unparsed; it reads any other store through load_store.  The form is:
-# comment or blank lines after the header, the CONTAINER line, then ENV,
-# SYS and CAP lines whose names hold no whitespace and no ASCII letter
-# outside canonical case, and whose counts have no leading zeros and at
-# most 18 digits.  \s is exactly str.isspace, what load_store splits on;
-# other characters are canonicalised when loaded.
-# Each _OFF_ pattern finds the first line outside the form.  A flat
-# lookahead keeps sre's stack constant; a repeat over the whole store
-# would grow it by every line it matched.  The body patterns start with
-# the newline before each line, not ^ under re.M: sre then jumps from
-# newline to newline instead of trying every character of the store.
+# The form ingest writes after a store's CONTAINER line, which load_store
+# reads to exactly its counts: ENV, SYS and CAP lines whose names hold no
+# whitespace (\s is exactly str.isspace, what load_store splits on) and no
+# ASCII letter outside canonical case, and whose counts have no leading
+# zeros and at most 18 digits.  _OFF_BODY finds the first line outside it.
+# A flat lookahead keeps sre's stack constant, and starting at the newline
+# before each line, not ^ under re.M, lets sre jump from newline to newline.
 _COUNT = r"(?:0|[1-9][0-9]{0,17})"
-_OFF_PREAMBLE = re.compile(r"^(?!(?:#[^\r\n]*|[ \t]*)\n|\Z)", re.M)
 _OFF_BODY = re.compile(
     rf"\n(?!ENV \S+\n|SYS [^\sA-Z]+ {_COUNT}\n|CAP CAP_[^\sa-z]+ {_COUNT}\n|\Z)"
 )
-_CONTAINER_LINE = re.compile(r"CONTAINER (\S+)\n")
-_ENV_ID = re.compile(r"\nENV (\S+)")
+_ENV_ID = re.compile(r"\nENV (\S+)")  # the id of an ENV line in that form
 
 
-def _read_written(path) -> Optional[tuple[str, str]]:
-    """(container, blocks) of a store in the written form, else None.
+def _carried(path) -> tuple[str, str, Optional[ObservationStore]]:
+    """(container, the text after its CONTAINER line, None) of the store at path, read once.
 
-    blocks is the text after its CONTAINER line, its ENV blocks, which
-    append_observation copies unparsed.  load_store reads such a store to
-    exactly the counts of its blocks.
+    The head is read by load_store's rules: the header line, lines that are
+    blank or start with `#`, then a CONTAINER line of two tokens.  Any other
+    head, text that is not UTF-8 or a block line off the form goes through
+    load_store first, so its error is ingest's, and the store it accepts
+    comes last instead of None.
     """
-    text = whole_text(path)
-    if text is None:  # not UTF-8: load_store may report an earlier line first
-        return None
-    start = len(OBSERVATIONS_HEADER) + 1
-    at = text.find("\nCONTAINER ", start - 1) + 1
-    if not text.startswith(OBSERVATIONS_HEADER + "\n") or not at:
-        return None
-    line = _CONTAINER_LINE.match(text, at)
-    if line is None or _OFF_PREAMBLE.search(text, start, at):
-        return None
-    end = line.end()
-    if not text.startswith("ENV ", end) or _OFF_BODY.search(text, end - 1):
-        return None
-    return line[1], text[end:]
+    try:
+        with reading(path, StoreFormatError) as handle:
+            text = handle.read()
+    except StoreFormatError:  # not UTF-8: load_store may report an earlier line first
+        text = ""
+    text += "" if text.endswith("\n") else "\n"  # so the new block starts a line
+    at, parts = len(OBSERVATIONS_HEADER) + 1, []
+    if text.startswith(OBSERVATIONS_HEADER + "\n"):
+        while at < len(text) and not parts:
+            line = text[at:text.index("\n", at) + 1]
+            at += len(line)
+            if not line.startswith("#"):
+                parts = line.split()
+    off = (len(parts) != 2 or parts[0] != "CONTAINER"
+           or text[at:] and not text.startswith("ENV ", at) or _OFF_BODY.search(text, at - 1))
+    loaded = load_store(path) if off else None  # raises unless only block lines are off
+    return parts[1], text[at:], loaded
 
 
 def append_observation(path, observation: Observation, container: Optional[str] = None) -> int:
     """Append one environment's block to the store at path; return its environment count.
 
     A missing store is created for `container` (default "container"); an
-    existing one must be for `container` when it is given.  Every store is
-    written the same way: the header, the CONTAINER line, the old blocks,
-    then the new ENV block, so an id seen before gets a second block,
-    which load_store merges.  A store in the form this module writes is
-    checked in one pass and its blocks are copied unparsed, comments
-    dropped.  Any other store, such as a hand-written one, is read by
-    load_store, so it fails with load_store's error, and its old blocks
-    are the ones save_store would write for it.
+    existing one must be for `container` when it is given.  A store is
+    written once, as `_carried` read it: the header, its CONTAINER line,
+    everything after that line as read, then the new ENV block, so an id
+    seen before gets a second block, which load_store merges.  Comment and
+    blank lines before CONTAINER are dropped, and newlines are written as
+    `\n`.
     """
-    found = None
-    if not os.path.exists(path):
-        store = ObservationStore("container" if container is None else container)
-    elif (found := _read_written(path)) is None:
-        store = load_store(path)
-    name, blocks = found or (store.container, _blocks(store))
+    name, blocks, loaded = "container" if container is None else container, "", None
+    if os.path.exists(path):
+        name, blocks, loaded = _carried(path)
+    _check_name("container name", name)
     if container is not None and container != name:
         raise ContainerMismatchError(
             f"store {path} is for container {quoted(name)}, not {quoted(container)}"
@@ -368,7 +362,9 @@ def append_observation(path, observation: Observation, container: Optional[str] 
     text = _store_text(name, blocks + block)
     with replacing(path) as handle:
         handle.write(text)
-    return len(set(_ENV_ID.findall(text)))
+    if loaded is None:  # every block in the written form, so every ENV line too
+        return len(set(_ENV_ID.findall(text)))
+    return len({*loaded.environments(), environment_id})
 
 
 def load_store(path) -> ObservationStore:
@@ -381,6 +377,8 @@ def load_store(path) -> ObservationStore:
     `decode`, which checks it in full and, while the memo holds fewer
     than MEMO_NAMES heads, keeps the head of a count line it passed.  A
     bad line is reported as decode_lines reports it, `path:lineno:` first.
+    These rules are the one definition of a valid store: ingest reads a
+    store's head by them and sends it here whenever it cannot tell.
     """
     store: Optional[ObservationStore] = None
     current: dict[str, dict[str, int]] = {}  # tag -> the store's counts for the ENV being read

@@ -22,10 +22,10 @@ import subprocess
 from dataclasses import dataclass, fields
 from typing import Callable, Optional, get_type_hints
 
-from ._files import MAX_DIGITS, replacing, too_long
+from ._files import MAX_DIGITS, not_utf8, replacing, too_long
 from .environment import Environment, compose_environment, compose_pair
 from .events import EventSet, os_error_text, quoted
-from .monitor import _replay_lines
+from .monitor import TraceFormatError, _replay_lines
 from .options import OptionSpec, validate_value
 from .simharness import evaluate as evaluate_model
 
@@ -230,8 +230,10 @@ def command_probe(command: list[str]) -> EventProbe:
                 f"probe command {quoted(argv[0])} exited {proc.returncode}: "
                 f"{quoted(proc.stderr.decode('utf-8', 'replace').strip())}"
             )
-        # UTF-8 whatever the locale, as a trace file is read
-        lines = io.StringIO(proc.stdout.decode("utf-8"), newline=None)
+        try:  # UTF-8 whatever the locale, as a trace file is read
+            lines = io.StringIO(proc.stdout.decode("utf-8"), newline=None)
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(f"{quoted(argv[0])}: {not_utf8(exc)}") from None
         combined = EventSet.empty()
         for state in _replay_lines(lines, quoted(argv[0])).values():
             combined = combined | EventSet(state.syscalls, state.capabilities)

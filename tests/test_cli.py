@@ -187,14 +187,20 @@ class TestPipeline:
             "--cap-add=PERFMON",
         ]
 
-    def test_emit_requires_an_output(self, redis_store_path, tmp_path):
+    def test_emit_requires_an_output(self, redis_store_path, tmp_path, capsys):
+        """Whether or not the policy exists: the flags are checked before it is read."""
         policy_path = tmp_path / "policy.yaml"
         main([
             "synthesize", str(redis_store_path), CVEDB,
             "--security-min", "0", "--functionality-min", "1",
             "--out", str(policy_path),
         ])
-        assert main(["emit", str(policy_path)]) == 1
+        capsys.readouterr()
+        for path in (policy_path, tmp_path / "missing.policy"):
+            assert main(["emit", str(path)]) == 1
+            assert capsys.readouterr().err == (
+                "error: CliError: nothing to emit: pass --seccomp and/or --caps\n"
+            )
 
     def test_sweep_rows_are_tab_separated_and_monotone(self, redis_store_path, capsys):
         code = main([
@@ -545,6 +551,20 @@ class TestExplore:
         assert capsys.readouterr().err == (
             "error: ExplorationError: iteration 0: './probe.sh': probe failed: "
             "'./probe.sh':3: expected 4 fields, got 8\n"
+        )
+
+    def test_command_probe_output_that_is_not_utf8_is_named_like_a_trace_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        script = tmp_path / "probe.sh"
+        script.write_text("#!/bin/sh\nprintf 'beacon-trace v1\\n1 1 SYS unshare\\n"
+                          "2 1 SYS prctl\\n3 1 SYS r\\377ad\\n'\n")
+        script.chmod(0o755)
+        monkeypatch.chdir(tmp_path)
+        assert main(["explore", "cmd:./probe.sh", "cpu-shares", "--config", "it_max=3"]) == 1
+        assert capsys.readouterr().err == (
+            "error: ExplorationError: iteration 0: './probe.sh': probe failed: "
+            "'./probe.sh': not UTF-8 text (byte 0xff)\n"
         )
 
     @pytest.mark.parametrize("option,hi", [("pids-limit", (1 << 22) - 1), ("memory", (1 << 32) - 1)])
@@ -904,6 +924,8 @@ class TestErrorReporting:
     POLICY = {"policy_version": 1, "container": "web", "achieved_security": 1.0,
               "achieved_functionality": 1.0}
     INGEST = ["ingest", "t.trace", "--env-id", "a", "--store", "s.obs"]
+    # an output flag, so that emit reads the policy
+    EMIT = ["emit", "p.yaml", "--caps", "c.txt"]
 
     @pytest.mark.parametrize("count,shown", [
         ("x" * 4000, "bad count of 4000 characters"),
@@ -1029,9 +1051,9 @@ class TestErrorReporting:
         ({"s.obs": GOOD_STORE, "c.cvedb": f"beacon-cvedb v1\nCVE-1\t{LONG}\tread\n"}, SYNTHESIZE,
          5000),
         ({"p.yaml": yaml.safe_dump({**POLICY, "allowed": {"syscalls": ["a " * 2500]}})},
-         ["emit", "p.yaml"], 5000),
+         EMIT, 5000),
         ({"p.yaml": yaml.safe_dump({**POLICY, "allowed": {"capabilities": ["a " * 2500]}})},
-         ["emit", "p.yaml"], 5000),
+         EMIT, 5000),
         ({"s.obs": GOOD_STORE, "c.cvedb": f"beacon-cvedb v1\n{LONG}\t11\tread\n"}, SYNTHESIZE,
          5000),
         ({"s.obs": GOOD_STORE, "c.cvedb": "beacon-cvedb v1\n" + f"{LONG}\t5\tread\n" * 2},
@@ -1060,17 +1082,17 @@ class TestErrorReporting:
     NAMES = [f"n{i}" for i in range(1999)] + [1]
 
     @pytest.mark.parametrize("doc,argv,shown", [
-        ({**POLICY, "allowed": LONG}, ["emit", "p.yaml"], "bad event block of 5000 characters"),
-        ({**POLICY, "allowed": {"syscalls": LONG}}, ["emit", "p.yaml"],
+        ({**POLICY, "allowed": LONG}, EMIT, "bad event block of 5000 characters"),
+        ({**POLICY, "allowed": {"syscalls": LONG}}, EMIT,
          "syscalls must be a list of names, got of 5000 characters"),
-        ({**POLICY, "allowed": {"syscalls": NAMES}}, ["emit", "p.yaml"],
+        ({**POLICY, "allowed": {"syscalls": NAMES}}, EMIT,
          "syscalls must be a list of names, got list of length 2000"),
-        ({**POLICY, "classes": [LONG]}, ["emit", "p.yaml"],
+        ({**POLICY, "classes": [LONG]}, EMIT,
          "classes must be a mapping, got list of length 1"),
-        ({**POLICY, "targets": LONG}, ["emit", "p.yaml"], "bad targets block of 5000 characters"),
-        ({**POLICY, "achieved_security": NAMES}, ["emit", "p.yaml"],
+        ({**POLICY, "targets": LONG}, EMIT, "bad targets block of 5000 characters"),
+        ({**POLICY, "achieved_security": NAMES}, EMIT,
          "achieved_security must be a number in [0, 1], got list of length 2000"),
-        ({**POLICY, "policy_version": LONG}, ["emit", "p.yaml"],
+        ({**POLICY, "policy_version": LONG}, EMIT,
          "unsupported policy_version of 5000 characters"),
         ({**MODEL, "rules": [LONG]}, ["explore", "p.yaml", "cpu-shares"],
          "bad rule entry of 5000 characters"),
@@ -1103,8 +1125,8 @@ class TestErrorReporting:
          "bad workload entry dict of length 1: expected a mapping of "),
         ({**PLAN, "pairs": [LONG]}, ["validate-inference", "redis", "p.yaml"],
          "pair of 5000 characters is not two factor ids"),
-        ([POLICY], ["emit", "p.yaml"], "DecisionError: policy document must be a mapping"),
-        ({**POLICY, "container": ""}, ["emit", "p.yaml"],
+        ([POLICY], EMIT, "DecisionError: policy document must be a mapping"),
+        ({**POLICY, "container": ""}, EMIT,
          "DecisionError: policy needs a container name"),
         ({"plan_version": 2}, ["validate-inference", "redis", "p.yaml"],
          "PlanFormatError: p.yaml: not a plan_version 1 document"),
@@ -1151,13 +1173,13 @@ class TestErrorReporting:
 
     @pytest.mark.parametrize("files,argv,shown", [
         ({"p.yaml": yaml.safe_dump({**POLICY, "allowed": {"syscalls": [LONG]}})},
-         ["emit", "p.yaml"], "they differ in 1 event: of 5000 characters"),
+         EMIT, "they differ in 1 event: of 5000 characters"),
         ({"p.yaml": yaml.safe_dump({**POLICY, "allowed": {"capabilities": CAPS},
                                     "classes": {"always": {"capabilities": CAPS[:1]}}})},
          ["check", "p.yaml", CVEDB], "they differ in 301 events: 'CAP_X001', "),
         ({"p.yaml": yaml.safe_dump({**POLICY, "allowed": {"capabilities": CAPS},
                                     "classes": {"always": {"capabilities": CAPS}}})},
-         ["emit", "p.yaml", "--caps", "c.txt"],
+         EMIT,
          "EmitError: not Linux capabilities: 302 names: 'CAP_X000', "),
         ({"t.trace": WIDE_TRACE}, INGEST, "trace tracks 3000 namespaces: 1, 2, 3 and 2997 more"),
         ({"t.trace": f"beacon-trace v1\n{LONG_IDS}"}, INGEST,
